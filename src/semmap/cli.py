@@ -24,7 +24,7 @@ from . import svg as svgmod
 from . import treebank as tb
 from . import typology as ty
 from .corpus import CorpusError
-from .pipeline import ConfigError, PipelineConfig, run
+from .pipeline import ConfigError, PipelineConfig, check_grid_levels, run
 from .treebank import TreebankError
 from .typology import TypologyError
 
@@ -44,6 +44,13 @@ _RUN_SCALARS = {
 }
 
 
+def _parse_levels(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad contour levels {text!r}: {exc}") from exc
+
+
 def _cmd_run(args) -> int:
     if args.config:
         config = PipelineConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
@@ -61,7 +68,7 @@ def _cmd_run(args) -> int:
     if args.pivot_tokens:
         config.pivot_tokens = tuple(args.pivot_tokens.split(","))
     if args.levels:
-        config.levels = tuple(float(v) for v in args.levels.split(","))
+        config.levels = _parse_levels(args.levels)
     if args.gmm_ks:
         config.gmm_ks = tuple(int(k) for k in args.gmm_ks.split(","))
     if args.treebank_paths:
@@ -100,13 +107,14 @@ def _require(path: str, stage: str) -> Path:
 
 
 def _cmd_map(args) -> int:
+    levels = _parse_levels(args.levels)
+    check_grid_levels(args.grid, levels)
     emb = pv.EmbeddedMap.from_tsv(_require(args.embedding, "run"))
     matrix = pv.ParallelUsageMatrix.from_tsv(_require(args.matrix, "run"))
     points = emb.coords[:, :2]
     labels = matrix.column(args.iso)
     attested = sorted({lab if lab is not None else al.NULL_MARKER for lab in labels})
     norm = [lab if lab is not None else al.NULL_MARKER for lab in labels]
-    levels = tuple(float(v) for v in args.levels.split(","))
     contours = {}
     for m in attested:
         try:
@@ -153,10 +161,7 @@ def _cmd_treebank_extract(args) -> int:
         tb.constructions_to_tsv(constructions, args.out)
         print(args.out)
     else:
-        tmp = Path(args.treebank).with_suffix(".constructions.tsv")
-        tb.constructions_to_tsv(constructions, tmp)
-        sys.stdout.write(tmp.read_text(encoding="utf-8"))
-        tmp.unlink()
+        tb.write_constructions(constructions, sys.stdout)
     return EXIT_OK
 
 

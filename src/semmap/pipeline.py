@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -28,13 +29,22 @@ from . import svg as svgmod
 from . import typology as ty
 from .align import NULL_MARKER
 
-__all__ = ["PipelineConfig", "ConfigError", "run"]
+__all__ = ["PipelineConfig", "ConfigError", "check_grid_levels", "run"]
 
 GROUPS = ty.GROUPS
 
 
 class ConfigError(ValueError):
     pass
+
+
+def check_grid_levels(grid, levels) -> None:
+    """Reject a kriging grid or contour levels no surface can be drawn with."""
+    if not isinstance(grid, numbers.Integral) or grid < 2:
+        raise ConfigError(f"grid must be an integer of at least 2, got {grid!r}")
+    for level in levels:
+        if not isinstance(level, numbers.Real) or not 0.0 < level < 1.0:
+            raise ConfigError(f"contour levels must lie in (0, 1), got {level!r}")
 
 
 @dataclass
@@ -73,6 +83,7 @@ class PipelineConfig:
             raise ConfigError("mds_dims must be 2 or 3")
         if self.covariance != "exponential":
             raise ConfigError(f"unsupported covariance family {self.covariance!r}")
+        check_grid_levels(self.grid, self.levels)
         if list(self.levels) != sorted(self.levels, reverse=True):
             raise ConfigError("levels must be sorted descending")
         if self.dictionary_level not in self.levels:

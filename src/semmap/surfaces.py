@@ -8,7 +8,6 @@ probability levels become closed polygons used for containment tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +25,12 @@ __all__ = [
 
 DEFAULT_LEVELS = (0.35, 0.32, 0.29)
 PAD_FRACTION = 0.05
+# diagonal jitters, as multiples of sigma^2, tried until a kriging solve
+# comes out finite
+_JITTERS = (0.0, 1e-8, 1e-6)
+# polygon edges per block of the batched containment test; bounds its
+# (points, edges) temporaries whatever the polygon size
+_EDGE_CHUNK = 128
 
 
 class SurfaceError(ValueError):
@@ -109,6 +114,42 @@ def fit_surface(points, labels, target_means: str, grid: int = 200,
     if z.sum() < 1:
         raise SurfaceError(f"target means {target_means!r} never occurs")
 
+    xs, ys = _grid_axes(pts, grid)
+    gx, gy = np.meshgrid(xs, ys)
+    nodes = np.column_stack([gx.ravel(), gy.ravel()])
+    pred, params = _krige(pts, z, nodes, rho, nugget_frac)
+    prob = np.clip(pred.reshape(len(ys), len(xs)), 0.0, 1.0)
+    surf = KrigSurface(
+        means_label=target_means, xs=xs, ys=ys, prob=prob,
+        levels=tuple(levels),
+        params={"covariance": "exponential", **params, "grid": grid},
+    )
+    if with_contours:
+        for level in levels:
+            surf.contours[level] = contour(surf, level)
+    return surf
+
+
+def predict_at(points, labels, target_means: str, where,
+               rho: float | None = None, nugget_frac: float = 0.05) -> np.ndarray:
+    """Kriging prediction at arbitrary locations (shares fit_surface math)."""
+    pts = np.asarray(points, dtype=float)
+    z = np.array([1.0 if lab == target_means else 0.0 for lab in labels])
+    where = np.atleast_2d(np.asarray(where, dtype=float))
+    pred, _ = _krige(pts, z, where, rho, nugget_frac)
+    return np.clip(pred, 0.0, 1.0)
+
+
+def _krige(pts: np.ndarray, z: np.ndarray, where: np.ndarray,
+           rho: float | None, nugget_frac: float) -> tuple[np.ndarray, dict]:
+    """Ordinary-kriging prediction of the field ``z`` at ``where``.
+
+    Solves the (n+1)-square system of exponential covariances plus the
+    Lagrange row for every location, adding the diagonal jitters in
+    ``_JITTERS`` (multiples of sigma^2) in turn until the solution is
+    finite. Returns the unclamped prediction and the kriging parameters.
+    """
+    n = pts.shape[0]
     dists = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
     if rho is None:
         iu = np.triu_indices(n, k=1)
@@ -127,79 +168,40 @@ def fit_surface(points, labels, target_means: str, grid: int = 200,
     a[n, :n] = 1.0
     a[:n, n] = 1.0
 
-    xs, ys = _grid_axes(pts, grid)
-    gx, gy = np.meshgrid(xs, ys)
-    nodes = np.column_stack([gx.ravel(), gy.ravel()])
-    node_d = np.sqrt(((nodes[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-    b = np.empty((n + 1, nodes.shape[0]))
-    b[:n] = sigma2 * np.exp(-node_d.T / rho)
-    b[n] = 1.0
-
-    weights = None
-    for jitter in (0.0, 1e-8 * sigma2, 1e-6 * sigma2):
-        try:
-            aj = a.copy()
-            aj[:n, :n] += jitter * np.eye(n)
-            sol = np.linalg.solve(aj, b)
-            if np.all(np.isfinite(sol)):
-                weights = sol
-                break
-        except np.linalg.LinAlgError:
-            continue
-    if weights is None:
-        raise SurfaceError("degenerate configuration")
-
-    pred = z @ weights[:n]
-    prob = np.clip(pred.reshape(len(ys), len(xs)), 0.0, 1.0)
-    surf = KrigSurface(
-        means_label=target_means, xs=xs, ys=ys, prob=prob,
-        levels=tuple(levels),
-        params={"covariance": "exponential", "rho": rho, "nugget": nugget,
-                "sigma2": sigma2, "grid": grid},
-    )
-    if with_contours:
-        for level in levels:
-            surf.contours[level] = contour(surf, level)
-    return surf
-
-
-def predict_at(points, labels, target_means: str, where,
-               rho: float | None = None, nugget_frac: float = 0.05) -> np.ndarray:
-    """Kriging prediction at arbitrary locations (shares fit_surface math)."""
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
-    labels = list(labels)
-    z = np.array([1.0 if lab == target_means else 0.0 for lab in labels])
-    dists = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-    if rho is None:
-        iu = np.triu_indices(n, k=1)
-        rho = float(np.median(dists[iu]))
-        if rho <= 0.0:
-            raise SurfaceError("degenerate configuration")
-    sigma2 = float(z.var())
-    if sigma2 < 1e-12:
-        sigma2 = 1.0
-    nugget = nugget_frac * sigma2
-    a = np.zeros((n + 1, n + 1))
-    a[:n, :n] = sigma2 * np.exp(-dists / rho) + nugget * np.eye(n)
-    a[n, :n] = 1.0
-    a[:n, n] = 1.0
-    where = np.atleast_2d(np.asarray(where, dtype=float))
     node_d = np.sqrt(((where[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
     b = np.empty((n + 1, where.shape[0]))
     b[:n] = sigma2 * np.exp(-node_d.T / rho)
     b[n] = 1.0
-    sol = np.linalg.solve(a, b)
-    return np.clip(z @ sol[:n], 0.0, 1.0)
+
+    for jitter in _JITTERS:
+        try:
+            aj = a.copy()
+            aj[:n, :n] += jitter * sigma2 * np.eye(n)
+            sol = np.linalg.solve(aj, b)
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(np.isfinite(sol)):
+            return z @ sol[:n], {"rho": rho, "nugget": nugget, "sigma2": sigma2}
+    raise SurfaceError("degenerate configuration")
 
 
 # ---------------------------------------------------------------------------
 # marching squares
 
 
-def _interp(p1, p2, v1, v2, level):
-    t = (level - v1) / (v2 - v1)
-    return (p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1]))
+# segment edge pairs per case code, oriented with the inside region on the
+# left; corners: 0 bottom-left, 1 bottom-right, 2 top-right, 3 top-left;
+# edges: 0 bottom, 1 right, 2 top, 3 left
+_SEGMENTS = {
+    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
+    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(2, 0)],
+    11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
+}
+# saddle cases, indexed by whether the cell centre is inside
+_SADDLES = {
+    5: ([(3, 0), (1, 2)], [(3, 2), (1, 0)]),
+    10: ([(0, 1), (2, 3)], [(0, 3), (2, 1)]),
+}
 
 
 def contour(surface: KrigSurface, level: float) -> list[np.ndarray]:
@@ -208,7 +210,9 @@ def contour(surface: KrigSurface, level: float) -> list[np.ndarray]:
     Marching squares runs over the grid extended by one below-level ring,
     so every iso-line closes; segments that leave the map are clamped to
     the bounding box, which closes boundary-clipped regions along the
-    boundary. Vertices on the level are treated as inside.
+    boundary. Vertices on the level are treated as inside. Case codes and
+    edge crossings are computed for all cells at once; cells are visited
+    in row-major order.
     """
     if not 0.0 < level < 1.0:
         raise SurfaceError("level must be in (0, 1)")
@@ -218,48 +222,30 @@ def contour(surface: KrigSurface, level: float) -> list[np.ndarray]:
     vals = np.full((len(gy), len(gx)), level - 1.0)
     vals[1:-1, 1:-1] = prob
 
-    segments: list[tuple[tuple[float, float], tuple[float, float]]] = []
     inside = vals >= level
-    for iy in range(len(gy) - 1):
-        for ix in range(len(gx) - 1):
-            # corners: 0 bottom-left, 1 bottom-right, 2 top-right, 3 top-left
-            c = [
-                (gx[ix], gy[iy]), (gx[ix + 1], gy[iy]),
-                (gx[ix + 1], gy[iy + 1]), (gx[ix], gy[iy + 1]),
-            ]
-            v = [
-                vals[iy, ix], vals[iy, ix + 1],
-                vals[iy + 1, ix + 1], vals[iy + 1, ix],
-            ]
-            b = (
-                (1 if inside[iy, ix] else 0)
-                | (2 if inside[iy, ix + 1] else 0)
-                | (4 if inside[iy + 1, ix + 1] else 0)
-                | (8 if inside[iy + 1, ix] else 0)
-            )
-            if b in (0, 15):
-                continue
-            # edge midpoints by crossing: 0 bottom, 1 right, 2 top, 3 left
-            def cross(edge):
-                i1, i2 = [(0, 1), (1, 2), (2, 3), (3, 0)][edge]
-                return _interp(c[i1], c[i2], v[i1], v[i2], level)
+    code = (inside[:-1, :-1] + 2 * inside[:-1, 1:]
+            + 4 * inside[1:, 1:] + 8 * inside[1:, :-1])
+    iy, ix = np.nonzero((code != 0) & (code != 15))
+    # per active cell, corner coordinates and values in corner order
+    cx = np.column_stack([gx[ix], gx[ix + 1], gx[ix + 1], gx[ix]])
+    cy = np.column_stack([gy[iy], gy[iy], gy[iy + 1], gy[iy + 1]])
+    v = np.column_stack([vals[iy, ix], vals[iy, ix + 1],
+                         vals[iy + 1, ix + 1], vals[iy + 1, ix]])
+    # edge e runs from corner e to corner e + 1; edges the iso-line does
+    # not cross may divide by zero and are never read
+    nx, ny, nv = (np.roll(a, -1, axis=1) for a in (cx, cy, v))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (level - v) / (nv - v)
+        ex = cx + t * (nx - cx)
+        ey = cy + t * (ny - cy)
+    centre_in = (v[:, 0] + v[:, 1] + v[:, 2] + v[:, 3]) / 4.0 >= level
 
-            # segments oriented with the inside region on the left
-            table = {
-                1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
-                6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(2, 0)],
-                11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
-            }
-            if b == 5:
-                center = sum(v) / 4.0
-                pairs = [(3, 2), (1, 0)] if center >= level else [(3, 0), (1, 2)]
-            elif b == 10:
-                center = sum(v) / 4.0
-                pairs = [(0, 3), (2, 1)] if center >= level else [(0, 1), (2, 3)]
-            else:
-                pairs = table[b]
-            for e1, e2 in pairs:
-                segments.append((cross(e1), cross(e2)))
+    segments: list[tuple[tuple[float, float], tuple[float, float]]] = []
+    for b, c_in, sx, sy in zip(code[iy, ix].tolist(), centre_in.tolist(),
+                               ex.tolist(), ey.tolist()):
+        pairs = _SADDLES[b][c_in] if b in _SADDLES else _SEGMENTS[b]
+        for e1, e2 in pairs:
+            segments.append(((sx[e1], sy[e1]), (sx[e2], sy[e2])))
 
     polys = _assemble(segments)
     x0, x1 = xs[0], xs[-1]
@@ -340,35 +326,44 @@ def polygon_area(poly: np.ndarray) -> float:
     return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
-def contains(polygons: list[np.ndarray], point) -> bool:
-    """Even-odd containment over a polygon set; boundary counts as inside."""
-    px, py = float(point[0]), float(point[1])
+def contains(polygons: list[np.ndarray], point):
+    """Even-odd containment over a polygon set; boundary counts as inside.
+
+    ``point`` is one (x, y) pair, answered with a bool, or an (m, 2)
+    array, answered with an (m,) bool array. A point lies on the
+    boundary when its squared distance to some edge is within
+    (span * 1e-9)^2, span being the largest absolute coordinate of the
+    set (at least 1). Edges are tested in blocks of ``_EDGE_CHUNK``.
+    """
+    pts = np.asarray(point, dtype=float)
+    single = pts.ndim == 1
+    pts = np.atleast_2d(pts)
     if not polygons:
-        return False
+        return False if single else np.zeros(pts.shape[0], dtype=bool)
     span = max(max(float(np.abs(p).max()) for p in polygons), 1.0)
     eps = span * 1e-9
-    crossings = 0
-    for poly in polygons:
-        n = poly.shape[0]
-        for i in range(n):
-            x1, y1 = poly[i]
-            x2, y2 = poly[(i + 1) % n]
-            # boundary check: distance from point to the segment
-            dx, dy = x2 - x1, y2 - y1
-            seg2 = dx * dx + dy * dy
-            if seg2 > 0:
-                t = ((px - x1) * dx + (py - y1) * dy) / seg2
-                t = min(1.0, max(0.0, t))
-                cx, cy = x1 + t * dx, y1 + t * dy
-            else:
-                cx, cy = x1, y1
-            if (px - cx) ** 2 + (py - cy) ** 2 <= eps * eps:
-                return True
-            if (y1 > py) != (y2 > py):
-                x_at = x1 + (py - y1) * dx / dy
-                if x_at > px:
-                    crossings += 1
-    return crossings % 2 == 1
+    polys = [np.asarray(p, dtype=float) for p in polygons]
+    starts = np.concatenate(polys)
+    ends = np.concatenate([np.roll(p, -1, axis=0) for p in polys])
+    px, py = pts[:, 0:1], pts[:, 1:2]
+    on_edge = np.zeros(pts.shape[0], dtype=bool)
+    crossings = np.zeros(pts.shape[0], dtype=np.int64)
+    for lo in range(0, starts.shape[0], _EDGE_CHUNK):
+        x1, y1 = starts[lo:lo + _EDGE_CHUNK].T
+        x2, y2 = ends[lo:lo + _EDGE_CHUNK].T
+        dx, dy = x2 - x1, y2 - y1
+        seg2 = dx * dx + dy * dy
+        # zero-length edges and edges parallel to the ray divide by zero;
+        # np.where and the crossing mask discard those entries
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.clip(((px - x1) * dx + (py - y1) * dy) / seg2, 0.0, 1.0)
+            x_at = x1 + (py - y1) * dx / dy
+        cx = np.where(seg2 > 0, x1 + t * dx, x1)
+        cy = np.where(seg2 > 0, y1 + t * dy, y1)
+        on_edge |= ((px - cx) ** 2 + (py - cy) ** 2 <= eps * eps).any(axis=1)
+        crossings += (((y1 > py) != (y2 > py)) & (x_at > px)).sum(axis=1)
+    inside = on_edge | (crossings % 2 == 1)
+    return bool(inside[0]) if single else inside
 
 
 def null_heat(matrix) -> list[int]:

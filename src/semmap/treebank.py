@@ -572,24 +572,30 @@ def extract_all(sentences: list[Sentence],
 def constructions_to_tsv(constructions: list[Construction], path,
                          header: str | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        fh.write("sentence_id\tkind\ttrigger_ids\tmatrix_id\tposition\t"
-                 "sentence_initial\tsubject\tsubject_id\tsubject_position\t"
-                 "aspect\tflags\n")
-        for c in constructions:
-            fh.write("\t".join([
-                c.sentence_id, c.kind,
-                ",".join(str(i) for i in c.trigger_ids),
-                str(c.matrix_id) if c.matrix_id is not None else "NONE",
-                c.position,
-                "1" if c.sentence_initial else "0",
-                c.subject,
-                str(c.subject_id) if c.subject_id is not None else "_",
-                c.subject_position or "_",
-                c.aspect,
-                ",".join(sorted(c.flags)) or "_",
-            ]) + "\n")
+        write_constructions(constructions, fh, header=header)
+
+
+def write_constructions(constructions: list[Construction], fh,
+                        header: str | None = None) -> None:
+    """Write the construction table to an open text stream."""
+    if header:
+        fh.write(f"# {header}\n")
+    fh.write("sentence_id\tkind\ttrigger_ids\tmatrix_id\tposition\t"
+             "sentence_initial\tsubject\tsubject_id\tsubject_position\t"
+             "aspect\tflags\n")
+    for c in constructions:
+        fh.write("\t".join([
+            c.sentence_id, c.kind,
+            ",".join(str(i) for i in c.trigger_ids),
+            str(c.matrix_id) if c.matrix_id is not None else "NONE",
+            c.position,
+            "1" if c.sentence_initial else "0",
+            c.subject,
+            str(c.subject_id) if c.subject_id is not None else "_",
+            c.subject_position or "_",
+            c.aspect,
+            ",".join(sorted(c.flags)) or "_",
+        ]) + "\n")
 
 
 @dataclass

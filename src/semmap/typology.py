@@ -95,15 +95,15 @@ def build_dictionary(core_sets: dict[str, list], areas: dict[str, list],
     k = next(iter(sizes.values()))
 
     counts: dict[str, dict[str, int]] = {g: {} for g in core_sets}
-    for g, ids in core_sets.items():
-        for label in sorted(areas):
-            polys = areas[label]
-            if not polys:
-                continue
-            c = sum(
-                1 for rid in ids
-                if contains(polys, points[row_index[rid]])
-            )
+    # every group's core points in one stack, one containment test per area
+    rows = [row_index[rid] for ids in core_sets.values() for rid in ids]
+    stacked = np.asarray(points)[rows]
+    for label in sorted(areas):
+        polys = areas[label]
+        if not polys:
+            continue
+        per_group = contains(polys, stacked).reshape(len(core_sets), k).sum(axis=1)
+        for g, c in zip(core_sets, per_group.tolist()):
             if c > 0:
                 counts[g][label] = c
 

@@ -36,6 +36,29 @@ def test_run_bad_json_is_config_error(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--grid", "1"], ["--grid", "0"], ["--levels", "1.5,0.29"],
+])
+def test_run_bad_grid_or_levels_is_config_error_before_work(tmp_path, capsys, flags):
+    corpus = tmp_path / "corpus"
+    build_corpus(corpus, n_verses=30, seed=3)
+    out = tmp_path / "out"
+    code = main(["run", "--corpus-dir", str(corpus), "--metadata", str(corpus / "meta.tsv"),
+                 "--out-dir", str(out), "--dictionary-level", "0.29", *flags])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--grid", "1"], ["--levels", "0.35,1.0"], ["--levels", "x"]])
+def test_map_bad_grid_or_levels_is_config_error(tmp_path, capsys, flags):
+    code = main(["map", "--embedding", str(tmp_path / "e.tsv"),
+                 "--matrix", str(tmp_path / "m.tsv"),
+                 "--iso", "x", "--out", str(tmp_path / "o.svg"), *flags])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_empty_mapped_cluster_is_numerical_failure(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     build_corpus(corpus, n_verses=30, seed=3)
@@ -92,6 +115,20 @@ def test_treebank_extract(tmp_path, capsys):
     assert "absolute" in text and "conjunct" in text and "jegda" in text
     kinds = [ln.split("\t")[1] for ln in text.splitlines()[1:]]
     assert kinds.count("absolute") == 4
+
+
+def test_treebank_extract_to_stdout_leaves_neighbour_file(tmp_path, capsys):
+    tb = tmp_path / "fix.tsv"
+    tb.write_text(FIXTURE, encoding="utf-8")
+    neighbour = tmp_path / "fix.constructions.tsv"
+    neighbour.write_text("keep me\n", encoding="utf-8")
+    assert main(["treebank-extract", "--treebank", str(tb)]) == 0
+    stdout = capsys.readouterr().out
+    assert neighbour.read_text(encoding="utf-8") == "keep me\n"
+    out = tmp_path / "cons.tsv"
+    assert main(["treebank-extract", "--treebank", str(tb), "--out", str(out)]) == 0
+    assert stdout == out.read_text(encoding="utf-8")
+    assert stdout.startswith("sentence_id\tkind\t")
 
 
 def test_stats_report(tmp_path, capsys):

@@ -6,6 +6,8 @@ from semmap.surfaces import (
     DEFAULT_LEVELS,
     KrigSurface,
     SurfaceError,
+    _assemble,
+    _dedupe,
     contains,
     contour,
     fit_surface,
@@ -141,10 +143,8 @@ def test_contour_polygons_closed_and_inside_box():
             assert poly[:, 1].max() <= surf.ys[-1] + 1e-9
 
 
-def test_contour_area_conserved_on_noisy_multisaddle_field():
-    # random bump mixture with many saddles: every iso-line must close,
-    # so the polygon areas (outer minus holes, via even-odd counting on
-    # cell centers) match the above-level cell count
+def multisaddle_surface():
+    # random bump mixture with many saddles
     rng = np.random.default_rng(17)
     xs = np.linspace(0, 1, 90)
     ys = np.linspace(0, 1, 90)
@@ -153,28 +153,35 @@ def test_contour_area_conserved_on_noisy_multisaddle_field():
     for _ in range(12):
         cx, cy = rng.uniform(0.1, 0.9, 2)
         prob += rng.uniform(0.2, 0.5) * np.exp(-((gx - cx) ** 2 + (gy - cy) ** 2) / 0.02)
-    prob = np.clip(prob, 0, 1)
-    surf = KrigSurface("noisy", xs, ys, prob, DEFAULT_LEVELS)
+    return KrigSurface("noisy", xs, ys, np.clip(prob, 0, 1), DEFAULT_LEVELS)
+
+
+def two_islands_surface():
+    xs = np.linspace(-4, 4, 120)
+    ys = np.linspace(-2, 2, 120)
+    gx, gy = np.meshgrid(xs, ys)
+    prob = np.exp(-((gx - 2) ** 2 + gy ** 2)) + np.exp(-((gx + 2) ** 2 + gy ** 2))
+    return KrigSurface("two", xs, ys, np.clip(prob, 0, 1), DEFAULT_LEVELS)
+
+
+def test_contour_area_conserved_on_noisy_multisaddle_field():
+    # every iso-line must close, so the polygon areas (outer minus holes,
+    # via even-odd counting on cell centers) match the above-level cell
+    # count
+    surf = multisaddle_surface()
+    xs, ys, prob = surf.xs, surf.ys, surf.prob
     cell = (xs[1] - xs[0]) * (ys[1] - ys[0])
+    cx, cy = np.meshgrid((xs[:-1] + xs[1:]) / 2, (ys[:-1] + ys[1:]) / 2)
+    centres = np.column_stack([cx.ravel(), cy.ravel()])
     for level in (0.29, 0.5, 0.7):
         polys = contour(surf, level)
-        covered = 0
-        for iy in range(len(ys) - 1):
-            for ix in range(len(xs) - 1):
-                cx = (xs[ix] + xs[ix + 1]) / 2
-                cy = (ys[iy] + ys[iy + 1]) / 2
-                covered += contains(polys, (cx, cy))
+        covered = int(contains(polys, centres).sum())
         want = float((prob >= level).sum()) * cell
         assert covered * cell == pytest.approx(want, rel=0.08), level
 
 
 def test_contour_two_islands():
-    xs = np.linspace(-4, 4, 120)
-    ys = np.linspace(-2, 2, 120)
-    gx, gy = np.meshgrid(xs, ys)
-    prob = np.exp(-((gx - 2) ** 2 + gy ** 2)) + np.exp(-((gx + 2) ** 2 + gy ** 2))
-    surf = KrigSurface("two", xs, ys, np.clip(prob, 0, 1), DEFAULT_LEVELS)
-    polys = contour(surf, 0.5)
+    polys = contour(two_islands_surface(), 0.5)
     assert len(polys) == 2
 
 
@@ -213,6 +220,214 @@ def test_contains_agrees_with_rasterized_oracle():
 
 def test_contains_empty_set():
     assert not contains([], (0.0, 0.0))
+
+
+def test_contains_single_point_is_bool_and_batch_is_array():
+    assert type(contains(UNIT_SQUARE, (0.5, 0.5))) is bool
+    assert type(contains(UNIT_SQUARE, np.array([2.0, 2.0]))) is bool
+    assert type(contains([], (0.0, 0.0))) is bool
+    pts = np.array([[0.5, 0.5], [2.0, 2.0], [0.0, 0.5]])
+    got = contains(UNIT_SQUARE, pts)
+    assert got.shape == (3,) and got.dtype == bool
+    assert got.tolist() == [True, False, True]
+    assert contains([], pts).tolist() == [False, False, False]
+
+
+# scalar reference oracles ------------------------------------------------------
+# The per-edge containment loop and the per-cell marching-squares loop that
+# the batched versions replaced. Both compute the same floats in the same
+# order, so results must agree exactly. Chain assembly, clamping and
+# de-duplication are shared with the module.
+
+def contains_oracle(polygons, point) -> bool:
+    px, py = float(point[0]), float(point[1])
+    if not polygons:
+        return False
+    span = max(max(float(np.abs(p).max()) for p in polygons), 1.0)
+    eps = span * 1e-9
+    crossings = 0
+    for poly in polygons:
+        n = poly.shape[0]
+        for i in range(n):
+            x1, y1 = poly[i]
+            x2, y2 = poly[(i + 1) % n]
+            dx, dy = x2 - x1, y2 - y1
+            seg2 = dx * dx + dy * dy
+            if seg2 > 0:
+                t = ((px - x1) * dx + (py - y1) * dy) / seg2
+                t = min(1.0, max(0.0, t))
+                cx, cy = x1 + t * dx, y1 + t * dy
+            else:
+                cx, cy = x1, y1
+            if (px - cx) ** 2 + (py - cy) ** 2 <= eps * eps:
+                return True
+            if (y1 > py) != (y2 > py):
+                x_at = x1 + (py - y1) * dx / dy
+                if x_at > px:
+                    crossings += 1
+    return crossings % 2 == 1
+
+
+def contour_oracle(surface, level):
+    def interp(p1, p2, v1, v2):
+        t = (level - v1) / (v2 - v1)
+        return (p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1]))
+
+    xs, ys, prob = surface.xs, surface.ys, surface.prob
+    gx = np.concatenate([[2 * xs[0] - xs[1]], xs, [2 * xs[-1] - xs[-2]]])
+    gy = np.concatenate([[2 * ys[0] - ys[1]], ys, [2 * ys[-1] - ys[-2]]])
+    vals = np.full((len(gy), len(gx)), level - 1.0)
+    vals[1:-1, 1:-1] = prob
+    table = {
+        1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
+        6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(2, 0)],
+        11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
+    }
+    segments = []
+    inside = vals >= level
+    for iy in range(len(gy) - 1):
+        for ix in range(len(gx) - 1):
+            c = [
+                (gx[ix], gy[iy]), (gx[ix + 1], gy[iy]),
+                (gx[ix + 1], gy[iy + 1]), (gx[ix], gy[iy + 1]),
+            ]
+            v = [
+                vals[iy, ix], vals[iy, ix + 1],
+                vals[iy + 1, ix + 1], vals[iy + 1, ix],
+            ]
+            b = (
+                (1 if inside[iy, ix] else 0)
+                | (2 if inside[iy, ix + 1] else 0)
+                | (4 if inside[iy + 1, ix + 1] else 0)
+                | (8 if inside[iy + 1, ix] else 0)
+            )
+            if b in (0, 15):
+                continue
+            if b == 5:
+                center = sum(v) / 4.0
+                pairs = [(3, 2), (1, 0)] if center >= level else [(3, 0), (1, 2)]
+            elif b == 10:
+                center = sum(v) / 4.0
+                pairs = [(0, 3), (2, 1)] if center >= level else [(0, 1), (2, 3)]
+            else:
+                pairs = table[b]
+            for e1, e2 in pairs:
+                ends = []
+                for edge in (e1, e2):
+                    i1, i2 = [(0, 1), (1, 2), (2, 3), (3, 0)][edge]
+                    ends.append(interp(c[i1], c[i2], v[i1], v[i2]))
+                segments.append(tuple(ends))
+    clipped = []
+    for poly in _assemble(segments):
+        arr = np.array(poly)
+        arr[:, 0] = np.clip(arr[:, 0], xs[0], xs[-1])
+        arr[:, 1] = np.clip(arr[:, 1], ys[0], ys[-1])
+        arr = _dedupe(arr)
+        if arr.shape[0] >= 3:
+            clipped.append(arr)
+    return clipped
+
+
+def grid_surface(prob):
+    prob = np.asarray(prob, dtype=float)
+    xs = np.linspace(0.0, 1.0, prob.shape[1])
+    ys = np.linspace(0.0, 1.0, prob.shape[0])
+    return KrigSurface("grid", xs, ys, prob, DEFAULT_LEVELS)
+
+
+def on_level_surface():
+    # corner values exactly on the level give zero-length crossings
+    rng = np.random.default_rng(23)
+    return grid_surface(rng.choice([0.25, 0.5, 0.75], size=(24, 24)))
+
+
+SADDLES = {
+    # prob[0] is the bottom row: case 5 has corners 0 and 2 inside,
+    # case 10 corners 1 and 3; level 0.5
+    "case5-centre-inside": ([[0.9, 0.2], [0.2, 0.9]], 1),
+    "case5-centre-outside": ([[0.6, 0.1], [0.1, 0.6]], 2),
+    "case10-centre-inside": ([[0.2, 0.9], [0.9, 0.2]], 1),
+    "case10-centre-outside": ([[0.1, 0.6], [0.6, 0.1]], 2),
+}
+
+
+def assert_same_polygons(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("name", sorted(SADDLES))
+def test_contour_saddles_match_scalar_oracle(name):
+    prob, n_polys = SADDLES[name]
+    surf = grid_surface(prob)
+    got = contour(surf, 0.5)
+    assert len(got) == n_polys
+    assert_same_polygons(got, contour_oracle(surf, 0.5))
+
+
+@pytest.mark.parametrize("field, levels", [
+    (multisaddle_surface, (0.29, 0.5, 0.7)),
+    (two_islands_surface, (0.5,)),
+    (on_level_surface, (0.5, 0.25, 0.75)),
+    (lambda: bump_surface(grid=60), DEFAULT_LEVELS),
+])
+def test_contour_matches_scalar_oracle(field, levels):
+    surf = field()
+    for level in levels:
+        want = contour_oracle(surf, level)
+        assert want, level
+        assert_same_polygons(contour(surf, level), want)
+
+
+def probe_points(polys, rng, n_random=60):
+    """Random points plus vertices, edge midpoints, points along edges
+    (horizontal ones included) and points level with a vertex."""
+    verts = np.concatenate(polys)
+    ends = np.concatenate([np.roll(p, -1, axis=0) for p in polys])
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    pick = rng.choice(len(verts), size=min(len(verts), 30), replace=False)
+    t = rng.uniform(0, 1, size=(len(pick), 1))
+    level_y = np.column_stack([rng.uniform(lo[0], hi[0], len(pick)), verts[pick, 1]])
+    return np.concatenate([
+        rng.uniform(lo - 0.1, hi + 0.1, size=(n_random, 2)),
+        verts[pick],
+        (verts[pick] + ends[pick]) / 2,
+        verts[pick] + t * (ends[pick] - verts[pick]),
+        level_y,
+    ])
+
+
+def star_polygon(rng, n, centre, quantum=None):
+    angles = np.sort(rng.uniform(0, 2 * np.pi, n))
+    radii = rng.uniform(0.3, 1.0, n)
+    poly = np.column_stack([centre[0] + radii * np.cos(angles),
+                            centre[1] + radii * np.sin(angles)])
+    if quantum:
+        # snapped vertices: horizontal edges, shared ys, repeated vertices
+        poly = np.round(poly / quantum) * quantum
+    return poly
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_contains_matches_scalar_oracle(seed):
+    rng = np.random.default_rng(seed)
+    sets = [
+        contour(multisaddle_surface(), (0.29, 0.5, 0.7)[seed]),
+        contour(on_level_surface(), 0.5),
+        # many edges in one polygon, spanning several edge blocks
+        [star_polygon(rng, 300, (0.0, 0.0))],
+        [star_polygon(rng, 40, (0.0, 0.0), quantum=0.25),
+         star_polygon(rng, 40, (1.5, 0.5), quantum=0.25)],
+        # nested rectangles: a hole under even-odd counting
+        [np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 3.0], [0.0, 3.0]]),
+         np.array([[1.0, 1.0], [3.0, 1.0], [3.0, 2.0], [1.0, 2.0]])],
+    ]
+    for polys in sets:
+        pts = probe_points(polys, rng)
+        want = [contains_oracle(polys, p) for p in pts]
+        assert contains(polys, pts).tolist() == want
+        assert [contains(polys, p) for p in pts[::17]] == want[::17]
 
 
 # null heat ---------------------------------------------------------------------
