@@ -13,6 +13,8 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
+from . import tsv
+
 __all__ = [
     "AlignError",
     "TranslationModel",
@@ -68,15 +70,13 @@ class PivotParallel:
     form: str | None
 
 
-def train_em(bitext: list[tuple[list[str], list[str]]], iterations: int = 5,
-             seed: int = 0) -> TranslationModel:
+def train_em(bitext: list[tuple[list[str], list[str]]],
+             iterations: int = 5) -> TranslationModel:
     """Estimate the lexical table by EM over sentence pairs.
 
     ``bitext`` pairs source-token with target-token sequences. Uniform
-    initialization makes the procedure fully deterministic; the seed is
-    accepted for interface uniformity and recorded nowhere.
+    initialization makes the procedure fully deterministic.
     """
-    del seed
     if not bitext:
         raise AlignError("empty bitext")
     if iterations < 1:
@@ -236,8 +236,7 @@ def align_pair(pivot_verses: dict[str, list[str]],
                target_verses: dict[str, list[str]],
                pivot_types: set[str],
                iterations: int = 5,
-               min_count: int = 3,
-               seed: int = 0) -> list[PivotParallel]:
+               min_count: int = 3) -> list[PivotParallel]:
     """Full per-pair run: train both directions, symmetrize, extract, clean.
 
     Only verses present on both sides are used; pivot occurrences in
@@ -249,8 +248,8 @@ def align_pair(pivot_verses: dict[str, list[str]],
         raise AlignError("no shared verses between pivot and target")
     fwd_bitext = [(pivot_verses[v], target_verses[v]) for v in common]
     rev_bitext = [(target_verses[v], pivot_verses[v]) for v in common]
-    fwd_model = train_em(fwd_bitext, iterations=iterations, seed=seed)
-    rev_model = train_em(rev_bitext, iterations=iterations, seed=seed)
+    fwd_model = train_em(fwd_bitext, iterations=iterations)
+    rev_model = train_em(rev_bitext, iterations=iterations)
     pairs = {v: (pivot_verses[v], target_verses[v]) for v in common}
     fwd = argmax_links(fwd_model, pairs, "fwd")
     rev = argmax_links(rev_model, pairs, "rev")
@@ -265,22 +264,14 @@ def align_pair(pivot_verses: dict[str, list[str]],
     return reassign_nulls(parallels, min_count=min_count)
 
 
-def dump_parallels(parallels: list[PivotParallel], path, header: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        for p in parallels:
-            form = p.form if p.form is not None else NULL_MARKER
-            fh.write(f"{p.verse_id}\t{p.pivot_index}\t{form}\n")
+def dump_parallels(parallels: list[PivotParallel], header: str | None = None) -> str:
+    return tsv.format_rows(
+        ((p.verse_id, p.pivot_index, p.form if p.form is not None else NULL_MARKER)
+         for p in parallels),
+        header,
+    )
 
 
 def load_parallels(path) -> list[PivotParallel]:
-    rows: list[PivotParallel] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            vid, idx, form = line.split("\t")
-            rows.append(PivotParallel(vid, int(idx), None if form == NULL_MARKER else form))
-    return rows
+    return [PivotParallel(vid, idx, None if form == NULL_MARKER else form)
+            for vid, idx, form in tsv.read_rows(path, str, int, str)]

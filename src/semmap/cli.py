@@ -22,6 +22,7 @@ from . import pivot as pv
 from . import surfaces as sf
 from . import svg as svgmod
 from . import treebank as tb
+from . import tsv
 from . import typology as ty
 from .corpus import CorpusError
 from .pipeline import ConfigError, PipelineConfig, check_grid_levels, run
@@ -44,11 +45,21 @@ _RUN_SCALARS = {
 }
 
 
-def _parse_levels(text: str) -> tuple[float, ...]:
+def _split(text: str, typ) -> tuple:
+    """A comma-separated flag value as a tuple of ``typ``."""
     try:
-        return tuple(float(v) for v in text.split(","))
+        return tuple(typ(v) for v in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad contour levels {text!r}: {exc}") from exc
+        raise ConfigError(f"bad list {text!r}: {exc}") from exc
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write a command's output to ``out`` and print its name, or write it to stdout."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+        print(out)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_run(args) -> int:
@@ -66,13 +77,13 @@ def _cmd_run(args) -> int:
         if val is not None:
             setattr(config, name, val)
     if args.pivot_tokens:
-        config.pivot_tokens = tuple(args.pivot_tokens.split(","))
+        config.pivot_tokens = _split(args.pivot_tokens, str)
     if args.levels:
-        config.levels = _parse_levels(args.levels)
+        config.levels = _split(args.levels, float)
     if args.gmm_ks:
-        config.gmm_ks = tuple(int(k) for k in args.gmm_ks.split(","))
+        config.gmm_ks = _split(args.gmm_ks, int)
     if args.treebank_paths:
-        config.treebank_paths = tuple(args.treebank_paths.split(","))
+        config.treebank_paths = _split(args.treebank_paths, str)
     if args.cluster_groups:
         config.cluster_groups = json.loads(args.cluster_groups)
     if args.group_anchors:
@@ -86,14 +97,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_align_eval(args) -> int:
     parallels = al.load_parallels(args.alignment)
-    gold: dict[tuple[str, int], str | None] = {}
-    with open(args.gold, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            vid, idx, form = line.split("\t")
-            gold[(vid, int(idx))] = None if form == al.NULL_MARKER else form
+    # gold rows have the alignment dump's format
+    gold = {(p.verse_id, p.pivot_index): p.form for p in al.load_parallels(args.gold)}
     acc = al.evaluate_alignment(parallels, gold)
     print(f"accuracy\t{acc:.4f}\t({len(gold)} gold items)")
     return EXIT_OK
@@ -107,85 +112,58 @@ def _require(path: str, stage: str) -> Path:
 
 
 def _cmd_map(args) -> int:
-    levels = _parse_levels(args.levels)
+    levels = _split(args.levels, float)
     check_grid_levels(args.grid, levels)
     emb = pv.EmbeddedMap.from_tsv(_require(args.embedding, "run"))
     matrix = pv.ParallelUsageMatrix.from_tsv(_require(args.matrix, "run"))
+    if emb.row_ids != matrix.row_ids:
+        raise pv.PivotError(
+            f"the row ids of {args.embedding} ({len(emb.row_ids)} rows) differ from "
+            f"those of {args.matrix} ({len(matrix.row_ids)} rows); "
+            "use the embedding and matrix of one `semmap run`")
     points = emb.coords[:, :2]
     labels = matrix.column(args.iso)
-    attested = sorted({lab if lab is not None else al.NULL_MARKER for lab in labels})
-    norm = [lab if lab is not None else al.NULL_MARKER for lab in labels]
-    contours = {}
-    for m in attested:
-        try:
-            surf = sf.fit_surface(points, norm, m, grid=args.grid, levels=levels)
-        except sf.SurfaceError:
-            continue
-        contours[m] = surf.contours
-    svg_text = svgmod.render_map(points, labels, contours, title=args.iso)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(svg_text, encoding="utf-8")
-    print(out)
+    surfs = sf.fit_surfaces(points, labels, grid=args.grid, levels=levels)
+    svg_text = svgmod.render_map(points, labels, {m: s.contours for m, s in surfs.items()},
+                                 title=args.iso)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    _emit(svg_text, args.out)
     return EXIT_OK
 
 
+def _dictionary(cell: str) -> tuple[str, ty.AreaDictionary]:
+    """A stored dictionary cell: its JSON text and the dictionary it encodes."""
+    groups = json.loads(cell)
+    if not isinstance(groups, dict):
+        raise ValueError(f"dictionary {cell!r} is not a JSON object")
+    return cell, ty.AreaDictionary(groups={g: list(v) for g, v in groups.items()})
+
+
 def _cmd_classify(args) -> int:
-    out_lines = ["iso\tpattern\tsubpattern\tnull_flags\tdictionary"]
-    with open(_require(args.dictionaries, "run"), encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#") or line.startswith("iso\t"):
-                continue
-            iso, djson = line.split("\t", 1)
-            groups = json.loads(djson)
-            adict = ty.AreaDictionary(groups={g: list(v) for g, v in groups.items()})
-            res = ty.classify_pattern(adict)
-            out_lines.append(
-                f"{iso}\t{res.pattern}\t{res.subpattern or '_'}\t"
-                f"{','.join(res.null_flags) or '_'}\t{djson}"
-            )
-    text = "\n".join(out_lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(args.out)
-    else:
-        sys.stdout.write(text)
+    rows = [("iso", "pattern", "subpattern", "null_flags", "dictionary")]
+    for iso, (djson, adict) in tsv.read_rows(_require(args.dictionaries, "run"),
+                                             str, _dictionary, header=("iso", "dictionary")):
+        res = ty.classify_pattern(adict)
+        rows.append((iso, res.pattern, res.subpattern or "_",
+                     ",".join(res.null_flags) or "_", djson))
+    _emit(tsv.format_rows(rows), args.out)
     return EXIT_OK
 
 
 def _cmd_treebank_extract(args) -> int:
     sentences = tb.parse_treebank(Path(args.treebank))
-    constructions = tb.extract_all(sentences)
-    if args.out:
-        tb.constructions_to_tsv(constructions, args.out)
-        print(args.out)
-    else:
-        tb.write_constructions(constructions, sys.stdout)
+    _emit(tb.constructions_to_tsv(tb.extract_all(sentences)), args.out)
     return EXIT_OK
 
 
 def _cmd_stats_report(args) -> int:
-    rows: list[dict] = []
-    with open(_require(args.constructions, "treebank-extract"), encoding="utf-8") as fh:
-        header: list[str] | None = None
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if header is None:
-                header = parts
-                continue
-            rows.append(dict(zip(header, parts)))
-    lemmas = {}
-    with open(_require(args.lemmas, "treebank-extract"), encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            sid, tid, lemma = line.split("\t")
-            lemmas[(sid, tid)] = lemma
+    table = tsv.read_rows(_require(args.constructions, "treebank-extract"), rest=str)
+    if table and not {"sentence_id", "kind", "trigger_ids", "position"} <= set(table[0]):
+        raise tsv.TsvError(f"{args.constructions}: the columns sentence_id, kind, "
+                           "trigger_ids and position are required")
+    rows = [dict(zip(table[0], r)) for r in table[1:]]
+    lemmas = {(sid, tid): lemma for sid, tid, lemma in
+              tsv.read_rows(_require(args.lemmas, "treebank-extract"), str, str, str)}
 
     def lemma_of(row) -> str | None:
         trigger = row["trigger_ids"].split(",")[0]
@@ -202,7 +180,7 @@ def _cmd_stats_report(args) -> int:
         # report both raw and orthographically merged variants
         for key in list(subsets):
             subsets[f"{key}:N"] = [cs.normalize_lemma(l) for l in subsets[key]]
-    out_lines = ["subset\tn\tmattr\tten_mfl\tnotes"]
+    out_rows = [("subset", "n", "mattr", "ten_mfl", "notes")]
     for key in sorted(subsets):
         series = subsets[key]
         m = cs.mattr(series, window=args.window)
@@ -212,15 +190,9 @@ def _cmd_stats_report(args) -> int:
             notes.append("mattr-fallback-ttr")
         if t.boundary_tie:
             notes.append("10mfl-boundary-tie")
-        out_lines.append(
-            f"{key}\t{len(series)}\t{m.value:.6f}\t{t.value:.6f}\t{','.join(notes) or '_'}"
-        )
-    text = "\n".join(out_lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(args.out)
-    else:
-        sys.stdout.write(text)
+        out_rows.append((key, len(series), f"{m.value:.6f}", f"{t.value:.6f}",
+                         ",".join(notes) or "_"))
+    _emit(tsv.format_rows(out_rows), args.out)
     return EXIT_OK
 
 
@@ -286,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (CorpusError, TreebankError, TypologyError, al.AlignError,
-            pv.PivotError, FileNotFoundError) as exc:
+            pv.PivotError, tsv.TsvError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (sf.SurfaceError, mx.MixtureError, np.linalg.LinAlgError) as exc:

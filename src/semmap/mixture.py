@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tsv
 from .balltree import BallTree
 
 __all__ = [
@@ -242,17 +243,15 @@ class SelectionReport:
     aic_agrees: bool
     silhouette_agrees: bool
 
-    def to_tsv(self, path, header: str | None = None) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            if header:
-                fh.write(f"# {header}\n")
-            fh.write("k\tloglik\taic\tbic\tsilhouette\tfailed\tchosen\n")
-            for row in self.rows:
-                fh.write(
-                    f"{row['k']}\t{row['loglik']:.6f}\t{row['aic']:.6f}\t"
-                    f"{row['bic']:.6f}\t{row['silhouette']:.6f}\t"
-                    f"{int(row['failed'])}\t{int(row['k'] == self.chosen_k)}\n"
-                )
+    def to_tsv(self, header: str | None = None) -> str:
+        return tsv.format_rows(
+            [("k", "loglik", "aic", "bic", "silhouette", "failed", "chosen")]
+            + [(row["k"], f"{row['loglik']:.6f}", f"{row['aic']:.6f}",
+                f"{row['bic']:.6f}", f"{row['silhouette']:.6f}",
+                int(row["failed"]), int(row["k"] == self.chosen_k))
+               for row in self.rows],
+            header,
+        )
 
 
 def select_k(points, candidates, seed: int = 0) -> SelectionReport:

@@ -18,20 +18,20 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from urllib.parse import quote
 
-import numpy as np
-
 from . import align as al
 from . import corpus as cp
 from . import mixture as mx
 from . import pivot as pv
 from . import surfaces as sf
 from . import svg as svgmod
+from . import tsv
 from . import typology as ty
-from .align import NULL_MARKER
 
 __all__ = ["PipelineConfig", "ConfigError", "check_grid_levels", "run"]
 
 GROUPS = ty.GROUPS
+# config fields stored as JSON lists and held as tuples
+_LIST_FIELDS = ("pivot_tokens", "levels", "gmm_ks", "treebank_paths")
 
 
 class ConfigError(ValueError):
@@ -102,15 +102,19 @@ class PipelineConfig:
 
     def to_json(self) -> str:
         d = asdict(self)
-        for key in ("pivot_tokens", "levels", "gmm_ks", "treebank_paths"):
+        for key in _LIST_FIELDS:
             d[key] = list(d[key])
         return json.dumps(d, sort_keys=True, ensure_ascii=False, indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "PipelineConfig":
         d = json.loads(text)
-        for key in ("pivot_tokens", "levels", "gmm_ks", "treebank_paths"):
+        if not isinstance(d, dict):
+            raise ConfigError("a config must be a JSON object")
+        for key in _LIST_FIELDS:
             if key in d:
+                if not isinstance(d[key], list):
+                    raise ConfigError(f"{key} must be a JSON list, got {d[key]!r}")
                 d[key] = tuple(d[key])
         try:
             return cls(**d)
@@ -126,12 +130,10 @@ class PipelineConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
-def _atomic_write(path: Path, data: str | bytes) -> None:
+def _atomic_write(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    mode = "wb" if isinstance(data, bytes) else "w"
-    with open(tmp, mode, encoding=None if isinstance(data, bytes) else "utf-8") as fh:
-        fh.write(data)
+    tmp.write_bytes(data)
     os.replace(tmp, path)
 
 
@@ -147,34 +149,24 @@ def _threads() -> int:
 
 
 class _Artifacts:
+    """Writes a run's artifacts and keeps the sha256 of each for the manifest."""
+
     def __init__(self, root: Path, header: str):
         self.root = root
         self.header = header
-        self.paths: list[Path] = []
+        self.digests: list[tuple[Path, str]] = []
 
-    def write(self, rel: str, body: str, with_header: bool = True) -> Path:
+    def write(self, rel: str, text: str) -> None:
         path = self.root / rel
-        text = (f"# {self.header}\n" + body) if with_header else body
-        _atomic_write(path, text)
-        self.paths.append(path)
-        return path
-
-    def write_via(self, rel: str, emit) -> Path:
-        """Atomic write through an emitter taking a path (temp + rename)."""
-        path = self.root / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        emit(tmp)
-        os.replace(tmp, path)
-        self.paths.append(path)
-        return path
+        data = text.encode("utf-8")
+        _atomic_write(path, data)
+        self.digests.append((path, hashlib.sha256(data).hexdigest()))
 
     def manifest(self) -> str:
-        lines = [f"# {self.header}"]
-        for path in sorted(self.paths):
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            lines.append(f"{digest}\t{path.relative_to(self.root)}")
-        return "\n".join(lines) + "\n"
+        return tsv.format_rows(
+            ((digest, path.relative_to(self.root)) for path, digest in sorted(self.digests)),
+            self.header,
+        )
 
 
 def run(config: PipelineConfig) -> Path:
@@ -183,7 +175,7 @@ def run(config: PipelineConfig) -> Path:
     out = Path(config.out_dir)
     header = f"semmap config={config.config_hash()} seed={config.seed}"
     art = _Artifacts(out, header)
-    art.write("config.json", config.to_json(), with_header=False)
+    art.write("config.json", config.to_json())
 
     # corpus ------------------------------------------------------------
     manifest = cp.load_corpus(config.corpus_dir, config.metadata, config.pivot_iso)
@@ -207,12 +199,12 @@ def run(config: PipelineConfig) -> Path:
         all_target_verses.update(manifest.doculects[iso].verses)
     dropped_verses = len(all_target_verses - set(pivot.verses))
 
-    lines = ["iso\tname\tfamily\tmacroarea\tyear\tcoverage"]
+    rows = [("iso", "name", "family", "macroarea", "year", "coverage")]
     for iso, doc in sorted(manifest.doculects.items()):
         year = doc.year if doc.year is not None else "_"
-        lines.append(f"{iso}\t{doc.name}\t{doc.family}\t{doc.macroarea}\t{year}\t{doc.coverage}")
-    lines.append(f"# dropped_nonpivot_verses\t{dropped_verses}")
-    art.write("corpus.tsv", "\n".join(lines) + "\n")
+        rows.append((iso, doc.name, doc.family, doc.macroarea, year, doc.coverage))
+    rows.append(("# dropped_nonpivot_verses", dropped_verses))
+    art.write("corpus.tsv", tsv.format_rows(rows, header))
 
     # alignment ----------------------------------------------------------
     def align_one(iso: str):
@@ -221,7 +213,6 @@ def run(config: PipelineConfig) -> Path:
         return al.align_pair(
             pivot_tokens, target_tokens, pivot_types,
             iterations=config.iterations, min_count=config.min_count,
-            seed=config.seed,
         )
 
     parallels: dict[str, list[al.PivotParallel]] = {}
@@ -233,49 +224,45 @@ def run(config: PipelineConfig) -> Path:
         al.PivotParallel(vid, i, pivot_tokens[vid][i]) for vid, i in occurrences
     ]
     for iso in sorted(parallels):
-        body = "".join(
-            f"{p.verse_id}\t{p.pivot_index}\t{p.form if p.form is not None else NULL_MARKER}\n"
-            for p in parallels[iso]
-        )
-        art.write(f"alignments/{iso}.tsv", body)
+        art.write(f"alignments/{iso}.tsv", al.dump_parallels(parallels[iso], header))
 
     # usage matrix, distances, embedding ---------------------------------
     matrix = pv.build_matrix(parallels, occurrences)
-    art.write_via("matrix.tsv", lambda p: matrix.to_tsv(p, header=header))
+    art.write("matrix.tsv", matrix.to_tsv(header))
     dist = pv.hamming(matrix)
     emb = (pv.classical_mds(dist, 2, row_ids=matrix.row_ids)
            if config.mds_dims == 2
            else pv.add_dimension(dist, row_ids=matrix.row_ids))
-    art.write_via("embedding.tsv", lambda p: emb.to_tsv(p, header=header))
+    art.write("embedding.tsv", emb.to_tsv(header))
     points = emb.coords[:, :2]
 
     heat = sf.null_heat(matrix)
-    art.write("heat.tsv", "row_id\tnull_count\n" + "".join(
-        f"{rid}\t{h}\n" for rid, h in zip(matrix.row_ids, heat)))
+    art.write("heat.tsv", tsv.format_rows(
+        [("row_id", "null_count"), *zip(matrix.row_ids, heat)], header))
     art.write("svg/heat.svg", svgmod.render_map(
         points, [None] * len(heat), heat=heat,
         title="null-construction concentration", comment=header,
-    ), with_header=False)
+    ))
 
     # mixture -------------------------------------------------------------
     if len(config.gmm_ks) > 1:
         report = mx.select_k(points, config.gmm_ks, seed=config.gmm_seed)
-        art.write_via("gmm_selection.tsv", lambda p: report.to_tsv(p, header=header))
+        art.write("gmm_selection.tsv", report.to_tsv(header))
         chosen_k = report.chosen_k
     else:
         chosen_k = config.gmm_ks[0]
     model = mx.fit_gmm(points, chosen_k, seed=config.gmm_seed)
 
-    body = ["cluster\tweight\tmean_x\tmean_y\tcov_xx\tcov_xy\tcov_yy"]
+    rows = [("cluster", "weight", "mean_x", "mean_y", "cov_xx", "cov_xy", "cov_yy")]
     for j in range(model.k):
         c = model.covariances[j]
-        body.append(
-            f"{j}\t{model.weights[j]:.9f}\t{model.means[j,0]:.9f}\t{model.means[j,1]:.9f}"
-            f"\t{c[0,0]:.9f}\t{c[0,1]:.9f}\t{c[1,1]:.9f}"
-        )
-    art.write("gmm_model.tsv", "\n".join(body) + "\n")
-    art.write("gmm_assignments.tsv", "row_id\tcluster\n" + "".join(
-        f"{rid}\t{int(a)}\n" for rid, a in zip(matrix.row_ids, model.assignments)))
+        rows.append((j, *(f"{v:.9f}" for v in (
+            model.weights[j], model.means[j, 0], model.means[j, 1],
+            c[0, 0], c[0, 1], c[1, 1]))))
+    art.write("gmm_model.tsv", tsv.format_rows(rows, header))
+    art.write("gmm_assignments.tsv", tsv.format_rows(
+        [("row_id", "cluster"),
+         *((rid, int(a)) for rid, a in zip(matrix.row_ids, model.assignments))], header))
 
     # cluster -> group mapping
     row_index = {rid: i for i, rid in enumerate(matrix.row_ids)}
@@ -297,51 +284,38 @@ def run(config: PipelineConfig) -> Path:
                           k=config.core_k, row_ids=matrix.row_ids, tree=tree)
         for g in GROUPS
     }
-    body = ["group\tcluster\tcentroid_x\tcentroid_y\tmember_row_ids"]
+    rows = [("group", "cluster", "centroid_x", "centroid_y", "member_row_ids")]
     for g in GROUPS:
         cs = cores[g]
-        body.append(
-            f"{g}\t{cs.cluster}\t{cs.centroid[0]:.9f}\t{cs.centroid[1]:.9f}\t"
-            + ",".join(str(m) for m in cs.member_ids)
-        )
-    art.write("core_points.tsv", "\n".join(body) + "\n")
+        rows.append((g, cs.cluster, f"{cs.centroid[0]:.9f}", f"{cs.centroid[1]:.9f}",
+                     ",".join(str(m) for m in cs.member_ids)))
+    art.write("core_points.tsv", tsv.format_rows(rows, header))
 
     # per-doculect surfaces, dictionaries, classification -----------------
     isos = sorted(matrix.columns)
 
     def surfaces_for(iso: str):
-        labels = [c if c is not None else NULL_MARKER for c in matrix.column(iso)]
-        attested = sorted(set(labels))
-        out_s = {}
-        for m in attested:
-            try:
-                out_s[m] = sf.fit_surface(
-                    points, labels, m, grid=config.grid, levels=config.levels,
-                    rho=config.rho, nugget_frac=config.nugget_frac,
-                )
-            except sf.SurfaceError:
-                continue  # unfittable means (all points identical etc.)
-        return out_s
+        return sf.fit_surfaces(points, matrix.column(iso), grid=config.grid,
+                               levels=config.levels, rho=config.rho,
+                               nugget_frac=config.nugget_frac)
 
     surf_by_iso: dict[str, dict] = {}
     with ThreadPoolExecutor(max_workers=_threads()) as pool:
         for iso, s in zip(isos, pool.map(surfaces_for, isos)):
             surf_by_iso[iso] = s
 
-    classification = ["iso\tpattern\tsubpattern\tnull_flags\tdictionary"]
-    dict_lines = ["iso\tdictionary"]
-    score_lines = ["iso\tcluster\tmeans\ttp\tfp\tfn\tprecision\trecall\tf1\tbest"]
+    classification = [("iso", "pattern", "subpattern", "null_flags", "dictionary")]
+    dict_rows = [("iso", "dictionary")]
+    score_rows = [("iso", "cluster", "means", "tp", "fp", "fn",
+                   "precision", "recall", "f1", "best")]
     best_by_cluster: dict[int, dict[str, str]] = {}
     for iso in isos:
         surfs = surf_by_iso[iso]
         for m in sorted(surfs):
-            s = surfs[m]
             name = _safe_name(m)
             if config.dump_grids:
-                art.write_via(f"surfaces/{iso}_{name}.grid.tsv",
-                              lambda p, s=s: s.grid_to_tsv(p, header=header))
-            art.write_via(f"surfaces/{iso}_{name}.contours.tsv",
-                          lambda p, s=s: s.contours_to_tsv(p, header=header))
+                art.write(f"surfaces/{iso}_{name}.grid.tsv", surfs[m].grid_to_tsv(header))
+            art.write(f"surfaces/{iso}_{name}.contours.tsv", surfs[m].contours_to_tsv(header))
 
         areas = {m: s.contours.get(config.dictionary_level, [])
                  for m, s in surfs.items()}
@@ -350,50 +324,40 @@ def run(config: PipelineConfig) -> Path:
                                     alpha=config.alpha)
         assignment = ty.classify_pattern(adict)
         djson = json.dumps(adict.groups, sort_keys=True, ensure_ascii=False)
-        dict_lines.append(f"{iso}\t{djson}")
-        classification.append(
-            f"{iso}\t{assignment.pattern}\t{assignment.subpattern or '_'}\t"
-            f"{','.join(assignment.null_flags) or '_'}\t{djson}"
-        )
+        dict_rows.append((iso, djson))
+        classification.append((iso, assignment.pattern, assignment.subpattern or "_",
+                               ",".join(assignment.null_flags) or "_", djson))
 
         labels = matrix.column(iso)
         for g in GROUPS:
             cl = cluster_of_group[g]
             scores, best = ty.score_means(model.assignments, labels, cl)
             for s in scores:
-                score_lines.append(
-                    f"{iso}\t{cl}\t{s.means}\t{s.tp}\t{s.fp}\t{s.fn}"
-                    f"\t{s.precision:.6f}\t{s.recall:.6f}\t{s.f1:.6f}"
-                    f"\t{int(s.means == best.means)}"
-                )
+                score_rows.append((iso, cl, s.means, s.tp, s.fp, s.fn,
+                                   f"{s.precision:.6f}", f"{s.recall:.6f}", f"{s.f1:.6f}",
+                                   int(s.means == best.means)))
             best_by_cluster.setdefault(cl, {})[iso] = best.means
 
-        contours_by_means = {
-            m: {lv: [np.asarray(p) for p in s.contours.get(lv, [])]
-                for lv in config.levels}
-            for m, s in surfs.items()
-        }
         svg_text = svgmod.render_map(
-            points, labels, contours_by_means,
+            points, labels, {m: s.contours for m, s in surfs.items()},
             title=f"{iso} ({manifest.doculects[iso].family})",
             comment=header,
         )
-        art.write(f"svg/{iso}.svg", svg_text, with_header=False)
+        art.write(f"svg/{iso}.svg", svg_text)
 
-    art.write("dictionaries.tsv", "\n".join(dict_lines) + "\n")
-    art.write("classification.tsv", "\n".join(classification) + "\n")
-    art.write("scores.tsv", "\n".join(score_lines) + "\n")
+    art.write("dictionaries.tsv", tsv.format_rows(dict_rows, header))
+    art.write("classification.tsv", tsv.format_rows(classification, header))
+    art.write("scores.tsv", tsv.format_rows(score_rows, header))
 
-    proto_lines = ["cluster\trank\trow_id\tscore"]
+    proto_rows = [("cluster", "rank", "row_id", "score")]
     for g in GROUPS:
         cl = cluster_of_group[g]
         ranking = ty.prototypicality(cl, best_by_cluster.get(cl, {}), matrix,
                                      model.assignments)
         for rank, (rid, score) in enumerate(ranking, 1):
-            proto_lines.append(f"{cl}\t{rank}\t{rid}\t{score}")
-    art.write("prototypicality.tsv", "\n".join(proto_lines) + "\n")
+            proto_rows.append((cl, rank, rid, score))
+    art.write("prototypicality.tsv", tsv.format_rows(proto_rows, header))
 
-    manifest_text = art.manifest()
     manifest_path = out / "manifest.tsv"
-    _atomic_write(manifest_path, manifest_text)
+    _atomic_write(manifest_path, art.manifest().encode("utf-8"))
     return manifest_path

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tsv
 from .align import NULL_MARKER, PivotParallel
 
 __all__ = [
@@ -51,6 +52,8 @@ class ParallelUsageMatrix:
         return len(self.row_ids)
 
     def column(self, iso: str) -> list[str | None]:
+        if iso not in self.columns:
+            raise PivotError(f"doculect {iso!r} is not a column of the usage matrix")
         j = self.columns.index(iso)
         return [row[j] for row in self.cells]
 
@@ -62,34 +65,22 @@ class ParallelUsageMatrix:
             seen[verse] = seen.get(verse, 0) + 1
         return [rid for rid in self.row_ids if seen[rid.rsplit("#", 1)[0]] > 1]
 
-    def to_tsv(self, path, header: str | None = None) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            if header:
-                fh.write(f"# {header}\n")
-            fh.write("row_id\t" + "\t".join(self.columns) + "\n")
-            for rid, row in zip(self.row_ids, self.cells):
-                cells = [c if c is not None else NULL_MARKER for c in row]
-                fh.write(rid + "\t" + "\t".join(cells) + "\n")
+    def to_tsv(self, header: str | None = None) -> str:
+        return tsv.format_rows(
+            [["row_id", *self.columns]]
+            + [[rid, *(c if c is not None else NULL_MARKER for c in row)]
+               for rid, row in zip(self.row_ids, self.cells)],
+            header,
+        )
 
     @classmethod
     def from_tsv(cls, path) -> "ParallelUsageMatrix":
-        row_ids: list[str] = []
-        cells: list[list[str | None]] = []
-        columns: list[str] | None = None
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if columns is None:
-                    columns = parts[1:]
-                    continue
-                row_ids.append(parts[0])
-                cells.append([None if c == NULL_MARKER else c for c in parts[1:]])
-        if columns is None:
+        rows = tsv.read_rows(path, rest=str)
+        if not rows:
             raise PivotError(f"{path}: empty matrix file")
-        return cls(row_ids=row_ids, columns=columns, cells=cells)
+        return cls(row_ids=[r[0] for r in rows[1:]], columns=rows[0][1:],
+                   cells=[[None if c == NULL_MARKER else c for c in r[1:]]
+                          for r in rows[1:]])
 
 
 def build_matrix(parallels_by_doculect: dict[str, list[PivotParallel]],
@@ -187,28 +178,20 @@ class EmbeddedMap:
     truncated: bool = False
     plane_distance: np.ndarray | None = None
 
-    def to_tsv(self, path, header: str | None = None) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            if header:
-                fh.write(f"# {header}\n")
-            for rid, row in zip(self.row_ids, self.coords):
-                vals = "\t".join(f"{v:.9f}" for v in row)
-                fh.write(f"{rid}\t{vals}\n")
+    def to_tsv(self, header: str | None = None) -> str:
+        return tsv.format_rows(
+            ([rid, *(f"{v:.9f}" for v in row)] for rid, row in zip(self.row_ids, self.coords)),
+            header,
+        )
 
     @classmethod
     def from_tsv(cls, path) -> "EmbeddedMap":
-        rids: list[str] = []
-        rows: list[list[float]] = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                rids.append(parts[0])
-                rows.append([float(v) for v in parts[1:]])
-        coords = np.asarray(rows, dtype=float)
-        return cls(coords=coords, eigenvalues=np.zeros(coords.shape[1]), row_ids=rids)
+        rows = tsv.read_rows(path, str, rest=float)
+        if not rows:
+            raise PivotError(f"{path}: empty embedding file")
+        coords = np.asarray([r[1:] for r in rows], dtype=float)
+        return cls(coords=coords, eigenvalues=np.zeros(coords.shape[1]),
+                   row_ids=[r[0] for r in rows])
 
 
 def _fix_signs(coords: np.ndarray) -> np.ndarray:

@@ -12,10 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tsv
+from .align import NULL_MARKER
+
 __all__ = [
     "SurfaceError",
     "KrigSurface",
     "fit_surface",
+    "fit_surfaces",
     "contour",
     "contains",
     "polygon_area",
@@ -58,24 +62,21 @@ class KrigSurface:
                 return False
         return True
 
-    def grid_to_tsv(self, path, header: str | None = None) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            if header:
-                fh.write(f"# {header}\n")
-            fh.write("x\ty\tprob\n")
-            for iy, y in enumerate(self.ys):
-                for ix, x in enumerate(self.xs):
-                    fh.write(f"{x:.6f}\t{y:.6f}\t{self.prob[iy, ix]:.6f}\n")
+    def grid_to_tsv(self, header: str | None = None) -> str:
+        xs = [f"{x:.6f}" for x in self.xs.tolist()]
+        rows = [("x", "y", "prob")]
+        for y, probs in zip(self.ys.tolist(), self.prob.tolist()):
+            fy = f"{y:.6f}"
+            rows.extend((fx, fy, f"{p:.6f}") for fx, p in zip(xs, probs))
+        return tsv.format_rows(rows, header)
 
-    def contours_to_tsv(self, path, header: str | None = None) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            if header:
-                fh.write(f"# {header}\n")
-            fh.write("level\tpolygon\tx\ty\n")
-            for level in self.levels:
-                for pi, poly in enumerate(self.contours.get(level, [])):
-                    for x, y in poly:
-                        fh.write(f"{level:g}\t{pi}\t{x:.6f}\t{y:.6f}\n")
+    def contours_to_tsv(self, header: str | None = None) -> str:
+        rows = [("level", "polygon", "x", "y")]
+        for level in self.levels:
+            for pi, poly in enumerate(self.contours.get(level, [])):
+                rows.extend((f"{level:g}", pi, f"{x:.6f}", f"{y:.6f}")
+                            for x, y in poly.tolist())
+        return tsv.format_rows(rows, header)
 
 
 def _grid_axes(points: np.ndarray, grid: int) -> tuple[np.ndarray, np.ndarray]:
@@ -128,6 +129,26 @@ def fit_surface(points, labels, target_means: str, grid: int = 200,
         for level in levels:
             surf.contours[level] = contour(surf, level)
     return surf
+
+
+def fit_surfaces(points, labels, grid: int = 200,
+                 levels: tuple[float, ...] = DEFAULT_LEVELS,
+                 rho: float | None = None,
+                 nugget_frac: float = 0.05) -> dict[str, KrigSurface]:
+    """One surface per means attested in ``labels``, keyed by means.
+
+    ``None`` labels are the means NULL. Means are fitted in sorted order;
+    one whose surface cannot be fitted (``SurfaceError``) is left out.
+    """
+    labels = [lab if lab is not None else NULL_MARKER for lab in labels]
+    out: dict[str, KrigSurface] = {}
+    for means in sorted(set(labels)):
+        try:
+            out[means] = fit_surface(points, labels, means, grid=grid, levels=levels,
+                                     rho=rho, nugget_frac=nugget_frac)
+        except SurfaceError:
+            continue
+    return out
 
 
 def predict_at(points, labels, target_means: str, where,

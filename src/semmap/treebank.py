@@ -22,6 +22,8 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import tsv
+
 __all__ = [
     "TreebankError",
     "TbToken",
@@ -569,33 +571,23 @@ def extract_all(sentences: list[Sentence],
     return out
 
 
-def constructions_to_tsv(constructions: list[Construction], path,
-                         header: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        write_constructions(constructions, fh, header=header)
-
-
-def write_constructions(constructions: list[Construction], fh,
-                        header: str | None = None) -> None:
-    """Write the construction table to an open text stream."""
-    if header:
-        fh.write(f"# {header}\n")
-    fh.write("sentence_id\tkind\ttrigger_ids\tmatrix_id\tposition\t"
-             "sentence_initial\tsubject\tsubject_id\tsubject_position\t"
-             "aspect\tflags\n")
-    for c in constructions:
-        fh.write("\t".join([
-            c.sentence_id, c.kind,
+def constructions_to_tsv(constructions: list[Construction]) -> str:
+    """The construction table as TSV text."""
+    return tsv.format_rows(
+        [("sentence_id", "kind", "trigger_ids", "matrix_id", "position",
+          "sentence_initial", "subject", "subject_id", "subject_position",
+          "aspect", "flags")]
+        + [(c.sentence_id, c.kind,
             ",".join(str(i) for i in c.trigger_ids),
-            str(c.matrix_id) if c.matrix_id is not None else "NONE",
+            c.matrix_id if c.matrix_id is not None else "NONE",
             c.position,
             "1" if c.sentence_initial else "0",
             c.subject,
-            str(c.subject_id) if c.subject_id is not None else "_",
+            c.subject_id if c.subject_id is not None else "_",
             c.subject_position or "_",
             c.aspect,
-            ",".join(sorted(c.flags)) or "_",
-        ]) + "\n")
+            ",".join(sorted(c.flags)) or "_")
+           for c in constructions])
 
 
 @dataclass

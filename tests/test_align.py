@@ -217,7 +217,7 @@ def test_parallels_roundtrip(tmp_path):
     pivot, target, _ = make_verse_corpus(n=40, null_rate=0.5)
     rows = align_pair(pivot, target, {"when"})
     path = tmp_path / "dump.tsv"
-    dump_parallels(rows, path, header="test")
+    path.write_text(dump_parallels(rows, header="test"), encoding="utf-8")
     assert load_parallels(path) == rows
 
 

@@ -252,3 +252,88 @@ def test_threaded_run_matches_single_thread(tmp_path, monkeypatch):
             if "\t" in ln and not ln.endswith("config.json")
         }
     assert results["one"] == results["four"]
+
+
+@pytest.mark.parametrize("flags", [["--gmm-ks", "x"], ["--gmm-ks", "3,4.5"]])
+def test_run_unparsable_list_flag_is_config_error(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    code = main(["run", "--corpus-dir", str(tmp_path), "--out-dir", str(out), *flags])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("levels", 0.29), ("gmm_ks", 3), ("pivot_tokens", "when"), ("treebank_paths", None),
+])
+def test_run_config_scalar_for_list_is_config_error(tmp_path, capsys, field, value):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "corpus_dir": str(tmp_path), "metadata": None,
+        "out_dir": str(tmp_path / "out"), field: value,
+    }), encoding="utf-8")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert f"{field} must be a JSON list" in capsys.readouterr().err
+
+
+def test_map_unknown_iso_is_data_error(tmp_path, capsys):
+    _, _, emb, mat = null_diluted_fixture(tmp_path)
+    out = tmp_path / "map.svg"
+    assert main(["map", "--embedding", str(emb), "--matrix", str(mat),
+                 "--iso", "zzz", "--out", str(out), "--grid", "20"]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "'zzz'" in err
+    assert not out.exists()
+
+
+def test_map_embedding_of_other_rows_is_data_error(tmp_path, capsys):
+    _, _, emb, mat = null_diluted_fixture(tmp_path)
+    lines = emb.read_text(encoding="utf-8").splitlines(keepends=True)
+    emb.write_text("".join(lines[:20]), encoding="utf-8")
+    out = tmp_path / "map.svg"
+    assert main(["map", "--embedding", str(emb), "--matrix", str(mat),
+                 "--iso", "xyz", "--out", str(out), "--grid", "20"]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "row ids" in err and "(20 rows)" in err
+    assert not out.exists()
+
+
+CONSTRUCTIONS = "sentence_id\tkind\ttrigger_ids\tposition\nS1\tconjunct\t3\tpre\n"
+
+# stored files whose rows are malformed, the command reading them, and
+# where the error must point; "@name" stands for the file's path
+MALFORMED = {
+    "gold_two_fields": (
+        {"al.tsv": "v1\t0\tkai\n", "gold.tsv": "# gold\nv1\t0\n"},
+        ["align-eval", "--alignment", "@al.tsv", "--gold", "@gold.tsv"], "gold.tsv:2"),
+    "pivot_index_not_integer": (
+        {"al.tsv": "v1\t0\tkai\nv2\tone\tkai\n", "gold.tsv": "v1\t0\tkai\n"},
+        ["align-eval", "--alignment", "@al.tsv", "--gold", "@gold.tsv"], "al.tsv:2"),
+    "dictionary_bad_json": (
+        {"d.tsv": 'iso\tdictionary\naa\t{"TL": ["x"]\n'},
+        ["classify", "--dictionaries", "@d.tsv"], "d.tsv:2"),
+    "dictionary_one_field": (
+        {"d.tsv": 'iso\tdictionary\naa\t{"TL": ["x"]}\nbb\n'},
+        ["classify", "--dictionaries", "@d.tsv"], "d.tsv:3"),
+    "embedding_not_float": (
+        {"e.tsv": "r0\t1.0\t2.0\nr1\t1.5\tx\n", "m.tsv": "row_id\txyz\nr0\ta\nr1\tb\n"},
+        ["map", "--embedding", "@e.tsv", "--matrix", "@m.tsv", "--iso", "xyz",
+         "--out", "@o.svg"], "e.tsv:2"),
+    "lemmas_two_fields": (
+        {"c.tsv": CONSTRUCTIONS, "l.tsv": "S1\t3\tgo\nS1\t4\n"},
+        ["stats-report", "--constructions", "@c.tsv", "--lemmas", "@l.tsv"], "l.tsv:2"),
+    "constructions_without_trigger_ids": (
+        {"c.tsv": "sentence_id\tkind\nS1\tconjunct\n", "l.tsv": "S1\t3\tgo\n"},
+        ["stats-report", "--constructions", "@c.tsv", "--lemmas", "@l.tsv"], "c.tsv"),
+}
+
+
+@pytest.mark.parametrize("files, argv, where", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_stored_file_is_data_error(tmp_path, capsys, files, argv, where):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and f"{where}: " in err
+    assert "Traceback" not in err
