@@ -1,22 +1,32 @@
 """Bidirectional lexical translation models and one-to-one alignment.
 
-A position-independent lexical model (estimated by EM from uniform
-initialization) is trained in both directions for each pivot/target
-pair; argmax links are intersected into a one-to-one table and pivot
-tokens without a surviving link become NULL. Rare aligned types can be
-reassigned to NULL corpus-wide.
+A position-independent lexical model (IBM Model 1, estimated by EM from
+uniform initialization) is trained in both directions for each
+pivot/target pair; argmax links are intersected into a one-to-one table
+and pivot tokens without a surviving link become NULL. Rare aligned
+types can be reassigned to NULL corpus-wide.
+
+Each pair's verses are coded once as integer arrays (``Bitext``). EM
+and the argmax work on the flattened (verse, token, token) cells with
+``np.bincount`` and ``reduceat``, adding in the order a per-verse loop
+would, so tables and links do not depend on the batching.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+import functools
+from collections import Counter
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from . import tsv
 
 __all__ = [
     "AlignError",
+    "Bitext",
     "TranslationModel",
     "AlignmentTable",
     "PivotParallel",
@@ -38,17 +48,96 @@ class AlignError(ValueError):
     pass
 
 
-@dataclass
-class TranslationModel:
-    """Lexical table t[(source_type, target_type)] -> probability.
+class _Side(NamedTuple):
+    """One side of a bitext: its sorted types, every verse's tokens coded
+    and concatenated in verse order, and each verse's token count and
+    first token."""
+    types: list[str]
+    codes: np.ndarray
+    lengths: np.ndarray
+    starts: np.ndarray
 
-    Distributions are normalized per source type. ``loglik`` records the
-    bitext log-likelihood after each EM iteration.
+    @classmethod
+    def encode(cls, verses: list[list[str]]) -> "_Side":
+        types = sorted({tok for toks in verses for tok in toks})
+        index = {form: k for k, form in enumerate(types)}
+        codes = np.array([index[tok] for toks in verses for tok in toks], dtype=np.int32)
+        lengths = np.array([len(toks) for toks in verses], dtype=np.int32)
+        starts = np.zeros(len(verses), dtype=np.int32)
+        np.cumsum(lengths[:-1], out=starts[1:])
+        return cls(types, codes, lengths, starts)
+
+
+@dataclass(frozen=True, eq=False)
+class Bitext:
+    """Verse pairs with the types of each side coded as ints.
+
+    ``ids`` names the verses. Codes index each side's sorted types, so
+    comparing two codes compares their forms as ``str <`` does.
     """
-    t: dict
-    direction: str
+    ids: list
+    source: _Side
+    target: _Side
+
+    @classmethod
+    def of(cls, verse_pairs) -> "Bitext":
+        """Code a sequence of (source tokens, target tokens), whose ids
+        are its positions, or a mapping from verse id to such a pair; a
+        ``Bitext`` is returned as it is."""
+        if isinstance(verse_pairs, Bitext):
+            return verse_pairs
+        if isinstance(verse_pairs, Mapping):
+            ids, pairs = list(verse_pairs), list(verse_pairs.values())
+        else:
+            pairs = list(verse_pairs)
+            ids = list(range(len(pairs)))
+        return cls(ids, _Side.encode([p[0] for p in pairs]),
+                   _Side.encode([p[1] for p in pairs]))
+
+    def swapped(self) -> "Bitext":
+        """The same verses with source and target exchanged (no recoding)."""
+        return Bitext(self.ids, self.target, self.source)
+
+
+def _cells(outer: _Side, inner: _Side):
+    """Every (outer token, inner token) pair of a verse, verse by verse.
+
+    Returns the outer and the inner token index (into ``codes``) of each
+    cell, the outer position varying slowest within a verse, and per
+    outer token its number of cells and its first cell. A verse with an
+    empty side has no cells.
+    """
+    run = np.repeat(inner.lengths, outer.lengths)
+    outer_idx = np.repeat(np.arange(len(outer.codes), dtype=np.int32), run)
+    first = np.zeros(len(run), dtype=np.int64)
+    np.cumsum(run[:-1], out=first[1:])
+    shift = np.repeat(np.repeat(inner.starts, outer.lengths) - first, run)
+    inner_idx = (np.arange(len(outer_idx), dtype=np.int64) + shift).astype(np.int32)
+    return outer_idx, inner_idx, run, first
+
+
+@dataclass(eq=False)
+class TranslationModel:
+    """Lexical table of p(target type | source type) over co-occurring pairs.
+
+    ``pairs`` holds the sorted keys ``source_code * len(target_types) +
+    target_code`` and ``probs`` their probabilities; distributions are
+    normalized per source type. ``loglik`` records the bitext
+    log-likelihood after each EM iteration.
+    """
+    source_types: list[str]
+    target_types: list[str]
+    pairs: np.ndarray
+    probs: np.ndarray
     iterations: int
-    loglik: list[float] = field(default_factory=list)
+    loglik: list[float]
+
+    @functools.cached_property
+    def t(self) -> dict:
+        """The table as {(source_type, target_type): probability}."""
+        width = len(self.target_types)
+        return {(self.source_types[k // width], self.target_types[k % width]): p
+                for k, p in zip(self.pairs.tolist(), self.probs.tolist())}
 
     def prob(self, source: str, target: str) -> float:
         return self.t.get((source, target), 0.0)
@@ -70,53 +159,49 @@ class PivotParallel:
     form: str | None
 
 
-def train_em(bitext: list[tuple[list[str], list[str]]],
-             iterations: int = 5) -> TranslationModel:
-    """Estimate the lexical table by EM over sentence pairs.
+def train_em(bitext, iterations: int = 5) -> TranslationModel:
+    """Estimate the lexical table by EM (IBM Model 1) over sentence pairs.
 
-    ``bitext`` pairs source-token with target-token sequences. Uniform
-    initialization makes the procedure fully deterministic.
+    ``bitext`` is a ``Bitext`` or a sequence of (source tokens, target
+    tokens). Uniform initialization makes the procedure fully
+    deterministic. Every sum runs over the cells of each verse in one
+    order (target position outer, source position inner) through
+    ``np.bincount``, which adds its weights in array order, so the table
+    does not depend on how the cells are batched.
     """
-    if not bitext:
+    bitext = Bitext.of(bitext)
+    if not bitext.ids:
         raise AlignError("empty bitext")
     if iterations < 1:
         raise AlignError("iterations must be >= 1")
-
+    src, tgt = bitext.source, bitext.target
+    width = len(tgt.types)
+    tgt_idx, src_idx, _, _ = _cells(tgt, src)
+    s = src.codes[src_idx]
+    keys, pair = np.unique(s.astype(np.int64) * width + tgt.codes[tgt_idx],
+                           return_inverse=True)
+    pair = pair.astype(np.int32)
+    pair_src = keys // width
     # uniform over target types co-occurring with each source type
-    cooc: dict[str, set[str]] = defaultdict(set)
-    for src, tgt in bitext:
-        for s in set(src):
-            cooc[s].update(tgt)
-    t: dict = {}
-    for s, targets in cooc.items():
-        u = 1.0 / len(targets)
-        for f in targets:
-            t[(s, f)] = u
+    t = 1.0 / np.bincount(pair_src, minlength=len(src.types))[pair_src]
+    inv_len = np.repeat(1.0 / np.maximum(src.lengths, 1), tgt.lengths)
 
     loglik_trace: list[float] = []
     for _ in range(iterations):
-        counts: dict = defaultdict(float)
-        totals: dict = defaultdict(float)
-        ll = 0.0
-        for src, tgt in bitext:
-            if not src or not tgt:
-                continue
-            inv_len = 1.0 / len(src)
-            for f in tgt:
-                z = 0.0
-                for s in src:
-                    z += t.get((s, f), 0.0)
-                if z <= 0.0:
-                    continue
-                ll += math.log(z * inv_len)
-                for s in src:
-                    p = t.get((s, f), 0.0)
-                    if p > 0.0:
-                        w = p / z
-                        counts[(s, f)] += w
-                        totals[s] += w
-        for (s, f), cnt in counts.items():
-            t[(s, f)] = cnt / totals[s]
+        p = t[pair]
+        z = np.bincount(tgt_idx, weights=p, minlength=len(tgt.codes))
+        zc = z[tgt_idx]
+        # a cell counts when its target token's z and its own p are > 0
+        live = (zc > 0.0) & (p > 0.0)
+        w = p[live] / zc[live]
+        hit = pair[live]
+        counts = np.bincount(hit, weights=w, minlength=len(keys))
+        totals = np.bincount(s[live], weights=w, minlength=len(src.types))
+        touched = np.zeros(len(keys), dtype=bool)
+        touched[hit] = True
+        t[touched] = counts[touched] / totals[pair_src[touched]]
+        seen = z > 0.0
+        ll = float(np.sum(np.log(z[seen] * inv_len[seen])))
         if loglik_trace:
             # EM guarantee, checked each iteration; tolerance 1e-9 taken
             # relative to the likelihood magnitude so corpus size does not
@@ -126,46 +211,60 @@ def train_em(bitext: list[tuple[list[str], list[str]]],
                 raise AlignError(
                     f"EM log-likelihood decreased: {loglik_trace[-1]} -> {ll}")
         loglik_trace.append(ll)
-    return TranslationModel(t=t, direction="src->tgt", iterations=iterations,
-                            loglik=loglik_trace)
+    return TranslationModel(src.types, tgt.types, keys, t, iterations, loglik_trace)
 
 
-def _best_index(model: TranslationModel, source: str, targets: list[str]) -> int | None:
-    best_j, best_p, best_form = None, 0.0, None
-    for j, f in enumerate(targets):
-        p = model.prob(source, f)
-        if p <= 0.0:
-            continue
-        # ties broken by lexicographically smaller target form, then index
-        if best_j is None or p > best_p or (p == best_p and f < best_form):
-            best_j, best_p, best_form = j, p, f
-    return best_j
+def _recode(types: list[str], model_types: list[str]) -> np.ndarray:
+    """Each of ``types`` as its code in ``model_types``, -1 when absent."""
+    index = {form: k for k, form in enumerate(model_types)}
+    return np.array([index.get(form, -1) for form in types], dtype=np.int32)
 
 
-def argmax_links(model: TranslationModel, verse_pairs: dict[str, tuple[list[str], list[str]]],
+def argmax_links(model: TranslationModel, verse_pairs,
                  direction: str) -> dict[str, set[tuple[int, int]]]:
     """Per-verse argmax links, always expressed as (pivot_index, target_index).
 
-    direction 'fwd' assigns each pivot token its best target token under a
-    pivot->target model; 'rev' assigns each target token its best pivot
-    token under a target->pivot model.
+    ``verse_pairs`` is a ``Bitext`` or a mapping from verse id to (pivot
+    tokens, target tokens). Direction 'fwd' assigns each pivot token its
+    best target token under a pivot->target model; 'rev' assigns each
+    target token its best pivot token under a target->pivot model. The
+    best token has the highest probability, then the lexicographically
+    smaller form, then the lower index; a token whose every probability
+    is 0 gets no link.
     """
     if direction not in ("fwd", "rev"):
         raise AlignError("direction must be 'fwd' or 'rev'")
-    out: dict[str, set[tuple[int, int]]] = {}
-    for vid, (pivot_toks, target_toks) in verse_pairs.items():
-        links: set[tuple[int, int]] = set()
-        if direction == "fwd":
-            for i, s in enumerate(pivot_toks):
-                j = _best_index(model, s, target_toks)
-                if j is not None:
-                    links.add((i, j))
-        else:
-            for j, f in enumerate(target_toks):
-                i = _best_index(model, f, pivot_toks)
-                if i is not None:
-                    links.add((i, j))
-        out[vid] = links
+    bitext = Bitext.of(verse_pairs)
+    src, tgt = bitext.source, bitext.target
+    if direction == "rev":
+        src, tgt = tgt, src
+    src_idx, tgt_idx, run, first = _cells(src, tgt)
+    s = _recode(src.types, model.source_types)[src.codes[src_idx]]
+    f = _recode(tgt.types, model.target_types)[tgt.codes[tgt_idx]]
+    keys = s.astype(np.int64) * len(model.target_types) + f
+    at = np.searchsorted(model.pairs, keys)
+    # p(f | s) per cell: 0 unless both forms are in the model and the
+    # pair is in its table
+    known = (s >= 0) & (f >= 0) & (at < len(model.pairs))
+    known[known] = model.pairs[at[known]] == keys[known]
+    p = np.zeros(len(keys))
+    p[known] = model.probs[at[known]]
+    # a source token's cells are contiguous; keep the highest p, then the
+    # smaller form (codes follow the form order), then the lower index
+    tokens = np.flatnonzero(run)
+    best = np.maximum.reduceat(p, first[tokens])
+    tie = p == np.repeat(best, run[tokens])
+    rank = np.where(tie, f * np.int64(len(tgt.codes)) + tgt_idx, np.iinfo(np.int64).max)
+    rank = np.minimum.reduceat(rank, first[tokens])
+    linked = best > 0.0
+    src_idx, tgt_idx = tokens[linked], rank[linked] % len(tgt.codes)
+    verse = np.repeat(np.arange(len(bitext.ids), dtype=np.int32), src.lengths)[src_idx]
+    i = (src_idx - src.starts[verse]).tolist()
+    j = (tgt_idx - tgt.starts[verse]).tolist()
+    links = zip(i, j) if direction == "fwd" else zip(j, i)
+    out: dict = {vid: set() for vid in bitext.ids}
+    for v, link in zip(verse.tolist(), links):
+        out[bitext.ids[v]].add(link)
     return out
 
 
@@ -246,13 +345,12 @@ def align_pair(pivot_verses: dict[str, list[str]],
     common = sorted(set(pivot_verses) & set(target_verses))
     if not common:
         raise AlignError("no shared verses between pivot and target")
-    fwd_bitext = [(pivot_verses[v], target_verses[v]) for v in common]
-    rev_bitext = [(target_verses[v], pivot_verses[v]) for v in common]
-    fwd_model = train_em(fwd_bitext, iterations=iterations)
-    rev_model = train_em(rev_bitext, iterations=iterations)
-    pairs = {v: (pivot_verses[v], target_verses[v]) for v in common}
-    fwd = argmax_links(fwd_model, pairs, "fwd")
-    rev = argmax_links(rev_model, pairs, "rev")
+    # both sides are coded once and serve both directions
+    bitext = Bitext.of({v: (pivot_verses[v], target_verses[v]) for v in common})
+    fwd_model = train_em(bitext, iterations=iterations)
+    rev_model = train_em(bitext.swapped(), iterations=iterations)
+    fwd = argmax_links(fwd_model, bitext, "fwd")
+    rev = argmax_links(rev_model, bitext, "rev")
     table = symmetrize(fwd, rev)
     parallels = extract_parallels(table, pivot_verses, target_verses, pivot_types)
     covered = set(common)

@@ -47,6 +47,11 @@ def check_grid_levels(grid, levels) -> None:
             raise ConfigError(f"contour levels must lie in (0, 1), got {level!r}")
 
 
+def _check_positive(name: str, value) -> None:
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
+
+
 @dataclass
 class PipelineConfig:
     corpus_dir: str
@@ -90,6 +95,12 @@ class PipelineConfig:
             raise ConfigError("dictionary_level must be one of the contour levels")
         if not self.pivot_tokens:
             raise ConfigError("need at least one pivot token")
+        for name in ("iterations", "min_count", "core_k"):
+            _check_positive(name, getattr(self, name))
+        if not self.gmm_ks:
+            raise ConfigError("gmm_ks must name at least one K")
+        for k in self.gmm_ks:
+            _check_positive("every K in gmm_ks", k)
         if self.group_anchors and set(self.group_anchors) != set(GROUPS):
             raise ConfigError(f"group_anchors must cover {GROUPS}")
         if not self.group_anchors and set(self.cluster_groups) != set(GROUPS):

@@ -1,9 +1,12 @@
+import math
 import random
+from collections import defaultdict
 
 import pytest
 
 from semmap.align import (
     AlignError,
+    Bitext,
     PivotParallel,
     align_pair,
     argmax_links,
@@ -15,6 +18,112 @@ from semmap.align import (
     symmetrize,
     train_em,
 )
+from semmap.corpus import load_corpus, normalize
+from synth import build_corpus
+
+
+# dict-based oracles ---------------------------------------------------------
+# The scalar EM and argmax that ``train_em`` and ``argmax_links`` replace,
+# kept as the reference: same arithmetic in the same order, so tables and
+# links must come out exactly equal. The oracle EM skips verses with an
+# empty side when it builds the co-occurrences, as the E-step does.
+
+def train_em_oracle(bitext, iterations=5):
+    cooc = defaultdict(set)
+    for src, tgt in bitext:
+        if not src or not tgt:
+            continue
+        for s in set(src):
+            cooc[s].update(tgt)
+    t = {}
+    for s, targets in cooc.items():
+        u = 1.0 / len(targets)
+        for f in targets:
+            t[(s, f)] = u
+    loglik = []
+    for _ in range(iterations):
+        counts = defaultdict(float)
+        totals = defaultdict(float)
+        ll = 0.0
+        for src, tgt in bitext:
+            if not src or not tgt:
+                continue
+            inv_len = 1.0 / len(src)
+            for f in tgt:
+                z = 0.0
+                for s in src:
+                    z += t.get((s, f), 0.0)
+                if z <= 0.0:
+                    continue
+                ll += math.log(z * inv_len)
+                for s in src:
+                    p = t.get((s, f), 0.0)
+                    if p > 0.0:
+                        w = p / z
+                        counts[(s, f)] += w
+                        totals[s] += w
+        for (s, f), cnt in counts.items():
+            t[(s, f)] = cnt / totals[s]
+        loglik.append(ll)
+    return t, loglik
+
+
+def best_index_oracle(t, source, targets):
+    best_j, best_p, best_form = None, 0.0, None
+    for j, f in enumerate(targets):
+        p = t.get((source, f), 0.0)
+        if p <= 0.0:
+            continue
+        if best_j is None or p > best_p or (p == best_p and f < best_form):
+            best_j, best_p, best_form = j, p, f
+    return best_j
+
+
+def argmax_links_oracle(t, verse_pairs, direction):
+    out = {}
+    for vid, (pivot_toks, target_toks) in verse_pairs.items():
+        links = set()
+        if direction == "fwd":
+            for i, s in enumerate(pivot_toks):
+                j = best_index_oracle(t, s, target_toks)
+                if j is not None:
+                    links.add((i, j))
+        else:
+            for j, f in enumerate(target_toks):
+                i = best_index_oracle(t, f, pivot_toks)
+                if i is not None:
+                    links.add((i, j))
+        out[vid] = links
+    return out
+
+
+def align_pair_oracle(pivot_verses, target_verses, pivot_types, iterations=5, min_count=3):
+    common = sorted(set(pivot_verses) & set(target_verses))
+    pairs = {v: (pivot_verses[v], target_verses[v]) for v in common}
+    fwd_t, _ = train_em_oracle(list(pairs.values()), iterations)
+    rev_t, _ = train_em_oracle([(t, s) for s, t in pairs.values()], iterations)
+    table = symmetrize(argmax_links_oracle(fwd_t, pairs, "fwd"),
+                       argmax_links_oracle(rev_t, pairs, "rev"))
+    rows = extract_parallels(table, pivot_verses, target_verses, pivot_types)
+    for vid in sorted(set(pivot_verses) - set(common)):
+        rows += [PivotParallel(vid, i, None)
+                 for i, tok in enumerate(pivot_verses[vid]) if tok in pivot_types]
+    rows.sort(key=lambda p: (p.verse_id, p.pivot_index))
+    return reassign_nulls(rows, min_count=min_count)
+
+
+def random_bitext(seed, n_verses=40, vocab=6, max_len=6):
+    """Verse pairs over small vocabularies: repeated tokens in a verse,
+    empty and one-token sides, and many equal probabilities."""
+    rng = random.Random(seed)
+    src_vocab = [f"s{k}" for k in range(vocab)]
+    tgt_vocab = [f"t{k}" for k in range(vocab)]
+    pairs = {}
+    for i in range(n_verses):
+        src = [rng.choice(src_vocab) for _ in range(rng.randint(0, max_len))]
+        tgt = [rng.choice(tgt_vocab) for _ in range(rng.randint(0, max_len))]
+        pairs[f"v{i:03d}"] = (src, tgt)
+    return pairs
 
 
 def planted_bitext(n_pairs=500, vocab=20, seed=3):
@@ -74,6 +183,87 @@ def test_em_normalization_per_source():
 def test_em_empty_bitext_errors():
     with pytest.raises(AlignError):
         train_em([], iterations=3)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("vocab", [6, 20])
+def test_em_matches_dict_oracle(seed, vocab):
+    # with 20 types per side, source types co-occur with different
+    # numbers of target types
+    bitext = list(random_bitext(seed, vocab=vocab).values())
+    model = train_em(bitext, iterations=6)
+    t, loglik = train_em_oracle(bitext, iterations=6)
+    assert model.t == t
+    assert model.loglik == pytest.approx(loglik, rel=1e-12)
+
+
+def test_em_type_seen_only_opposite_empty_verses():
+    # "z" co-occurs with no target token: it gets no table entry instead
+    # of a division by zero in the uniform initialization
+    bitext = [(["a", "z"], []), (["a"], ["x"]), ([], ["y"])]
+    model = train_em(bitext, iterations=2)
+    assert model.t == train_em_oracle(bitext, iterations=2)[0] == {("a", "x"): 1.0}
+    assert model.prob("z", "x") == 0.0
+
+
+def test_em_all_sides_empty():
+    model = train_em([(["a"], []), ([], ["x"])], iterations=2)
+    assert model.t == {} and model.loglik == [0.0, 0.0]
+
+
+# argmax links -------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("vocab", [6, 20])
+@pytest.mark.parametrize("direction", ["fwd", "rev"])
+def test_argmax_links_match_dict_oracle(seed, vocab, direction):
+    pairs = random_bitext(seed, vocab=vocab)
+    bitext = list(pairs.values())
+    if direction == "rev":
+        bitext = [(t, s) for s, t in bitext]
+    model = train_em(bitext, iterations=3)
+    want = argmax_links_oracle(train_em_oracle(bitext, iterations=3)[0], pairs, direction)
+    assert argmax_links(model, pairs, direction) == want
+    assert argmax_links(model, Bitext.of(pairs), direction) == want
+
+
+def test_argmax_tie_smaller_form_wins():
+    # "y" and "x" always co-occur with "a", so p(x|a) == p(y|a) exactly
+    pairs = {"v1": (["a"], ["y", "x"]), "v2": (["a", "b"], ["x", "y", "c"])}
+    model = train_em(list(pairs.values()), iterations=4)
+    assert model.prob("a", "x") == model.prob("a", "y")
+    links = argmax_links(model, pairs, "fwd")
+    assert (0, 1) in links["v1"] and (0, 0) in links["v2"]
+    assert links == argmax_links_oracle(model.t, pairs, "fwd")
+
+
+def test_argmax_tie_same_form_lower_index_wins():
+    pairs = {"v1": (["a", "b"], ["x", "y", "x"]), "v2": (["x", "x"], ["a"])}
+    fwd = train_em(list(pairs.values()), iterations=3)
+    rev = train_em([(t, s) for s, t in pairs.values()], iterations=3)
+    assert (0, 0) in argmax_links(fwd, pairs, "fwd")["v1"]
+    assert argmax_links(rev, pairs, "rev")["v2"] == {(0, 0)}
+    assert argmax_links(fwd, pairs, "fwd") == argmax_links_oracle(fwd.t, pairs, "fwd")
+    assert argmax_links(rev, pairs, "rev") == argmax_links_oracle(rev.t, pairs, "rev")
+
+
+def test_argmax_forms_unknown_to_the_model_get_no_link():
+    model = train_em([(["a"], ["x", "y"]), (["b"], ["y"])], iterations=1)
+    links = argmax_links(model, {"v1": (["a", "q"], ["r", "x"]), "v2": ([], []),
+                                 "v3": (["b"], ["r"])}, "fwd")
+    assert links == {"v1": {(0, 1)}, "v2": set(), "v3": set()}
+
+
+def test_align_pair_matches_oracle_on_synthetic_corpus(tmp_path):
+    build_corpus(tmp_path, n_verses=90, seed=7)
+    manifest = load_corpus(tmp_path, tmp_path / "meta.tsv", "eng")
+    pivot = {vid: normalize(text) for vid, text in sorted(manifest.pivot.verses.items())}
+    for iso, doc in sorted(manifest.doculects.items()):
+        if iso == "eng":
+            continue
+        target = {vid: normalize(text) for vid, text in sorted(doc.verses.items())}
+        assert align_pair(pivot, target, {"when"}) == \
+            align_pair_oracle(pivot, target, {"when"}), iso
 
 
 # symmetrize -------------------------------------------------------------------

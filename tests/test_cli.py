@@ -254,6 +254,27 @@ def test_threaded_run_matches_single_thread(tmp_path, monkeypatch):
     assert results["one"] == results["four"]
 
 
+def test_run_target_verse_without_tokens_aligns_to_null(tmp_path, capsys):
+    # a punctuation-only target verse opposite a pivot verse whose extra
+    # type occurs nowhere else: that type co-occurs with no target token
+    corpus = tmp_path / "corpus"
+    _, anchors, positions = build_corpus(corpus, n_verses=30, seed=3)
+    eng = corpus / "eng.txt"
+    eng.write_text(eng.read_text(encoding="utf-8").replace(
+        "MAT:1:0\t", "MAT:1:0\tzzonly ", 1), encoding="utf-8")
+    aaa = corpus / "aaa.txt"
+    lines = aaa.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[0].startswith("MAT:1:0\t")
+    aaa.write_text("MAT:1:0\t\u2014\n" + "".join(lines[1:]), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", "--corpus-dir", str(corpus), "--metadata", str(corpus / "meta.tsv"),
+                 "--out-dir", str(out), "--gmm-ks", "3", "--grid", "20", "--core-k", "5",
+                 "--group-anchors", json.dumps(anchors), "--no-dump-grids"])
+    assert code == 0, capsys.readouterr().err
+    rows = (out / "alignments" / "aaa.tsv").read_text(encoding="utf-8").splitlines()
+    assert f"MAT:1:0\t{positions['MAT:1:0'] + 1}\tNULL" in rows
+
+
 @pytest.mark.parametrize("flags", [["--gmm-ks", "x"], ["--gmm-ks", "3,4.5"]])
 def test_run_unparsable_list_flag_is_config_error(tmp_path, capsys, flags):
     out = tmp_path / "out"
@@ -274,6 +295,24 @@ def test_run_config_scalar_for_list_is_config_error(tmp_path, capsys, field, val
     }), encoding="utf-8")
     assert main(["run", "--config", str(cfg)]) == 2
     assert f"{field} must be a JSON list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gmm_ks", []), ("gmm_ks", [3, 0]), ("iterations", 0), ("min_count", 0), ("core_k", 0),
+])
+def test_run_config_out_of_range_is_config_error_before_work(tmp_path, capsys, field, value):
+    corpus = tmp_path / "corpus"
+    build_corpus(corpus, n_verses=30, seed=3)
+    cfg = tmp_path / "c.json"
+    out = tmp_path / "out"
+    cfg.write_text(json.dumps({
+        "corpus_dir": str(corpus), "metadata": str(corpus / "meta.tsv"),
+        "out_dir": str(out), field: value,
+    }), encoding="utf-8")
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_map_unknown_iso_is_data_error(tmp_path, capsys):
