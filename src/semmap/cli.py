@@ -123,7 +123,7 @@ def _cmd_map(args) -> int:
             "use the embedding and matrix of one `semmap run`")
     points = emb.coords[:, :2]
     labels = matrix.column(args.iso)
-    surfs = sf.fit_surfaces(points, labels, grid=args.grid, levels=levels)
+    surfs = sf.fit_surfaces(points, {args.iso: labels}, grid=args.grid, levels=levels)[args.iso]
     svg_text = svgmod.render_map(points, labels, {m: s.contours for m, s in surfs.items()},
                                  title=args.iso)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)

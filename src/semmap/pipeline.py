@@ -303,24 +303,17 @@ def run(config: PipelineConfig) -> Path:
     art.write("core_points.tsv", tsv.format_rows(rows, header))
 
     # per-doculect surfaces, dictionaries, classification -----------------
-    isos = sorted(matrix.columns)
-
-    def surfaces_for(iso: str):
-        return sf.fit_surfaces(points, matrix.column(iso), grid=config.grid,
-                               levels=config.levels, rho=config.rho,
-                               nugget_frac=config.nugget_frac)
-
-    surf_by_iso: dict[str, dict] = {}
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        for iso, s in zip(isos, pool.map(surfaces_for, isos)):
-            surf_by_iso[iso] = s
+    columns = {iso: matrix.column(iso) for iso in sorted(matrix.columns)}
+    surf_by_iso = sf.fit_surfaces(points, columns, grid=config.grid,
+                                  levels=config.levels, rho=config.rho,
+                                  nugget_frac=config.nugget_frac)
 
     classification = [("iso", "pattern", "subpattern", "null_flags", "dictionary")]
     dict_rows = [("iso", "dictionary")]
     score_rows = [("iso", "cluster", "means", "tp", "fp", "fn",
                    "precision", "recall", "f1", "best")]
     best_by_cluster: dict[int, dict[str, str]] = {}
-    for iso in isos:
+    for iso, labels in columns.items():
         surfs = surf_by_iso[iso]
         for m in sorted(surfs):
             name = _safe_name(m)
@@ -339,7 +332,6 @@ def run(config: PipelineConfig) -> Path:
         classification.append((iso, assignment.pattern, assignment.subpattern or "_",
                                ",".join(assignment.null_flags) or "_", djson))
 
-        labels = matrix.column(iso)
         for g in GROUPS:
             cl = cluster_of_group[g]
             scores, best = ty.score_means(model.assignments, labels, cl)

@@ -57,14 +57,6 @@ class ParallelUsageMatrix:
         j = self.columns.index(iso)
         return [row[j] for row in self.cells]
 
-    def shared_verse_rows(self) -> list[str]:
-        """Row ids whose verse carries more than one pivot occurrence."""
-        seen: dict[str, int] = {}
-        for rid in self.row_ids:
-            verse = rid.rsplit("#", 1)[0]
-            seen[verse] = seen.get(verse, 0) + 1
-        return [rid for rid in self.row_ids if seen[rid.rsplit("#", 1)[0]] > 1]
-
     def to_tsv(self, header: str | None = None) -> str:
         return tsv.format_rows(
             [["row_id", *self.columns]]
@@ -116,16 +108,6 @@ class DistanceMatrix:
         want = self.n * (self.n - 1) // 2
         if self.packed.shape != (want,):
             raise PivotError(f"packed triangle has {self.packed.shape}, want ({want},)")
-
-    def _offset(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return i * (2 * self.n - i - 1) // 2 + (j - i - 1)
-
-    def get(self, i: int, j: int) -> int:
-        if i == j:
-            return 0
-        return int(self.packed[self._offset(i, j)])
 
     def dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n), dtype=np.int64)

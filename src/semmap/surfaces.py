@@ -2,7 +2,10 @@
 
 Each surface interpolates the indicator of one linguistic means for one
 doculect by ordinary kriging with an exponential covariance, on a square
-lattice over the map's bounding box padded by 5%. Contours at fixed
+lattice over the map's bounding box padded by 5%. sigma^2 scales out of
+the kriging system, so every surface over the same points shares one set
+of weights: ``fit_surfaces`` solves it once and each surface is the
+product of its indicator with those weights. Contours at fixed
 probability levels become closed polygons used for containment tests.
 """
 
@@ -22,7 +25,6 @@ __all__ = [
     "fit_surfaces",
     "contour",
     "contains",
-    "polygon_area",
     "null_heat",
     "DEFAULT_LEVELS",
 ]
@@ -32,6 +34,9 @@ PAD_FRACTION = 0.05
 # diagonal jitters, as multiples of sigma^2, tried until a kriging solve
 # comes out finite
 _JITTERS = (0.0, 1e-8, 1e-6)
+# locations per block of the location-point covariance; bounds its
+# (locations, points, 2) temporaries whatever the grid size
+_NODE_CHUNK = 1024
 # polygon edges per block of the batched containment test; bounds its
 # (points, edges) temporaries whatever the polygon size
 _EDGE_CHUNK = 128
@@ -49,18 +54,6 @@ class KrigSurface:
     prob: np.ndarray              # shape (len(ys), len(xs)), clamped to [0, 1]
     levels: tuple[float, ...]
     contours: dict[float, list[np.ndarray]] = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
-
-    def region_mask(self, level: float) -> np.ndarray:
-        return self.prob >= level
-
-    def verify_nesting(self) -> bool:
-        """Grid-node check that higher-level regions nest inside lower ones."""
-        lv = sorted(self.levels, reverse=True)
-        for hi, lo in zip(lv, lv[1:]):
-            if np.any(self.region_mask(hi) & ~self.region_mask(lo)):
-                return False
-        return True
 
     def grid_to_tsv(self, header: str | None = None) -> str:
         xs = [f"{x:.6f}" for x in self.xs.tolist()]
@@ -79,131 +72,115 @@ class KrigSurface:
         return tsv.format_rows(rows, header)
 
 
-def _grid_axes(points: np.ndarray, grid: int) -> tuple[np.ndarray, np.ndarray]:
-    x0, y0 = points.min(axis=0)
-    x1, y1 = points.max(axis=0)
-    spanx = (x1 - x0) or 1.0
-    spany = (y1 - y0) or 1.0
-    xs = np.linspace(x0 - PAD_FRACTION * spanx, x1 + PAD_FRACTION * spanx, grid)
-    ys = np.linspace(y0 - PAD_FRACTION * spany, y1 + PAD_FRACTION * spany, grid)
-    return xs, ys
-
-
 def fit_surface(points, labels, target_means: str, grid: int = 200,
                 levels: tuple[float, ...] = DEFAULT_LEVELS,
-                rho: float | None = None, nugget_frac: float = 0.05,
-                with_contours: bool = True) -> KrigSurface:
-    """Ordinary kriging of the indicator for one means.
+                rho: float | None = None, nugget_frac: float = 0.05) -> KrigSurface:
+    """Ordinary kriging of the indicator for one means, over its own system.
 
     The indicator is 1 where a point's label equals ``target_means`` and
-    0 elsewhere (NULL labels are the string "NULL" and may be targeted
-    like any other means). The covariance is sigma^2 * exp(-h / rho)
-    with a nugget of ``nugget_frac * sigma^2``; rho defaults to the
-    median pairwise distance between the labeled points. Predictions are
-    clamped to [0, 1].
+    0 elsewhere (``None`` labels are the means NULL, the string "NULL",
+    which may be targeted like any other means). The covariance is
+    sigma^2 * exp(-h / rho) with a nugget of ``nugget_frac * sigma^2``;
+    rho defaults to the median pairwise distance between the labeled
+    points. Predictions are clamped to [0, 1].
     """
+    (labels,), xs, ys, weights = _grid_system(points, [labels], grid, rho, nugget_frac)
+    if target_means not in labels:
+        raise SurfaceError(f"target means {target_means!r} never occurs")
+    return _surface(labels, target_means, xs, ys, weights, levels)
+
+
+def fit_surfaces(points, columns, grid: int = 200,
+                 levels: tuple[float, ...] = DEFAULT_LEVELS,
+                 rho: float | None = None,
+                 nugget_frac: float = 0.05) -> dict[str, dict[str, KrigSurface]]:
+    """One surface per means attested in each column, over one kriging system.
+
+    ``columns`` maps a key (a doculect's iso) to one label per point.
+    The kriging weights are solved once for all columns and means, which
+    are fitted in sorted order; returns ``{key: {means: surface}}``. Too
+    few or coincident points, labels that do not cover every point, or a
+    system no jitter makes solvable raise ``SurfaceError`` for the whole
+    call.
+    """
+    labels, xs, ys, weights = _grid_system(points, columns.values(), grid, rho, nugget_frac)
+    return {
+        key: {m: _surface(col, m, xs, ys, weights, levels) for m in sorted(set(col))}
+        for key, col in zip(columns, labels)
+    }
+
+
+def _grid_system(points, columns, grid: int, rho: float | None, nugget_frac: float):
+    """Checked label columns, the padded lattice's axes and its nodes' weights."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise SurfaceError("points must be an (n, 2) array")
     n = pts.shape[0]
     if n < 5:
-        raise SurfaceError("need at least 5 labeled points")
-    labels = list(labels)
-    if len(labels) != n:
-        raise SurfaceError("labels must cover every point")
-    z = np.array([1.0 if lab == target_means else 0.0 for lab in labels])
-    if z.sum() < 1:
-        raise SurfaceError(f"target means {target_means!r} never occurs")
-
-    xs, ys = _grid_axes(pts, grid)
+        raise SurfaceError(f"need at least 5 labeled points, got {n}")
+    columns = [[lab if lab is not None else NULL_MARKER for lab in col] for col in columns]
+    if any(len(col) != n for col in columns):
+        raise SurfaceError(f"labels must cover every point, one label for each of {n}")
+    x0, y0 = pts.min(axis=0)
+    x1, y1 = pts.max(axis=0)
+    spanx = (x1 - x0) or 1.0
+    spany = (y1 - y0) or 1.0
+    xs = np.linspace(x0 - PAD_FRACTION * spanx, x1 + PAD_FRACTION * spanx, grid)
+    ys = np.linspace(y0 - PAD_FRACTION * spany, y1 + PAD_FRACTION * spany, grid)
     gx, gy = np.meshgrid(xs, ys)
     nodes = np.column_stack([gx.ravel(), gy.ravel()])
-    pred, params = _krige(pts, z, nodes, rho, nugget_frac)
-    prob = np.clip(pred.reshape(len(ys), len(xs)), 0.0, 1.0)
-    surf = KrigSurface(
-        means_label=target_means, xs=xs, ys=ys, prob=prob,
-        levels=tuple(levels),
-        params={"covariance": "exponential", **params, "grid": grid},
-    )
-    if with_contours:
-        for level in levels:
-            surf.contours[level] = contour(surf, level)
+    return columns, xs, ys, _kriging_weights(pts, nodes, rho, nugget_frac)
+
+
+def _surface(labels: list, means: str, xs: np.ndarray, ys: np.ndarray,
+             weights: np.ndarray, levels: tuple[float, ...]) -> KrigSurface:
+    """The clamped surface of one means' indicator and its contours."""
+    z = np.array([1.0 if lab == means else 0.0 for lab in labels])
+    prob = np.clip((z @ weights).reshape(len(ys), len(xs)), 0.0, 1.0)
+    surf = KrigSurface(means_label=means, xs=xs, ys=ys, prob=prob, levels=tuple(levels))
+    for level in levels:
+        surf.contours[level] = contour(surf, level)
     return surf
 
 
-def fit_surfaces(points, labels, grid: int = 200,
-                 levels: tuple[float, ...] = DEFAULT_LEVELS,
-                 rho: float | None = None,
-                 nugget_frac: float = 0.05) -> dict[str, KrigSurface]:
-    """One surface per means attested in ``labels``, keyed by means.
-
-    ``None`` labels are the means NULL. Means are fitted in sorted order;
-    one whose surface cannot be fitted (``SurfaceError``) is left out.
-    """
-    labels = [lab if lab is not None else NULL_MARKER for lab in labels]
-    out: dict[str, KrigSurface] = {}
-    for means in sorted(set(labels)):
-        try:
-            out[means] = fit_surface(points, labels, means, grid=grid, levels=levels,
-                                     rho=rho, nugget_frac=nugget_frac)
-        except SurfaceError:
-            continue
-    return out
-
-
-def predict_at(points, labels, target_means: str, where,
-               rho: float | None = None, nugget_frac: float = 0.05) -> np.ndarray:
-    """Kriging prediction at arbitrary locations (shares fit_surface math)."""
-    pts = np.asarray(points, dtype=float)
-    z = np.array([1.0 if lab == target_means else 0.0 for lab in labels])
-    where = np.atleast_2d(np.asarray(where, dtype=float))
-    pred, _ = _krige(pts, z, where, rho, nugget_frac)
-    return np.clip(pred, 0.0, 1.0)
-
-
-def _krige(pts: np.ndarray, z: np.ndarray, where: np.ndarray,
-           rho: float | None, nugget_frac: float) -> tuple[np.ndarray, dict]:
-    """Ordinary-kriging prediction of the field ``z`` at ``where``.
+def _kriging_weights(pts: np.ndarray, where: np.ndarray, rho: float | None,
+                     nugget_frac: float) -> np.ndarray:
+    """Ordinary-kriging weights of the ``n`` points for each location in ``where``.
 
     Solves the (n+1)-square system of exponential covariances plus the
-    Lagrange row for every location, adding the diagonal jitters in
-    ``_JITTERS`` (multiples of sigma^2) in turn until the solution is
-    finite. Returns the unclamped prediction and the kriging parameters.
+    Lagrange row with sigma^2 = 1, which scales out of the weights, for
+    every location at once, adding the diagonal jitters in ``_JITTERS``
+    in turn until the solution is finite. Returns the (n, len(where))
+    weights; the prediction of a field ``z`` is ``z @ weights``.
     """
     n = pts.shape[0]
     dists = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
     if rho is None:
-        iu = np.triu_indices(n, k=1)
-        rho = float(np.median(dists[iu]))
+        rho = float(np.median(dists[np.triu_indices(n, k=1)]))
         if rho <= 0.0:
-            raise SurfaceError("degenerate configuration")
-    sigma2 = float(z.var())
-    if sigma2 < 1e-12:
-        # constant indicator field; kriging weights are scale-invariant
-        sigma2 = 1.0
-    nugget = nugget_frac * sigma2
-
-    cov = sigma2 * np.exp(-dists / rho)
+            raise SurfaceError("degenerate configuration: the points coincide")
     a = np.zeros((n + 1, n + 1))
-    a[:n, :n] = cov + nugget * np.eye(n)
+    a[:n, :n] = np.exp(-dists / rho) + nugget_frac * np.eye(n)
     a[n, :n] = 1.0
     a[:n, n] = 1.0
 
-    node_d = np.sqrt(((where[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
     b = np.empty((n + 1, where.shape[0]))
-    b[:n] = sigma2 * np.exp(-node_d.T / rho)
+    for lo in range(0, where.shape[0], _NODE_CHUNK):
+        block = where[lo:lo + _NODE_CHUNK]
+        d = np.sqrt(((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        b[:n, lo:lo + _NODE_CHUNK] = np.exp(-d.T / rho)
     b[n] = 1.0
 
     for jitter in _JITTERS:
+        aj = a.copy()
+        aj[:n, :n] += jitter * np.eye(n)
         try:
-            aj = a.copy()
-            aj[:n, :n] += jitter * sigma2 * np.eye(n)
             sol = np.linalg.solve(aj, b)
         except np.linalg.LinAlgError:
             continue
         if np.all(np.isfinite(sol)):
-            return z @ sol[:n], {"rho": rho, "nugget": nugget, "sigma2": sigma2}
-    raise SurfaceError("degenerate configuration")
+            return sol[:n]
+    raise SurfaceError("degenerate configuration: no jitter makes the kriging system solvable")
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +316,6 @@ def _dedupe(arr: np.ndarray) -> np.ndarray:
     ):
         keep.pop()
     return arr[keep]
-
-
-def polygon_area(poly: np.ndarray) -> float:
-    x = poly[:, 0]
-    y = poly[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
 def contains(polygons: list[np.ndarray], point):

@@ -337,6 +337,25 @@ def test_map_embedding_of_other_rows_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("coords, reason", [
+    ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)], "at least 5"),
+    ([(0.5, 0.5)] * 6, "coincide"),
+], ids=["four_rows", "coincident_rows"])
+def test_map_without_a_kriging_system_is_numerical_failure(tmp_path, capsys, coords, reason):
+    emb = tmp_path / "embedding.tsv"
+    emb.write_text("".join(f"r{i}\t{x}\t{y}\n" for i, (x, y) in enumerate(coords)),
+                   encoding="utf-8")
+    mat = tmp_path / "matrix.tsv"
+    mat.write_text("row_id\txyz\n" + "".join(f"r{i}\t{'uv'[i % 2]}\n" for i in range(len(coords))),
+                   encoding="utf-8")
+    out = tmp_path / "map.svg"
+    assert main(["map", "--embedding", str(emb), "--matrix", str(mat),
+                 "--iso", "xyz", "--out", str(out), "--grid", "20"]) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and reason in err and "Traceback" not in err
+    assert not out.exists()
+
 CONSTRUCTIONS = "sentence_id\tkind\ttrigger_ids\tposition\nS1\tconjunct\t3\tpre\n"
 
 # stored files whose rows are malformed, the command reading them, and

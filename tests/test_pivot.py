@@ -80,19 +80,11 @@ def test_matrix_tsv_roundtrip(tmp_path):
     assert again.cells == m.cells
 
 
-def test_shared_verse_rows_noted():
-    m = ParallelUsageMatrix(
-        row_ids=["v1#0", "v1#3", "v2#0"], columns=["x"],
-        cells=[["a"], ["b"], ["c"]],
-    )
-    assert m.shared_verse_rows() == ["v1#0", "v1#3"]
-
-
 # hamming ----------------------------------------------------------------------
 
 def test_hamming_paper_sample_rows_distance_three():
     d = hamming(fixture_matrix())
-    assert d.get(0, 1) == 3
+    assert d.dense()[0, 1] == 3
 
 
 def test_hamming_identical_rows():
@@ -100,7 +92,7 @@ def test_hamming_identical_rows():
         row_ids=["a", "b"], columns=["x", "y"],
         cells=[["w", None], ["w", None]],
     )
-    assert hamming(m).get(0, 1) == 0
+    assert hamming(m).dense()[0, 1] == 0
 
 
 def test_hamming_equals_naive_recount():

@@ -6,14 +6,15 @@ from semmap.surfaces import (
     DEFAULT_LEVELS,
     KrigSurface,
     SurfaceError,
+    _NODE_CHUNK,
     _assemble,
     _dedupe,
+    _kriging_weights,
     contains,
     contour,
     fit_surface,
+    fit_surfaces,
     null_heat,
-    polygon_area,
-    predict_at,
 )
 
 
@@ -34,13 +35,28 @@ def constant_surface(value, grid=40):
                        levels=DEFAULT_LEVELS)
 
 
+def polygon_area(poly):
+    """Shoelace area of one closed polygon."""
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+
+
+def predict(pts, labels, target, where, nugget_frac=0.05):
+    """Clamped kriging prediction of one indicator field at ``where``."""
+    z = np.array([1.0 if lab == target else 0.0 for lab in labels])
+    weights = _kriging_weights(np.asarray(pts, dtype=float),
+                               np.atleast_2d(np.asarray(where, dtype=float)),
+                               None, nugget_frac)
+    return np.clip(z @ weights, 0.0, 1.0)
+
+
 # fit_surface -------------------------------------------------------------------
 
 def test_constant_label_field_is_one_everywhere():
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(40, 2))
     surf = fit_surface(pts, ["kai"] * 40, "kai", grid=30)
-    pred = predict_at(pts, ["kai"] * 40, "kai", pts)
+    pred = predict(pts, ["kai"] * 40, "kai", pts)
     assert np.all(pred >= 0.999)
     assert np.all(surf.prob >= 0.999)
 
@@ -64,12 +80,12 @@ def test_half_plane_split():
     pts = np.column_stack([x, y])
     labels = ["west" if xi < 0 else "east" for xi in x]
     probe = np.array([[-2.0, 0.0], [2.0, 0.0]])
-    pred = predict_at(pts, labels, "west", probe)
+    pred = predict(pts, labels, "west", probe)
     assert pred[0] > 0.9
     assert pred[1] < 0.1
     # nearest-neighbour indicator oracle agrees on a dense probe line
     line = np.column_stack([np.linspace(-2.5, 2.5, 41), np.zeros(41)])
-    pred_line = predict_at(pts, labels, "west", line)
+    pred_line = predict(pts, labels, "west", line)
     for p, lx in zip(pred_line, line[:, 0]):
         if abs(lx) < 0.3:
             continue  # transition band
@@ -83,8 +99,22 @@ def test_exact_interpolation_with_zero_nugget():
     pts = rng.uniform(-1, 1, size=(30, 2))
     labels = ["a" if i % 3 else "b" for i in range(30)]
     z = np.array([1.0 if lab == "a" else 0.0 for lab in labels])
-    pred = predict_at(pts, labels, "a", pts, nugget_frac=0.0)
+    pred = predict(pts, labels, "a", pts, nugget_frac=0.0)
     assert np.abs(pred - z).max() < 1e-6
+
+
+def test_kriging_weight_columns_sum_to_one():
+    rng = np.random.default_rng(8)
+    pts = rng.normal(size=(50, 2))
+    m = 2 * _NODE_CHUNK + 300
+    where = rng.uniform(-3.0, 3.0, size=(m, 2))
+    weights = _kriging_weights(pts, where, None, 0.05)
+    assert weights.shape == (50, m)
+    assert np.abs(weights.sum(axis=0) - 1.0).max() < 1e-9
+    # a location in any block of the covariance gets the weights it gets alone
+    for k in (0, _NODE_CHUNK - 1, _NODE_CHUNK, m - 1):
+        alone = _kriging_weights(pts, where[k:k + 1], None, 0.05)
+        assert np.abs(weights[:, k] - alone[:, 0]).max() < 1e-12
 
 
 def test_surface_probabilities_clamped_and_nested():
@@ -93,7 +123,10 @@ def test_surface_probabilities_clamped_and_nested():
     labels = ["a" if p[0] < 0 else "b" for p in pts]
     surf = fit_surface(pts, labels, "a", grid=60)
     assert surf.prob.min() >= 0.0 and surf.prob.max() <= 1.0
-    assert surf.verify_nesting()
+    # on every grid node, a higher level's region lies inside a lower one's
+    lv = sorted(surf.levels, reverse=True)
+    for hi, lo in zip(lv, lv[1:]):
+        assert not np.any((surf.prob >= hi) & (surf.prob < lo))
 
 
 def test_deterministic_fit():
@@ -103,6 +136,65 @@ def test_deterministic_fit():
     s1 = fit_surface(pts, labels, "a", grid=40)
     s2 = fit_surface(pts, labels, "a", grid=40)
     assert np.array_equal(s1.prob, s2.prob)
+
+
+# fit_surfaces ------------------------------------------------------------------
+
+def test_fit_surfaces_equals_one_off_fits():
+    rng = np.random.default_rng(6)
+    pts = rng.normal(size=(60, 2))
+    columns = {
+        "xx": ["a" if p[0] < 0 else "b" for p in pts],
+        "yy": ["c" if p[1] < 0 else None for p in pts],
+    }
+    surfs = fit_surfaces(pts, columns, grid=30)
+    assert {k: sorted(v) for k, v in surfs.items()} == {"xx": ["a", "b"], "yy": ["NULL", "c"]}
+    for key, labels in columns.items():
+        labels = [lab if lab is not None else "NULL" for lab in labels]
+        for means, surf in surfs[key].items():
+            one = fit_surface(pts, labels, means, grid=30)
+            assert np.array_equal(surf.prob, one.prob)
+            assert surf.contours.keys() == one.contours.keys()
+            for level in surf.levels:
+                assert len(surf.contours[level]) == len(one.contours[level])
+                for p, q in zip(surf.contours[level], one.contours[level]):
+                    assert np.array_equal(p, q)
+
+
+@pytest.mark.parametrize("points, labels", [
+    (np.random.default_rng(9).normal(size=(4, 2)), ["a"] * 4),
+    (np.ones((6, 2)), ["a", "b"] * 3),
+    (np.random.default_rng(9).normal(size=(8, 2)), ["a"] * 7),
+])
+def test_fit_surfaces_raises_once_for_the_whole_call(points, labels):
+    good = ["a", "b"] * (len(points) // 2)
+    with pytest.raises(SurfaceError):
+        fit_surfaces(points, {"ok": good, "bad": labels}, grid=10)
+
+
+def test_second_jitter_rung_gives_finite_surfaces(monkeypatch):
+    # five points each given twice: with no nugget the covariance block has
+    # equal rows, so the unjittered solve is singular
+    base = np.random.default_rng(10).normal(size=(5, 2))
+    pts = np.concatenate([base, base])
+    outcomes = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        try:
+            out = solve(a, b)
+        except np.linalg.LinAlgError:
+            outcomes.append("singular")
+            raise
+        outcomes.append("solved")
+        return out
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    surfs = fit_surfaces(pts, {"x": ["a", "b", "a", "b", "b"] * 2}, grid=20, nugget_frac=0.0)
+    assert outcomes == ["singular", "solved"]
+    for surf in surfs["x"].values():
+        assert np.all(np.isfinite(surf.prob))
+        assert surf.prob.min() >= 0.0 and surf.prob.max() <= 1.0
 
 
 # contour -----------------------------------------------------------------------
