@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -45,6 +46,10 @@ def check_grid_levels(grid, levels) -> None:
     for level in levels:
         if not isinstance(level, numbers.Real) or not 0.0 < level < 1.0:
             raise ConfigError(f"contour levels must lie in (0, 1), got {level!r}")
+
+
+def _finite(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 def _check_positive(name: str, value) -> None:
@@ -88,6 +93,13 @@ class PipelineConfig:
             raise ConfigError("mds_dims must be 2 or 3")
         if self.covariance != "exponential":
             raise ConfigError(f"unsupported covariance family {self.covariance!r}")
+        # exp(-h / rho) is a covariance only for rho > 0, and a negative
+        # nugget can make the kriging system indefinite
+        if self.rho is not None and not (_finite(self.rho) and self.rho > 0):
+            raise ConfigError(f"rho must be a finite number above 0, got {self.rho!r}")
+        if not (_finite(self.nugget_frac) and self.nugget_frac >= 0):
+            raise ConfigError(f"nugget_frac must be a finite number of at least 0, "
+                              f"got {self.nugget_frac!r}")
         check_grid_levels(self.grid, self.levels)
         if list(self.levels) != sorted(self.levels, reverse=True):
             raise ConfigError("levels must be sorted descending")

@@ -57,19 +57,19 @@ class KrigSurface:
 
     def grid_to_tsv(self, header: str | None = None) -> str:
         xs = [f"{x:.6f}" for x in self.xs.tolist()]
-        rows = [("x", "y", "prob")]
+        lines = [tsv.format_rows([("x", "y", "prob")], header)]
         for y, probs in zip(self.ys.tolist(), self.prob.tolist()):
             fy = f"{y:.6f}"
-            rows.extend((fx, fy, f"{p:.6f}") for fx, p in zip(xs, probs))
-        return tsv.format_rows(rows, header)
+            lines += [f"{fx}\t{fy}\t{p:.6f}\n" for fx, p in zip(xs, probs)]
+        return "".join(lines)
 
     def contours_to_tsv(self, header: str | None = None) -> str:
-        rows = [("level", "polygon", "x", "y")]
+        lines = [tsv.format_rows([("level", "polygon", "x", "y")], header)]
         for level in self.levels:
             for pi, poly in enumerate(self.contours.get(level, [])):
-                rows.extend((f"{level:g}", pi, f"{x:.6f}", f"{y:.6f}")
-                            for x, y in poly.tolist())
-        return tsv.format_rows(rows, header)
+                head = f"{level:g}\t{pi}"
+                lines += [f"{head}\t{x:.6f}\t{y:.6f}\n" for x, y in poly.tolist()]
+        return "".join(lines)
 
 
 def fit_surface(points, labels, target_means: str, grid: int = 200,
@@ -187,19 +187,28 @@ def _kriging_weights(pts: np.ndarray, where: np.ndarray, rho: float | None,
 # marching squares
 
 
-# segment edge pairs per case code, oriented with the inside region on the
-# left; corners: 0 bottom-left, 1 bottom-right, 2 top-right, 3 top-left;
+# segment edge pairs per case code and per whether the cell centre is
+# inside, which only the saddle cases 5 and 10 depend on; oriented with the
+# inside region on the left, (-1, -1) where a cell has no second segment;
+# corners: 0 bottom-left, 1 bottom-right, 2 top-right, 3 top-left;
 # edges: 0 bottom, 1 right, 2 top, 3 left
-_SEGMENTS = {
-    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
-    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(2, 0)],
-    11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
-}
-# saddle cases, indexed by whether the cell centre is inside
-_SADDLES = {
-    5: ([(3, 0), (1, 2)], [(3, 2), (1, 0)]),
-    10: ([(0, 1), (2, 3)], [(0, 3), (2, 1)]),
-}
+def _edge_pairs() -> np.ndarray:
+    single = {
+        1: (3, 0), 2: (0, 1), 3: (3, 1), 4: (1, 2), 6: (0, 2), 7: (3, 2),
+        8: (2, 3), 9: (2, 0), 11: (2, 1), 12: (1, 3), 13: (1, 0), 14: (0, 3),
+    }
+    table = np.full((16, 2, 2, 2), -1, dtype=np.intp)
+    for code, pair in single.items():
+        table[code, :, 0] = pair
+    table[5] = [[(3, 0), (1, 2)], [(3, 2), (1, 0)]]
+    table[10] = [[(0, 1), (2, 3)], [(0, 3), (2, 1)]]
+    return table
+
+
+_EDGE_PAIRS = _edge_pairs()
+# column and row offsets of corners 0-3 from a cell's bottom-left node
+_CORNER_DX = np.array([0, 1, 1, 0])
+_CORNER_DY = np.array([0, 0, 1, 1])
 
 
 def contour(surface: KrigSurface, level: float) -> list[np.ndarray]:
@@ -208,12 +217,37 @@ def contour(surface: KrigSurface, level: float) -> list[np.ndarray]:
     Marching squares runs over the grid extended by one below-level ring,
     so every iso-line closes; segments that leave the map are clamped to
     the bounding box, which closes boundary-clipped regions along the
-    boundary. Vertices on the level are treated as inside. Case codes and
-    edge crossings are computed for all cells at once; cells are visited
-    in row-major order.
+    boundary. Vertices on the level are treated as inside. Polygons
+    follow the order of their first segment, cells being visited in
+    row-major order.
     """
     if not 0.0 < level < 1.0:
         raise SurfaceError("level must be in (0, 1)")
+    starts, ends, edges = _segments(surface, level)
+    chains, _ = _assemble(starts, ends, edges)
+    lo = (surface.xs[0], surface.ys[0])
+    hi = (surface.xs[-1], surface.ys[-1])
+    starts, ends = np.clip(starts, lo, hi), np.clip(ends, lo, hi)
+    polys = []
+    for chain in chains:
+        # the first segment's start, then the end of every segment but the
+        # last, which returns to that start
+        poly = _dedupe(np.concatenate([starts[chain[:1]], ends[chain[:-1]]]))
+        if poly.shape[0] >= 3:
+            polys.append(poly)
+    return polys
+
+
+def _segments(surface: KrigSurface,
+              level: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One level's iso-segments: start points, end points and lattice edges.
+
+    Starts and ends are (m, 2) arrays; row i of the (m, 2) int array of
+    edges names the lattice edges segment i starts and ends on.
+    Case codes, edge crossings and segments are computed for all cells at
+    once; segments come in row-major cell order, the two of a saddle cell
+    in table order.
+    """
     xs, ys, prob = surface.xs, surface.ys, surface.prob
     gx = np.concatenate([[2 * xs[0] - xs[1]], xs, [2 * xs[-1] - xs[-2]]])
     gy = np.concatenate([[2 * ys[0] - ys[1]], ys, [2 * ys[-1] - ys[-2]]])
@@ -224,98 +258,108 @@ def contour(surface: KrigSurface, level: float) -> list[np.ndarray]:
     code = (inside[:-1, :-1] + 2 * inside[:-1, 1:]
             + 4 * inside[1:, 1:] + 8 * inside[1:, :-1])
     iy, ix = np.nonzero((code != 0) & (code != 15))
-    # per active cell, corner coordinates and values in corner order
-    cx = np.column_stack([gx[ix], gx[ix + 1], gx[ix + 1], gx[ix]])
-    cy = np.column_stack([gy[iy], gy[iy], gy[iy + 1], gy[iy + 1]])
-    v = np.column_stack([vals[iy, ix], vals[iy, ix + 1],
-                         vals[iy + 1, ix + 1], vals[iy + 1, ix]])
-    # edge e runs from corner e to corner e + 1; edges the iso-line does
-    # not cross may divide by zero and are never read
-    nx, ny, nv = (np.roll(a, -1, axis=1) for a in (cx, cy, v))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (level - v) / (nv - v)
-        ex = cx + t * (nx - cx)
-        ey = cy + t * (ny - cy)
-    centre_in = (v[:, 0] + v[:, 1] + v[:, 2] + v[:, 3]) / 4.0 >= level
-
-    segments: list[tuple[tuple[float, float], tuple[float, float]]] = []
-    for b, c_in, sx, sy in zip(code[iy, ix].tolist(), centre_in.tolist(),
-                               ex.tolist(), ey.tolist()):
-        pairs = _SADDLES[b][c_in] if b in _SADDLES else _SEGMENTS[b]
-        for e1, e2 in pairs:
-            segments.append(((sx[e1], sy[e1]), (sx[e2], sy[e2])))
-
-    polys = _assemble(segments)
-    x0, x1 = xs[0], xs[-1]
-    y0, y1 = ys[0], ys[-1]
-    clipped = []
-    for poly in polys:
-        arr = np.array(poly)
-        arr[:, 0] = np.clip(arr[:, 0], x0, x1)
-        arr[:, 1] = np.clip(arr[:, 1], y0, y1)
-        arr = _dedupe(arr)
-        if arr.shape[0] >= 3:
-            clipped.append(arr)
-    return clipped
+    centre_in = (vals[iy, ix] + vals[iy, ix + 1] + vals[iy + 1, ix + 1]
+                 + vals[iy + 1, ix]) / 4.0 >= level
+    pairs = _EDGE_PAIRS[code[iy, ix], centre_in.astype(np.intp)]
+    cell, k = np.nonzero(pairs[:, :, 0] >= 0)
+    m = cell.shape[0]
+    # the cell edge of every segment's start, then of every segment's end;
+    # edge e runs from corner a = e to corner b = e + 1, across the level
+    e = pairs[cell, k].T.ravel()
+    cell = np.concatenate([cell, cell])
+    ax, ay = ix[cell] + _CORNER_DX[e], iy[cell] + _CORNER_DY[e]
+    bx, by = ix[cell] + _CORNER_DX[(e + 1) % 4], iy[cell] + _CORNER_DY[(e + 1) % 4]
+    va = vals[ay, ax]
+    t = (level - va) / (vals[by, bx] - va)
+    pts = np.column_stack([gx[ax] + t * (gx[bx] - gx[ax]), gy[ay] + t * (gy[by] - gy[ay])])
+    # a lattice edge is named by its lower node and whether it is vertical
+    a, b = ay * len(gx) + ax, by * len(gx) + bx
+    edges = 2 * np.minimum(a, b) + (ax == bx)
+    return pts[:m], pts[m:], edges.reshape(2, m).T
 
 
-def _key(p, scale):
-    return (round(p[0] / scale), round(p[1] / scale))
+def _assemble(starts: np.ndarray, ends: np.ndarray,
+              edges: np.ndarray) -> tuple[list[list[int]], int]:
+    """Segment-index chains that close, and the number of chains that do not.
 
-
-def _assemble(segments) -> list[list[tuple[float, float]]]:
-    if not segments:
-        return []
-    span = max(
-        max(abs(p[0]) for s in segments for p in s),
-        max(abs(p[1]) for s in segments for p in s),
-        1.0,
-    )
-    scale = span * 1e-9
-    start_of: dict = {}
-    for seg in segments:
-        start_of.setdefault(_key(seg[0], scale), []).append(seg)
-    used = [False] * len(segments)
-    index = {id(seg): i for i, seg in enumerate(segments)}
-    polys = []
-    for i, seg in enumerate(segments):
+    Two points meet when they lie on the same lattice edge (``edges``, as
+    from ``_segments``), or when both coordinates round, half to even, to
+    the same multiple of span * 1e-9, span being the largest absolute
+    coordinate (at least 1). Each unused segment in turn starts a chain,
+    which takes the first unused segment starting where it ends until it
+    returns to its start. A chain no segment continues is open and dropped
+    (the padded ring makes that impossible); closed chains of fewer than
+    three segments are dropped too.
+    """
+    m = starts.shape[0]
+    if m == 0:
+        return [], 0
+    scale = max(float(np.abs(starts).max()), float(np.abs(ends).max()), 1.0) * 1e-9
+    # |coordinate / scale| is at most ~1e9 < 2**31, so both keys pack into one int64
+    keys = np.rint(np.concatenate([starts, ends]) / scale).astype(np.int64)
+    packed = keys[:, 0] * (1 << 32) + keys[:, 1]
+    # the two cells sharing a lattice edge interpolate its crossing from
+    # opposite corners, and the last bit they differ in can round to another
+    # key; every point on an edge takes the key of the edge's first point
+    _, first, copy = np.unique(edges.T.ravel(), return_index=True, return_inverse=True)
+    nodes, node = np.unique(packed[first][copy], return_inverse=True)
+    # segments grouped by start node, in segment order within a node
+    order = np.argsort(node[:m], kind="stable")
+    bounds = np.searchsorted(node[:m][order], np.arange(len(nodes) + 1))
+    src, dst, order = node[:m].tolist(), node[m:].tolist(), order.tolist()
+    # per node, the position in ``order`` before which every segment is used
+    head, stop = bounds[:-1].tolist(), bounds[1:].tolist()
+    used = [False] * m
+    chains, n_open = [], 0
+    for i in range(m):
         if used[i]:
             continue
-        chain = [seg[0], seg[1]]
         used[i] = True
-        guard = 0
-        while _key(chain[-1], scale) != _key(chain[0], scale):
-            nxts = start_of.get(_key(chain[-1], scale), [])
-            nxt = None
-            for cand in nxts:
-                if not used[index[id(cand)]]:
-                    nxt = cand
-                    break
-            if nxt is None:
-                break  # open chain; drop (cannot happen with the padded ring)
-            used[index[id(nxt)]] = True
-            chain.append(nxt[1])
-            guard += 1
-            if guard > len(segments) + 1:
+        chain = [i]
+        at = dst[i]
+        while at != src[i]:
+            h = head[at]
+            while h < stop[at] and used[order[h]]:
+                h += 1
+            head[at] = h
+            if h == stop[at]:
                 break
-        if _key(chain[-1], scale) == _key(chain[0], scale) and len(chain) > 3:
-            polys.append(chain[:-1])
-    return polys
+            j = order[h]
+            used[j] = True
+            chain.append(j)
+            at = dst[j]
+        if at != src[i]:
+            n_open += 1
+        elif len(chain) >= 3:
+            chains.append(chain)
+    return chains, n_open
 
 
 def _dedupe(arr: np.ndarray) -> np.ndarray:
-    keep = [0]
+    """The polygon without repeated vertices.
+
+    A vertex is dropped when both its coordinates lie within span * 1e-12
+    of the last vertex kept (span: the largest absolute coordinate, at
+    least 1), and trailing vertices within that of the first are dropped.
+    """
     span = max(float(np.abs(arr).max()), 1.0)
     tol = span * 1e-12
-    for i in range(1, arr.shape[0]):
-        if abs(arr[i, 0] - arr[keep[-1], 0]) > tol or abs(arr[i, 1] - arr[keep[-1], 1]) > tol:
-            keep.append(i)
-    while len(keep) > 1 and (
-        abs(arr[keep[-1], 0] - arr[keep[0], 0]) <= tol
-        and abs(arr[keep[-1], 1] - arr[keep[0], 1]) <= tol
-    ):
-        keep.pop()
-    return arr[keep]
+    step = np.abs(np.diff(arr, axis=0)) > tol
+    keep = np.concatenate([[True], step[:, 0] | step[:, 1]])
+    kept = np.flatnonzero(keep).tolist()
+    if len(kept) < len(arr):
+        # comparing with the predecessor is comparing with the last kept
+        # vertex unless a run of dropped vertices drifts; then take the loop
+        last = np.maximum.accumulate(np.where(keep, np.arange(len(arr)), 0))
+        drift = np.abs(arr[1:] - arr[last[:-1]]) > tol
+        if not np.array_equal(keep[1:], drift[:, 0] | drift[:, 1]):
+            kept = [0]
+            for i in range(1, len(arr)):
+                if (np.abs(arr[i] - arr[kept[-1]]) > tol).any():
+                    kept.append(i)
+    while len(kept) > 1 and (np.abs(arr[kept[-1]] - arr[kept[0]]) <= tol).all():
+        kept.pop()
+    return arr[kept]
 
 
 def contains(polygons: list[np.ndarray], point):

@@ -30,11 +30,13 @@ def _scale(points: np.ndarray):
     spanx = (x1 - x0) or 1.0
     spany = (y1 - y0) or 1.0
 
-    def to_px(p):
-        x = MARGIN + (p[0] - x0) / spanx * (WIDTH - 2 * MARGIN)
+    def to_px(p) -> list[list[float]]:
+        """Pixel coordinates of each row of an (m, 2) array of map coordinates."""
+        p = np.asarray(p, dtype=float)
+        x = MARGIN + (p[:, 0] - x0) / spanx * (WIDTH - 2 * MARGIN)
         # svg y grows downward
-        y = HEIGHT - MARGIN - (p[1] - y0) / spany * (HEIGHT - 2 * MARGIN)
-        return x, y
+        y = HEIGHT - MARGIN - (p[:, 1] - y0) / spany * (HEIGHT - 2 * MARGIN)
+        return np.column_stack([x, y]).tolist()
 
     return to_px
 
@@ -80,8 +82,7 @@ def render_map(points, labels, contours_by_means=None, heat=None,
 
     if heat is not None:
         top = max(max(heat), 1)
-        for p, h in zip(pts, heat):
-            x, y = to_px(p)
+        for (x, y), h in zip(to_px(pts), heat):
             # warm red for many NULLs, cold blue for few
             frac = h / top
             r = int(40 + 215 * frac)
@@ -91,8 +92,7 @@ def render_map(points, labels, contours_by_means=None, heat=None,
                 f'fill="rgb({r},60,{b})"/>'
             )
     else:
-        for p, lab in zip(pts, labels):
-            x, y = to_px(p)
+        for (x, y), lab in zip(to_px(pts), labels):
             out.append(
                 f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3.0" '
                 f'fill="{color_of[lab]}" fill-opacity="0.75"/>'
@@ -104,9 +104,7 @@ def render_map(points, labels, contours_by_means=None, heat=None,
             level_map = contours_by_means[m]
             for level in sorted(level_map, reverse=True):
                 for poly in level_map[level]:
-                    coords = " ".join(
-                        f"{_fmt(x)},{_fmt(y)}" for x, y in (to_px(p) for p in poly)
-                    )
+                    coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in to_px(poly))
                     out.append(
                         f'<polygon points="{coords}" fill="none" '
                         f'stroke="{color}" stroke-width="1.5" '

@@ -299,6 +299,7 @@ def test_run_config_scalar_for_list_is_config_error(tmp_path, capsys, field, val
 
 @pytest.mark.parametrize("field, value", [
     ("gmm_ks", []), ("gmm_ks", [3, 0]), ("iterations", 0), ("min_count", 0), ("core_k", 0),
+    ("rho", -1.0), ("rho", 0.0), ("rho", float("nan")), ("nugget_frac", -0.1),
 ])
 def test_run_config_out_of_range_is_config_error_before_work(tmp_path, capsys, field, value):
     corpus = tmp_path / "corpus"

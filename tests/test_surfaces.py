@@ -10,12 +10,14 @@ from semmap.surfaces import (
     _assemble,
     _dedupe,
     _kriging_weights,
+    _segments,
     contains,
     contour,
     fit_surface,
     fit_surfaces,
     null_heat,
 )
+from semmap.tsv import format_rows
 
 
 def bump_surface(grid=200, box=3.0):
@@ -326,10 +328,10 @@ def test_contains_single_point_is_bool_and_batch_is_array():
 
 
 # scalar reference oracles ------------------------------------------------------
-# The per-edge containment loop and the per-cell marching-squares loop that
+# The per-edge containment loop, and the per-cell marching-squares loop with
+# its per-point chain assembly and compare-to-last-kept de-duplication, that
 # the batched versions replaced. Both compute the same floats in the same
-# order, so results must agree exactly. Chain assembly, clamping and
-# de-duplication are shared with the module.
+# order, so results must agree exactly.
 
 def contains_oracle(polygons, point) -> bool:
     px, py = float(point[0]), float(point[1])
@@ -376,13 +378,12 @@ def contour_oracle(surface, level):
         11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
     }
     segments = []
+    edges = []  # per segment, the lattice edges (node pairs) its ends lie on
     inside = vals >= level
     for iy in range(len(gy) - 1):
         for ix in range(len(gx) - 1):
-            c = [
-                (gx[ix], gy[iy]), (gx[ix + 1], gy[iy]),
-                (gx[ix + 1], gy[iy + 1]), (gx[ix], gy[iy + 1]),
-            ]
+            nodes = [(iy, ix), (iy, ix + 1), (iy + 1, ix + 1), (iy + 1, ix)]
+            c = [(gx[jx], gy[jy]) for jy, jx in nodes]
             v = [
                 vals[iy, ix], vals[iy, ix + 1],
                 vals[iy + 1, ix + 1], vals[iy + 1, ix],
@@ -404,20 +405,83 @@ def contour_oracle(surface, level):
             else:
                 pairs = table[b]
             for e1, e2 in pairs:
-                ends = []
+                ends, on = [], []
                 for edge in (e1, e2):
                     i1, i2 = [(0, 1), (1, 2), (2, 3), (3, 0)][edge]
                     ends.append(interp(c[i1], c[i2], v[i1], v[i2]))
+                    on.append(frozenset((nodes[i1], nodes[i2])))
                 segments.append(tuple(ends))
+                edges.append(tuple(on))
     clipped = []
-    for poly in _assemble(segments):
+    for poly in assemble_oracle(segments, edges):
         arr = np.array(poly)
         arr[:, 0] = np.clip(arr[:, 0], xs[0], xs[-1])
         arr[:, 1] = np.clip(arr[:, 1], ys[0], ys[-1])
-        arr = _dedupe(arr)
+        arr = dedupe_oracle(arr)
         if arr.shape[0] >= 3:
             clipped.append(arr)
     return clipped
+
+
+def key_oracle(p, scale):
+    return (round(p[0] / scale), round(p[1] / scale))
+
+
+def assemble_oracle(segments, edges):
+    # points on one lattice edge take the key of its first point, the
+    # segments' starts being visited before their ends
+    if not segments:
+        return []
+    span = max(
+        max(abs(p[0]) for s in segments for p in s),
+        max(abs(p[1]) for s in segments for p in s),
+        1.0,
+    )
+    scale = span * 1e-9
+    key_of: dict = {}
+    for k in (0, 1):
+        for seg, on in zip(segments, edges):
+            key_of.setdefault(on[k], key_oracle(seg[k], scale))
+    start_of: dict = {}
+    for i, on in enumerate(edges):
+        start_of.setdefault(key_of[on[0]], []).append(i)
+    used = [False] * len(segments)
+    polys = []
+    for i, seg in enumerate(segments):
+        if used[i]:
+            continue
+        chain = [seg[0], seg[1]]
+        used[i] = True
+        first, last = key_of[edges[i][0]], key_of[edges[i][1]]
+        while last != first:
+            nxt = None
+            for cand in start_of.get(last, []):
+                if not used[cand]:
+                    nxt = cand
+                    break
+            if nxt is None:
+                break  # open chain; dropped
+            used[nxt] = True
+            chain.append(segments[nxt][1])
+            last = key_of[edges[nxt][1]]
+        if last == first and len(chain) > 3:
+            polys.append(chain[:-1])
+    return polys
+
+
+def dedupe_oracle(arr):
+    keep = [0]
+    span = max(float(np.abs(arr).max()), 1.0)
+    tol = span * 1e-12
+    for i in range(1, arr.shape[0]):
+        if abs(arr[i, 0] - arr[keep[-1], 0]) > tol or abs(arr[i, 1] - arr[keep[-1], 1]) > tol:
+            keep.append(i)
+    while len(keep) > 1 and (
+        abs(arr[keep[-1], 0] - arr[keep[0], 0]) <= tol
+        and abs(arr[keep[-1], 1] - arr[keep[0], 1]) <= tol
+    ):
+        keep.pop()
+    return arr[keep]
 
 
 def grid_surface(prob):
@@ -470,6 +534,103 @@ def test_contour_matches_scalar_oracle(field, levels):
         want = contour_oracle(surf, level)
         assert want, level
         assert_same_polygons(contour(surf, level), want)
+
+
+def random_field(rng, kind, scale, offset):
+    """A small field over a lattice of extent ``scale`` placed at ``offset``:
+    uniform values, values snapped to 0.1, or values on 0.2/0.5/0.8 only."""
+    ny, nx = (int(v) for v in rng.integers(2, 24, size=2))
+    u = rng.uniform(0.0, 1.0, size=(ny, nx))
+    prob = {
+        "uniform": u,
+        "snapped": np.round(u * 10) / 10,
+        "on-level": rng.choice([0.2, 0.5, 0.8], size=(ny, nx)),
+    }[kind]
+    xs = offset + scale * np.linspace(0.0, 1.0, nx)
+    ys = offset / 3 + scale * np.linspace(-0.4, 0.3, ny)
+    return KrigSurface(kind, xs, ys, prob, DEFAULT_LEVELS)
+
+
+# levels hit exactly by the snapped and on-level values, and one between them
+CLOSURE_LEVELS = (0.5, 0.3, 0.29)
+CLOSURE_FIELDS = [
+    (kind, scale, offset)
+    for kind in ("uniform", "snapped", "on-level")
+    for scale in (1e-3, 1.0, 1e3, 1e6)
+    for offset in (0.0, -2.5 * scale, 40.0 * scale)
+]
+
+
+def test_every_contour_chain_closes():
+    # 432 fields; quantized ones put crossings on exact halves of the
+    # assembly's rounding step, where the two cells sharing a lattice edge
+    # can round its crossing apart
+    rng = np.random.default_rng(29)
+    for _ in range(12):
+        for kind, scale, offset in CLOSURE_FIELDS:
+            surf = random_field(rng, kind, scale, offset)
+            for level in CLOSURE_LEVELS:
+                chains, n_open = _assemble(*_segments(surf, level))
+                assert n_open == 0, (kind, scale, offset, level)
+                # a closed chain never reuses a segment
+                flat = [i for chain in chains for i in chain]
+                assert len(flat) == len(set(flat))
+
+
+@pytest.mark.parametrize("kind, scale, offset", CLOSURE_FIELDS)
+def test_contour_matches_scalar_oracle_on_random_fields(kind, scale, offset):
+    rng = np.random.default_rng(31)
+    for _ in range(2):
+        surf = random_field(rng, kind, scale, offset)
+        for level in CLOSURE_LEVELS:
+            assert_same_polygons(contour(surf, level), contour_oracle(surf, level))
+
+
+def drifting_polygon():
+    # vertices 1 and 2 each lie within tol (2e-12 here) of their predecessor,
+    # but vertex 2 is beyond tol of vertex 0, the last one kept
+    return np.array([[0.0, 2.0], [1.5e-12, 2.0], [3e-12, 2.0],
+                     [1.0, 2.0], [1.0, 1.0], [1.0 + 1e-12, 1.0 - 1e-12]])
+
+
+DEDUPE_CASES = {
+    "distinct": np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+    "drifting-run": drifting_polygon(),
+    "drift-in-y": drifting_polygon()[:, ::-1].copy(),
+    "closing-vertex-equals-first": np.array(
+        [[-1.0, -0.0], [0.5, -1.0], [0.5, 0.5], [-1.0, 0.0], [-1.0, 1e-13]]),
+    "all-duplicate": np.full((5, 2), 0.25),
+    "all-near-duplicate": np.array([[3.0, 3.0], [3.0 + 4e-12, 3.0], [3.0, 3.0 - 4e-12]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEDUPE_CASES))
+def test_dedupe_matches_loop(name):
+    arr = DEDUPE_CASES[name]
+    got = _dedupe(arr)
+    assert got.dtype == arr.dtype
+    assert np.array_equal(got, dedupe_oracle(arr))
+
+
+def test_dedupe_drifting_run_needs_the_loop():
+    # vertex 2 is kept, though comparing it with its predecessor alone
+    # would drop it; vertex 5 repeats vertex 4
+    arr = drifting_polygon()
+    assert np.array_equal(_dedupe(arr), arr[[0, 2, 3, 4]])
+
+
+def test_dedupe_matches_loop_on_random_near_duplicate_runs():
+    rng = np.random.default_rng(37)
+    for _ in range(300):
+        n = int(rng.integers(1, 30))
+        base = rng.uniform(-3.0, 3.0, size=(n, 2))
+        # repeat vertices into runs, then nudge by a fraction of a tolerance
+        arr = np.repeat(base, rng.integers(1, 4, size=n), axis=0)
+        tol = max(float(np.abs(arr).max()), 1.0) * 1e-12
+        arr = arr + rng.choice([0.0, 0.6, -0.6, 1.2], size=arr.shape) * tol
+        if rng.uniform() < 0.3:
+            arr = np.concatenate([arr, arr[:1]])
+        assert np.array_equal(_dedupe(arr), dedupe_oracle(arr))
 
 
 def probe_points(polys, rng, n_random=60):
@@ -545,3 +706,50 @@ def test_null_heat_equals_brute_force_on_random_matrix():
     )
     got = null_heat(m)
     assert got == [sum(1 for c in row if c is None) for row in cells]
+
+
+# text formatting ---------------------------------------------------------------
+# The tuple-through-``format_rows`` writers the per-row f-strings replaced.
+
+def grid_to_tsv_oracle(surf, header=None):
+    xs = [f"{x:.6f}" for x in surf.xs.tolist()]
+    rows = [("x", "y", "prob")]
+    for y, probs in zip(surf.ys.tolist(), surf.prob.tolist()):
+        fy = f"{y:.6f}"
+        rows.extend((fx, fy, f"{p:.6f}") for fx, p in zip(xs, probs))
+    return format_rows(rows, header)
+
+
+def contours_to_tsv_oracle(surf, header=None):
+    rows = [("level", "polygon", "x", "y")]
+    for level in surf.levels:
+        for pi, poly in enumerate(surf.contours.get(level, [])):
+            rows.extend((f"{level:g}", pi, f"{x:.6f}", f"{y:.6f}")
+                        for x, y in poly.tolist())
+    return format_rows(rows, header)
+
+
+def formatting_surfaces():
+    # negative and signed-zero coordinates, and values on either side of a
+    # rounding step at the sixth decimal
+    xs = np.array([-2.5, -1e-7, -0.0, 0.0, 4.9999995e-7, 1.2345675])
+    ys = np.array([-0.0000005, -0.0, 0.1234565, 3.0])
+    prob = np.array([[0.0, -0.0, 1.0, 0.5, 0.0000005, 0.0000015],
+                     [0.1234565, 0.9999995, 0.3333333, 2.5e-7, 1e-300, 0.7]] * 2)
+    polys = [np.array([[-0.0, 0.0], [-1.5e-7, 2.0000005], [3.1234565, -4.4999995]]),
+             np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1e-9, -0.0]])]
+    full = KrigSurface("a", xs, ys, prob, DEFAULT_LEVELS,
+                       contours={0.35: polys[:1], 0.32: [], 0.29: polys})
+    # no polygons at any level, and a level missing from the contour map
+    empty = KrigSurface("NULL", xs, ys, prob[::-1], DEFAULT_LEVELS, contours={0.35: []})
+    grown = bump_surface(grid=37)
+    for level in grown.levels:
+        grown.contours[level] = contour(grown, level)
+    return [full, empty, grown]
+
+
+@pytest.mark.parametrize("header", [None, "semmap run abc123 seed=13"])
+def test_tsv_writers_match_format_rows_oracle(header):
+    for surf in formatting_surfaces():
+        assert surf.grid_to_tsv(header) == grid_to_tsv_oracle(surf, header)
+        assert surf.contours_to_tsv(header) == contours_to_tsv_oracle(surf, header)
