@@ -148,9 +148,6 @@ class AlignmentTable:
     """Per-verse one-to-one links (pivot_index, target_index)."""
     links: dict[str, set[tuple[int, int]]]
 
-    def verse_ids(self):
-        return self.links.keys()
-
 
 @dataclass(frozen=True)
 class PivotParallel:

@@ -38,10 +38,9 @@ EXIT_NUMERIC = 4
 # scalar PipelineConfig fields mirrored as --kebab-case run flags
 _RUN_SCALARS = {
     "corpus_dir": str, "metadata": str, "out_dir": str, "pivot_iso": str,
-    "iterations": int, "min_count": int, "seed": int, "mds_dims": int,
-    "covariance": str, "grid": int, "nugget_frac": float, "rho": float,
-    "dictionary_level": float, "gmm_seed": int, "core_k": int, "alpha": float,
-    "edit_rules": str,
+    "iterations": int, "min_count": int, "grid": int, "nugget_frac": float,
+    "rho": float, "dictionary_level": float, "gmm_seed": int, "core_k": int,
+    "alpha": float,
 }
 
 
@@ -82,8 +81,6 @@ def _cmd_run(args) -> int:
         config.levels = _split(args.levels, float)
     if args.gmm_ks:
         config.gmm_ks = _split(args.gmm_ks, int)
-    if args.treebank_paths:
-        config.treebank_paths = _split(args.treebank_paths, str)
     if args.cluster_groups:
         config.cluster_groups = json.loads(args.cluster_groups)
     if args.group_anchors:
@@ -207,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pivot-tokens", help="comma-separated pivot tokens")
     p.add_argument("--levels", help="comma-separated contour levels, descending")
     p.add_argument("--gmm-ks", help="comma-separated candidate component counts")
-    p.add_argument("--treebank-paths", help="comma-separated treebank files")
     p.add_argument("--cluster-groups", help="JSON map of group to cluster id")
     p.add_argument("--group-anchors", help="JSON map of group to usage-point row id")
     p.add_argument("--no-dump-grids", action="store_true")
@@ -224,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iso", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--grid", type=int, default=200)
-    p.add_argument("--levels", default="0.35,0.32,0.29")
+    p.add_argument("--levels", default=",".join(map(str, sf.DEFAULT_LEVELS)))
     p.set_defaults(fn=_cmd_map)
 
     p = sub.add_parser("classify", help="classify stored area dictionaries")

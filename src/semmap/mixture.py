@@ -1,4 +1,4 @@
-"""Gaussian mixture modelling of the embedded map.
+"""Gaussian mixture modelling of the two-dimensional embedded map.
 
 Full-covariance EM with k-means initialization, model-size selection by
 AIC/BIC/silhouette, and per-cluster core-point extraction (centroid plus
@@ -108,40 +108,41 @@ def kmeans_init(points, k: int, seed: int = 0,
     return centers
 
 
+def _plane(points) -> np.ndarray:
+    """``points`` as an (n, 2) float array, the only shape the mixture models."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise MixtureError(f"points must form an (n, 2) array, got shape {pts.shape}")
+    return pts
+
+
 def _log_gauss_all(pts: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """log N(x | mean_k, cov_k) for every point and component at once."""
-    d = pts.shape[1]
-    if d == 2:
-        # closed form beats batched LAPACK on stacks of 2x2 matrices
-        a, b, c = covs[:, 0, 0], covs[:, 0, 1], covs[:, 1, 1]
-        det = a * c - b * b
-        if np.any(det <= 0) or np.any(a <= 0):
-            raise np.linalg.LinAlgError("covariance not positive definite")
-        logdets = np.log(det)
-        dx = pts[:, 0][:, None] - means[:, 0][None, :]
-        dy = pts[:, 1][:, None] - means[:, 1][None, :]
-        maha = (c * dx * dx - 2 * b * dx * dy + a * dy * dy) / det
-    else:
-        signs, logdets = np.linalg.slogdet(covs)
-        if np.any(signs <= 0):
-            raise np.linalg.LinAlgError("covariance not positive definite")
-        invs = np.linalg.inv(covs)
-        diff = pts[:, None, :] - means[None, :, :]      # (n, k, d)
-        maha = np.einsum("nki,kij,nkj->nk", diff, invs, diff)
-    return -0.5 * (d * math.log(2 * math.pi) + logdets[None, :] + maha)
+    """log N(x | mean_k, cov_k) for every point and component at once.
+
+    The 2x2 covariances are inverted in closed form, which beats batched
+    LAPACK on stacks of small matrices.
+    """
+    a, b, c = covs[:, 0, 0], covs[:, 0, 1], covs[:, 1, 1]
+    det = a * c - b * b
+    if np.any(det <= 0) or np.any(a <= 0):
+        raise np.linalg.LinAlgError("covariance not positive definite")
+    dx = pts[:, 0][:, None] - means[:, 0][None, :]
+    dy = pts[:, 1][:, None] - means[:, 1][None, :]
+    maha = (c * dx * dx - 2 * b * dx * dy + a * dy * dy) / det
+    return -0.5 * (2 * math.log(2 * math.pi) + np.log(det)[None, :] + maha)
 
 
 def fit_gmm(points, k: int, seed: int = 0, max_iter: int = 500,
             tol: float = 1e-7, cov_floor: float = COV_FLOOR) -> GmmModel:
-    """Full-covariance EM from a k-means initialization.
+    """Full-covariance EM from a k-means initialization of (n, 2) points.
 
     The covariance floor is added to the diagonals at every M step, which
     keeps components from collapsing onto duplicated points. Hard
     assignments take the argmax responsibility, lowest cluster id first
     on ties.
     """
-    pts = np.asarray(points, dtype=float)
-    n, d = pts.shape
+    pts = _plane(points)
+    n = pts.shape[0]
     if n < 3 * k:
         raise MixtureError(f"need at least 3k points, got n={n} k={k}")
 
@@ -150,13 +151,13 @@ def fit_gmm(points, k: int, seed: int = 0, max_iter: int = 500,
     labels = np.argmin(d2, axis=1)
     weights = np.empty(k)
     means = centers.copy()
-    covs = np.empty((k, d, d))
-    overall = np.cov(pts.T) + cov_floor * np.eye(d)
+    covs = np.empty((k, 2, 2))
+    overall = np.cov(pts.T) + cov_floor * np.eye(2)
     for j in range(k):
         sel = labels == j
         weights[j] = max(sel.sum(), 1) / n
         if sel.sum() >= 2:
-            covs[j] = np.cov(pts[sel].T) + cov_floor * np.eye(d)
+            covs[j] = np.cov(pts[sel].T) + cov_floor * np.eye(2)
         else:
             covs[j] = overall.copy()
     weights /= weights.sum()
@@ -164,7 +165,6 @@ def fit_gmm(points, k: int, seed: int = 0, max_iter: int = 500,
     trace: list[float] = []
     resp = np.zeros((n, k))
     converged = False
-    eye = cov_floor * np.eye(d)
     for _ in range(max_iter):
         try:
             log_prob = np.log(weights)[None, :] + _log_gauss_all(pts, means, covs)
@@ -183,20 +183,12 @@ def fit_gmm(points, k: int, seed: int = 0, max_iter: int = 500,
         nk = resp.sum(axis=0) + 1e-300
         weights = nk / n
         means = (resp.T @ pts) / nk[:, None]
-        if d == 2:
-            dx = pts[:, 0][:, None] - means[:, 0][None, :]
-            dy = pts[:, 1][:, None] - means[:, 1][None, :]
-            cxx = (resp * dx * dx).sum(axis=0) / nk + cov_floor
-            cxy = (resp * dx * dy).sum(axis=0) / nk
-            cyy = (resp * dy * dy).sum(axis=0) / nk + cov_floor
-            covs = np.empty((k, 2, 2))
-            covs[:, 0, 0] = cxx
-            covs[:, 0, 1] = covs[:, 1, 0] = cxy
-            covs[:, 1, 1] = cyy
-        else:
-            diff = pts[:, None, :] - means[None, :, :]
-            covs = np.einsum("nk,nki,nkj->kij", resp, diff, diff) / nk[:, None, None]
-            covs += eye[None, :, :]
+        dx = pts[:, 0][:, None] - means[:, 0][None, :]
+        dy = pts[:, 1][:, None] - means[:, 1][None, :]
+        covs = np.empty((k, 2, 2))
+        covs[:, 0, 0] = (resp * dx * dx).sum(axis=0) / nk + cov_floor
+        covs[:, 0, 1] = covs[:, 1, 0] = (resp * dx * dy).sum(axis=0) / nk
+        covs[:, 1, 1] = (resp * dy * dy).sum(axis=0) / nk + cov_floor
 
     assignments = np.argmax(resp, axis=1)
     return GmmModel(
@@ -263,7 +255,7 @@ def select_k(points, candidates, seed: int = 0) -> SelectionReport:
     empty hard cluster) are excluded; if every candidate fails, a
     MixtureError carrying the report is raised.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = _plane(points)
     n = pts.shape[0]
     candidates = list(candidates)
     if not candidates:

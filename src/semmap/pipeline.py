@@ -2,9 +2,9 @@
 
 Every stage writes TSV intermediates (plus one SVG map per doculect)
 under the output directory; a manifest lists each artifact with its
-content hash. Runs are byte-identical for identical configs and seeds:
-all randomness flows from the configured seeds, floats print with fixed
-formats and nothing records a timestamp.
+content hash. Runs are byte-identical for identical configs: all
+randomness comes from ``gmm_seed`` (EM alignment starts from a uniform
+table), floats print with fixed formats and nothing records a timestamp.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ __all__ = ["PipelineConfig", "ConfigError", "check_grid_levels", "run"]
 
 GROUPS = ty.GROUPS
 # config fields stored as JSON lists and held as tuples
-_LIST_FIELDS = ("pivot_tokens", "levels", "gmm_ks", "treebank_paths")
+_LIST_FIELDS = ("pivot_tokens", "levels", "gmm_ks")
 
 
 class ConfigError(ValueError):
@@ -66,9 +66,6 @@ class PipelineConfig:
     pivot_tokens: tuple[str, ...] = ("when",)
     iterations: int = 5
     min_count: int = 3
-    seed: int = 13
-    mds_dims: int = 2
-    covariance: str = "exponential"
     grid: int = 200
     levels: tuple[float, ...] = sf.DEFAULT_LEVELS
     nugget_frac: float = 0.05
@@ -80,8 +77,6 @@ class PipelineConfig:
     alpha: float = 0.01
     cluster_groups: dict = field(default_factory=lambda: {"TL": 3, "ML": 2, "BL": 4})
     group_anchors: dict = field(default_factory=dict)
-    treebank_paths: tuple[str, ...] = ()
-    edit_rules: str | None = None
     dump_grids: bool = True
 
     def validate(self) -> None:
@@ -89,10 +84,6 @@ class PipelineConfig:
             raise ConfigError(f"corpus dir not found: {self.corpus_dir}")
         if self.metadata and not Path(self.metadata).is_file():
             raise ConfigError(f"metadata file not found: {self.metadata}")
-        if self.mds_dims not in (2, 3):
-            raise ConfigError("mds_dims must be 2 or 3")
-        if self.covariance != "exponential":
-            raise ConfigError(f"unsupported covariance family {self.covariance!r}")
         # exp(-h / rho) is a covariance only for rho > 0, and a negative
         # nugget can make the kriging system indefinite
         if self.rho is not None and not (_finite(self.rho) and self.rho > 0):
@@ -117,11 +108,6 @@ class PipelineConfig:
             raise ConfigError(f"group_anchors must cover {GROUPS}")
         if not self.group_anchors and set(self.cluster_groups) != set(GROUPS):
             raise ConfigError(f"cluster_groups must cover {GROUPS}")
-        for tb in self.treebank_paths:
-            if not Path(tb).is_file():
-                raise ConfigError(f"treebank file not found: {tb}")
-        if self.edit_rules and not Path(self.edit_rules).is_file():
-            raise ConfigError(f"edit rules file not found: {self.edit_rules}")
 
     def to_json(self) -> str:
         d = asdict(self)
@@ -165,10 +151,14 @@ def _safe_name(label: str) -> str:
 
 
 def _threads() -> int:
+    text = os.environ.get("SEMMAP_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("SEMMAP_THREADS", "1")))
+        threads = int(text)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"SEMMAP_THREADS must be an integer of at least 1, got {text!r}")
+    return threads
 
 
 class _Artifacts:
@@ -195,8 +185,9 @@ class _Artifacts:
 def run(config: PipelineConfig) -> Path:
     """Execute the whole pipeline; returns the manifest path."""
     config.validate()
+    threads = _threads()
     out = Path(config.out_dir)
-    header = f"semmap config={config.config_hash()} seed={config.seed}"
+    header = f"semmap config={config.config_hash()}"
     art = _Artifacts(out, header)
     art.write("config.json", config.to_json())
 
@@ -239,7 +230,7 @@ def run(config: PipelineConfig) -> Path:
         )
 
     parallels: dict[str, list[al.PivotParallel]] = {}
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         for iso, rows in zip(targets, pool.map(align_one, targets)):
             parallels[iso] = rows
     # the pivot realizes each occurrence with the pivot token itself
@@ -253,11 +244,9 @@ def run(config: PipelineConfig) -> Path:
     matrix = pv.build_matrix(parallels, occurrences)
     art.write("matrix.tsv", matrix.to_tsv(header))
     dist = pv.hamming(matrix)
-    emb = (pv.classical_mds(dist, 2, row_ids=matrix.row_ids)
-           if config.mds_dims == 2
-           else pv.add_dimension(dist, row_ids=matrix.row_ids))
+    emb = pv.classical_mds(dist, 2, row_ids=matrix.row_ids)
     art.write("embedding.tsv", emb.to_tsv(header))
-    points = emb.coords[:, :2]
+    points = emb.coords
 
     heat = sf.null_heat(matrix)
     art.write("heat.tsv", tsv.format_rows(

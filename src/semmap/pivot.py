@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ __all__ = [
     "build_matrix",
     "hamming",
     "classical_mds",
-    "add_dimension",
 ]
 
 
@@ -158,7 +157,6 @@ class EmbeddedMap:
     eigenvalues: np.ndarray
     row_ids: list[str]
     truncated: bool = False
-    plane_distance: np.ndarray | None = None
 
     def to_tsv(self, header: str | None = None) -> str:
         return tsv.format_rows(
@@ -223,16 +221,3 @@ def classical_mds(d: DistanceMatrix | np.ndarray, k: int,
     rids = row_ids if row_ids is not None else [str(i) for i in range(n)]
     return EmbeddedMap(coords=coords, eigenvalues=evals, row_ids=rids,
                        truncated=truncated)
-
-
-def add_dimension(d: DistanceMatrix | np.ndarray,
-                  row_ids: list[str] | None = None) -> EmbeddedMap:
-    """Three-dimensional variant sharing the 2D eigendecomposition.
-
-    The first two axes coincide exactly with ``classical_mds(d, 2)``; the
-    third is the next eigenpair. ``plane_distance`` carries each point's
-    distance from the xy-plane for heat coloring.
-    """
-    emb = classical_mds(d, 3, row_ids=row_ids)
-    emb.plane_distance = np.abs(emb.coords[:, 2])
-    return emb

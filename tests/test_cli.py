@@ -285,7 +285,7 @@ def test_run_unparsable_list_flag_is_config_error(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("levels", 0.29), ("gmm_ks", 3), ("pivot_tokens", "when"), ("treebank_paths", None),
+    ("levels", 0.29), ("gmm_ks", 3), ("pivot_tokens", "when"),
 ])
 def test_run_config_scalar_for_list_is_config_error(tmp_path, capsys, field, value):
     cfg = tmp_path / "c.json"
@@ -300,6 +300,9 @@ def test_run_config_scalar_for_list_is_config_error(tmp_path, capsys, field, val
 @pytest.mark.parametrize("field, value", [
     ("gmm_ks", []), ("gmm_ks", [3, 0]), ("iterations", 0), ("min_count", 0), ("core_k", 0),
     ("rho", -1.0), ("rho", 0.0), ("rho", float("nan")), ("nugget_frac", -0.1),
+    # keys older configs carried
+    ("seed", 13), ("mds_dims", 2), ("covariance", "exponential"),
+    ("treebank_paths", []), ("edit_rules", None),
 ])
 def test_run_config_out_of_range_is_config_error_before_work(tmp_path, capsys, field, value):
     corpus = tmp_path / "corpus"
@@ -312,7 +315,21 @@ def test_run_config_out_of_range_is_config_error_before_work(tmp_path, capsys, f
     }), encoding="utf-8")
     assert main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "Traceback" not in err
+    assert "config error" in err and field in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["two", "0", "-1"])
+def test_run_bad_thread_count_is_config_error_before_work(tmp_path, capsys, monkeypatch,
+                                                          threads):
+    corpus = tmp_path / "corpus"
+    build_corpus(corpus, n_verses=30, seed=3)
+    out = tmp_path / "out"
+    monkeypatch.setenv("SEMMAP_THREADS", threads)
+    assert main(["run", "--corpus-dir", str(corpus), "--metadata", str(corpus / "meta.tsv"),
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "SEMMAP_THREADS" in err and "Traceback" not in err
     assert not out.exists()
 
 

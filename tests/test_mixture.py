@@ -188,6 +188,15 @@ def test_select_k_range_validation():
         select_k(pts, [11], seed=0)  # > n/3
 
 
+@pytest.mark.parametrize("shape", [(30, 3), (30,)])
+def test_points_off_the_plane_are_rejected(shape):
+    pts = np.random.default_rng(0).normal(size=shape)
+    with pytest.raises(MixtureError, match=r"\(n, 2\)"):
+        fit_gmm(pts, 3, seed=0)
+    with pytest.raises(MixtureError, match=r"\(n, 2\)"):
+        select_k(pts, [2, 3], seed=0)
+
+
 def test_silhouette_sane_on_blobs():
     pts, truth, _ = three_blobs(n_per=50, seed=12)
     good = silhouette_score(pts, truth)

@@ -39,7 +39,7 @@ def test_manifest_lists_artifacts_with_correct_hashes(synth_run):
 
 def test_every_artifact_carries_config_hash_header(synth_run):
     out = synth_run["out"]
-    want = f"# semmap config={synth_run['config'].config_hash()} seed={synth_run['config'].seed}"
+    want = f"# semmap config={synth_run['config'].config_hash()}"
     for rel in ["corpus.tsv", "matrix.tsv", "embedding.tsv", "heat.tsv",
                 "gmm_model.tsv", "classification.tsv", "scores.tsv"]:
         first = (out / rel).read_text(encoding="utf-8").splitlines()[0]
@@ -148,24 +148,6 @@ def test_config_roundtrip_and_hash_stability(synth_run):
     assert again.config_hash() == config.config_hash()
 
 
-def test_three_dimensional_embedding_flag(tmp_path):
-    from synth import build_corpus
-
-    from semmap.pipeline import run
-
-    corpus = tmp_path / "corpus"
-    build_corpus(corpus, n_verses=90, seed=23)
-    config = PipelineConfig(
-        corpus_dir=str(corpus), metadata=str(corpus / "meta.tsv"),
-        out_dir=str(tmp_path / "out"), gmm_ks=(3,), grid=50, core_k=10,
-        mds_dims=3, cluster_groups={"TL": 0, "ML": 1, "BL": 2},
-        dump_grids=False,
-    )
-    run(config)
-    emb = EmbeddedMap.from_tsv(tmp_path / "out" / "embedding.tsv")
-    assert emb.coords.shape == (90, 3)
-
-
 def test_config_validation_errors(tmp_path):
     with pytest.raises(ConfigError, match="corpus dir"):
         PipelineConfig(corpus_dir=str(tmp_path / "nope"), metadata=None,
@@ -174,10 +156,6 @@ def test_config_validation_errors(tmp_path):
                          out_dir=str(tmp_path), levels=(0.29, 0.35, 0.32))
     with pytest.raises(ConfigError, match="descending"):
         cfg.validate()
-    cfg2 = PipelineConfig(corpus_dir=str(tmp_path), metadata=None,
-                          out_dir=str(tmp_path), mds_dims=5)
-    with pytest.raises(ConfigError, match="mds_dims"):
-        cfg2.validate()
     cfg3 = PipelineConfig(corpus_dir=str(tmp_path), metadata=None,
                           out_dir=str(tmp_path),
                           group_anchors={"TL": "x"})

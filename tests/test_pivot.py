@@ -7,7 +7,6 @@ from semmap.align import PivotParallel
 from semmap.pivot import (
     ParallelUsageMatrix,
     PivotError,
-    add_dimension,
     build_matrix,
     classical_mds,
     hamming,
@@ -183,29 +182,28 @@ def test_mds_hamming_embedding_reproducible():
     assert e2.to_tsv() == e1.to_tsv()
 
 
-# add_dimension -----------------------------------------------------------------
+# three axes --------------------------------------------------------------------
 
-def test_add_dimension_planted_3d():
+def test_three_axes_planted_3d():
     rng = np.random.default_rng(21)
     pts = rng.normal(size=(60, 3))
     dm = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-    emb = add_dimension(dm)
+    emb = classical_mds(dm, 3)
     got = np.sqrt(((emb.coords[:, None, :] - emb.coords[None, :, :]) ** 2).sum(axis=2))
     assert np.abs(got - dm).max() < 1e-6
 
 
-def test_add_dimension_degenerate_planar_input():
+def test_three_axes_degenerate_planar_input():
     rng = np.random.default_rng(22)
     pts = rng.normal(size=(40, 2))
     dm = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-    emb = add_dimension(dm)
+    emb = classical_mds(dm, 3)
     assert np.abs(emb.coords[:, 2]).max() < 1e-6
-    assert np.abs(emb.plane_distance).max() < 1e-6
 
 
-def test_add_dimension_first_two_axes_match_2d_exactly():
+def test_three_axes_first_two_match_2d_exactly():
     m = random_matrix(n=40, m=10, seed=30)
     d = hamming(m)
     e2 = classical_mds(d, 2)
-    e3 = add_dimension(d)
+    e3 = classical_mds(d, 3)
     assert np.array_equal(e2.coords, e3.coords[:, :2])
