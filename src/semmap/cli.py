@@ -154,6 +154,8 @@ def _cmd_treebank_extract(args) -> int:
 
 
 def _cmd_stats_report(args) -> int:
+    if args.window < 1:
+        raise ConfigError(f"--window must be at least 1, got {args.window}")
     table = tsv.read_rows(_require(args.constructions, "treebank-extract"), rest=str)
     if table and not {"sentence_id", "kind", "trigger_ids", "position"} <= set(table[0]):
         raise tsv.TsvError(f"{args.constructions}: the columns sentence_id, kind, "
@@ -254,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (CorpusError, TreebankError, TypologyError, al.AlignError,
-            pv.PivotError, tsv.TsvError, FileNotFoundError) as exc:
+            pv.PivotError, tsv.TsvError, cs.CorpStatsError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (sf.SurfaceError, mx.MixtureError, np.linalg.LinAlgError) as exc:

@@ -106,6 +106,18 @@ def select_translation(candidates: list[Doculect]) -> Doculect:
     return max(pool, key=key)
 
 
+def _data_lines(path):
+    """(line number, line) for each line of ``path`` that is neither blank nor a ``#`` comment."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for ln, line in enumerate(fh, 1):
+                line = line.rstrip("\n")
+                if line and not line.startswith("#"):
+                    yield ln, line
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def load_doculect_file(path: str | Path, iso: str | None = None,
                        meta: dict | None = None) -> Doculect:
     path = Path(path)
@@ -113,18 +125,14 @@ def load_doculect_file(path: str | Path, iso: str | None = None,
     file_iso = stem.split("-", 1)[0]
     iso = iso or file_iso
     verses: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t", 1)
-            if len(parts) != 2:
-                raise CorpusError(f"{path}:{ln}: expected 'verse-id<TAB>text'")
-            vid, text = parts
-            if vid in verses:
-                raise CorpusError(f"{path}:{ln}: duplicate verse id {vid}")
-            verses[vid] = text
+    for ln, line in _data_lines(path):
+        parts = line.split("\t", 1)
+        if len(parts) != 2:
+            raise CorpusError(f"{path}:{ln}: expected 'verse-id<TAB>text'")
+        vid, text = parts
+        if vid in verses:
+            raise CorpusError(f"{path}:{ln}: duplicate verse id {vid}")
+        verses[vid] = text
     meta = meta or {}
     return Doculect(
         iso=iso,
@@ -139,27 +147,23 @@ def load_doculect_file(path: str | Path, iso: str | None = None,
 def load_metadata(path: str | Path) -> dict[str, dict]:
     """Read the iso/name/family/macroarea/year TSV into a dict keyed by iso."""
     meta: dict[str, dict] = {}
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 4:
-                raise CorpusError(f"{path}:{ln}: expected at least 4 columns")
-            iso, name, family, macroarea = parts[:4]
-            year: int | None = None
-            if len(parts) > 4 and parts[4].strip():
-                try:
-                    year = int(parts[4])
-                except ValueError as exc:
-                    raise CorpusError(f"{path}:{ln}: bad year {parts[4]!r}") from exc
-            meta[iso] = {
-                "name": name,
-                "family": family or "unknown",
-                "macroarea": macroarea or "unknown",
-                "year": year,
-            }
+    for ln, line in _data_lines(path):
+        parts = line.split("\t")
+        if len(parts) < 4:
+            raise CorpusError(f"{path}:{ln}: expected at least 4 columns")
+        iso, name, family, macroarea = parts[:4]
+        year: int | None = None
+        if len(parts) > 4 and parts[4].strip():
+            try:
+                year = int(parts[4])
+            except ValueError as exc:
+                raise CorpusError(f"{path}:{ln}: bad year {parts[4]!r}") from exc
+        meta[iso] = {
+            "name": name,
+            "family": family or "unknown",
+            "macroarea": macroarea or "unknown",
+            "year": year,
+        }
     return meta
 
 

@@ -40,8 +40,11 @@ __all__ = [
     "strip_placeholders",
 ]
 
-DEFAULT_PARTICLES = ("že", "bo", "li", "i")
+# forms that may precede a construction that still counts as sentence-initial
+PARTICLES = ("že", "bo", "li", "i")
 JEGDA_LEMMAS = ("jegda", "egda")
+# absolutes of this lemma are stock temporal expressions, kept without a subject
+BE_LEMMA = "byti"
 
 
 class TreebankError(ValueError):
@@ -100,9 +103,6 @@ class Sentence:
     tokens: dict[int, TbToken]
     order: list[int]
 
-    def token(self, tid: int) -> TbToken:
-        return self.tokens[tid]
-
     def head_of(self, tok: TbToken) -> TbToken | None:
         if tok.head == 0:
             return None
@@ -125,6 +125,7 @@ class Sentence:
         return out
 
     def validate(self) -> None:
+        """Reject dangling heads and slashes, head cycles and empty nodes with forms."""
         for tok in self.tokens.values():
             if tok.head != 0 and tok.head not in self.tokens:
                 raise TreebankError(
@@ -136,6 +137,17 @@ class Sentence:
             if tok.empty and tok.form:
                 raise TreebankError(
                     f"sentence {self.id}: empty node {tok.id} carries a form")
+        for tok in self.tokens.values():
+            # an acyclic chain reaches a root token within len(tokens) hops
+            cur = tok
+            for _ in self.tokens:
+                if cur.head == 0:
+                    break
+                cur = self.tokens[cur.head]
+            else:
+                raise TreebankError(
+                    f"sentence {self.id}: the head chain of token {tok.id} "
+                    "runs into a cycle and never reaches the root")
 
 
 @dataclass
@@ -177,6 +189,14 @@ def _parse_slashes(cell: str) -> list[tuple[int, str]]:
     return out
 
 
+def _sentence(sid: str, tokens: list[TbToken]) -> Sentence:
+    sent = Sentence(id=sid, tokens={t.id: t for t in tokens}, order=[t.id for t in tokens])
+    if len(sent.tokens) != len(tokens):
+        raise TreebankError(f"sentence {sid}: duplicate token ids")
+    sent.validate()
+    return sent
+
+
 def _parse_columns(text: str) -> list[Sentence]:
     sentences: list[Sentence] = []
     cur: list[TbToken] = []
@@ -187,13 +207,7 @@ def _parse_columns(text: str) -> list[Sentence]:
         nonlocal cur, sent_id, auto_id
         if cur:
             auto_id += 1
-            sid = sent_id if sent_id is not None else str(auto_id)
-            sent = Sentence(id=sid, tokens={t.id: t for t in cur},
-                            order=[t.id for t in cur])
-            if len(sent.tokens) != len(cur):
-                raise TreebankError(f"sentence {sid}: duplicate token ids")
-            sent.validate()
-            sentences.append(sent)
+            sentences.append(_sentence(sent_id if sent_id is not None else str(auto_id), cur))
         cur, sent_id = [], None
 
     for ln, line in enumerate(text.splitlines(), 1):
@@ -243,11 +257,6 @@ def _parse_xml(text: str) -> list[Sentence]:
                 val = tnode.get(key)
                 if val:
                     morph[key] = val
-            slashes = [
-                (int(sl.get("target-id")), sl.get("relation", "").lower())
-                for sl in tnode.findall("slash")
-            ]
-            empty = tnode.get("empty-token-sort") is not None
             try:
                 toks.append(TbToken(
                     id=int(tnode.get("id")),
@@ -257,17 +266,14 @@ def _parse_xml(text: str) -> list[Sentence]:
                     morph=morph,
                     head=int(tnode.get("head-id", "0") or 0),
                     relation=(tnode.get("relation", "") or "").lower(),
-                    slashes=slashes,
-                    empty=empty,
+                    slashes=[(int(sl.get("target-id")), sl.get("relation", "").lower())
+                             for sl in tnode.findall("slash")],
+                    empty=tnode.get("empty-token-sort") is not None,
                 ))
             except (TypeError, ValueError) as exc:
-                raise TreebankError(f"sentence {sid}: bad token: {exc}") from exc
-        sent = Sentence(id=sid, tokens={t.id: t for t in toks},
-                        order=[t.id for t in toks])
-        if len(sent.tokens) != len(toks):
-            raise TreebankError(f"sentence {sid}: duplicate token ids")
-        sent.validate()
-        sentences.append(sent)
+                raise TreebankError(
+                    f"sentence {sid}: bad token {tnode.get('id')!r}: {exc}") from exc
+        sentences.append(_sentence(sid, toks))
     return sentences
 
 
@@ -276,7 +282,10 @@ def parse_treebank(source: str | Path) -> list[Sentence]:
     if isinstance(source, Path) or (
         isinstance(source, str) and "\n" not in source and Path(source).exists()
     ):
-        text = Path(source).read_text(encoding="utf-8")
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise TreebankError(f"{source}: not UTF-8 text ({exc.reason})") from exc
     else:
         text = str(source)
     stripped = text.lstrip()
@@ -303,51 +312,54 @@ def emit_columns(sentences: list[Sentence]) -> str:
     return "\n".join(lines)
 
 
-def _climb_conjunctions(sent: Sentence, tok: TbToken | None) -> TbToken | None:
-    while tok is not None and tok.is_conjunction:
-        tok = sent.head_of(tok)
-    return tok
-
-
-def _resolve_matrix(sent: Sentence, trigger: TbToken) -> tuple[TbToken | None, set[str]]:
-    """Matrix = verb reached through the head chain, conjunctions skipped.
+def _matrix(sent: Sentence, head: TbToken | None) -> tuple[TbToken | None, set[str]]:
+    """The matrix verb reached from ``head``, conjunctions skipped, and its flags.
 
     An empty-node matrix marks the construction non-canonical (the
     annotation uses elliptical nodes for participles coordinated with a
     finite clause).
     """
-    flags: set[str] = set()
-    head = sent.head_of(trigger)
-    head = _climb_conjunctions(sent, head)
-    if head is None:
-        return None, flags
-    if head.empty:
-        flags.add("non-canonical")
-        return head, flags
-    if head.is_verb:
-        return head, flags
-    return None, flags
+    while head is not None and head.is_conjunction:
+        head = sent.head_of(head)
+    if head is None or not head.is_verb:
+        return None, set()
+    return head, {"non-canonical"} if head.empty else set()
 
 
-def _position(trigger: TbToken, matrix: TbToken | None) -> str:
-    if matrix is None:
-        return "NA"
-    return "pre" if trigger.id < matrix.id else "post"
+def _construction(kind: str, sent: Sentence, trigger_ids: list[int],
+                  matrix: TbToken | None, subject: str, subject_id: int | None,
+                  ids: set[int], aspect: str, flags: set[str]) -> Construction:
+    """One construction row, the one place its derived columns are computed.
 
-
-def _sentence_initial(sent: Sentence, construction_ids: set[int],
-                      particles: tuple[str, ...]) -> bool:
-    leftmost = min(construction_ids)
+    ``position`` places ``trigger_ids[0]`` against the matrix and
+    ``subject_position`` the subject against ``trigger_ids[-1]`` (the
+    participle, or the clause verb of a jegda-clause). The construction
+    is sentence-initial when only empty nodes, punctuation and particles
+    come before ``min(ids)`` in file order.
+    """
+    leftmost = min(ids)
+    initial = True
     for tid in sent.order:
         if tid >= leftmost:
             break
         tok = sent.tokens[tid]
-        if tok.empty or tok.is_punct:
-            continue
-        if tok.form.lower() in particles:
-            continue
-        return False
-    return True
+        if not (tok.empty or tok.is_punct or tok.form.lower() in PARTICLES):
+            initial = False
+            break
+    return Construction(
+        kind=kind,
+        sentence_id=sent.id,
+        trigger_ids=trigger_ids,
+        matrix_id=matrix.id if matrix is not None else None,
+        position="NA" if matrix is None else ("pre" if trigger_ids[0] < matrix.id else "post"),
+        sentence_initial=initial,
+        subject=subject,
+        subject_id=subject_id,
+        subject_position=(
+            None if subject_id is None else ("SV" if subject_id < trigger_ids[-1] else "VS")),
+        aspect=aspect,
+        flags=flags,
+    )
 
 
 def _first_conjunct(sent: Sentence, tok: TbToken) -> TbToken:
@@ -359,8 +371,7 @@ def _first_conjunct(sent: Sentence, tok: TbToken) -> TbToken:
     return tok
 
 
-def extract_conjuncts(sent: Sentence,
-                      particles: tuple[str, ...] = DEFAULT_PARTICLES) -> list[Construction]:
+def extract_conjuncts(sent: Sentence) -> list[Construction]:
     """Conjunct participles: non-resultative participles bearing xadv.
 
     The shared subject is resolved through the xsub slash: a slash onto a
@@ -370,65 +381,33 @@ def extract_conjuncts(sent: Sentence,
     flag.
     """
     cands = [
-        sent.tokens[tid] for tid in sent.order
-        if sent.tokens[tid].relation == "xadv"
-        and sent.tokens[tid].is_participle
-        and not sent.tokens[tid].is_resultative
+        (t, *_matrix(sent, sent.head_of(t)))
+        for t in (sent.tokens[tid] for tid in sent.order)
+        if t.relation == "xadv" and t.is_participle and not t.is_resultative
     ]
-    out: list[Construction] = []
+    # the smallest pre-matrix trigger id per matrix (``order`` may be unsorted)
     leftmost_pre: dict[int, int] = {}
-    resolved: dict[int, tuple[TbToken | None, set[str]]] = {}
-    for t in cands:
-        matrix, flags = _resolve_matrix(sent, t)
-        resolved[t.id] = (matrix, flags)
-        if matrix is not None and t.id < matrix.id:
-            cur = leftmost_pre.get(matrix.id)
-            if cur is None or t.id < cur:
-                leftmost_pre[matrix.id] = t.id
-    for t in cands:
-        matrix, flags = resolved[t.id]
-        flags = set(flags)
-        subject = "null"
+    for t, matrix, _ in cands:
+        if matrix is not None and t.id < leftmost_pre.get(matrix.id, matrix.id):
+            leftmost_pre[matrix.id] = t.id
+    out: list[Construction] = []
+    for t, matrix, flags in cands:
         subject_id = None
-        xsubs = [target for target, label in t.slashes if label == "xsub"]
-        if xsubs:
-            target = sent.tokens[xsubs[0]]
-            if target.is_verb or target.empty:
-                subject = "null"
-            else:
-                subject = "overt"
-                subject_id = target.id
-                heads_it = (
-                    matrix is not None
-                    and leftmost_pre.get(matrix.id) == t.id
-                )
-                if not heads_it:
-                    flags.add("shared-subject")
-        position = _position(t, matrix)
         ids = sent.subtree_ids(t.id)
-        if subject_id is not None and "shared-subject" not in flags:
-            ids = ids | {subject_id}
-        out.append(Construction(
-            kind="conjunct",
-            sentence_id=sent.id,
-            trigger_ids=[t.id],
-            matrix_id=matrix.id if matrix is not None else None,
-            position=position,
-            sentence_initial=_sentence_initial(sent, ids, particles),
-            subject=subject,
-            subject_id=subject_id,
-            subject_position=(
-                ("SV" if subject_id < t.id else "VS") if subject_id is not None else None
-            ),
-            aspect=t.aspect,
-            flags=flags,
-        ))
+        xsubs = [target for target, label in t.slashes if label == "xsub"]
+        if xsubs and not sent.tokens[xsubs[0]].is_verb:
+            subject_id = xsubs[0]
+            if matrix is not None and leftmost_pre.get(matrix.id) == t.id:
+                ids.add(subject_id)
+            else:
+                flags.add("shared-subject")
+        out.append(_construction("conjunct", sent, [t.id], matrix,
+                                 "null" if subject_id is None else "overt",
+                                 subject_id, ids, t.aspect, flags))
     return out
 
 
-def extract_absolutes(sent: Sentence,
-                      particles: tuple[str, ...] = DEFAULT_PARTICLES,
-                      be_lemma: str = "byti") -> list[Construction]:
+def extract_absolutes(sent: Sentence) -> list[Construction]:
     """Dative absolutes: non-resultative dative participles bearing adv.
 
     Post-matrix null-subject candidates are dropped unless the lemma is
@@ -443,58 +422,33 @@ def extract_absolutes(sent: Sentence,
         if (t.relation != "adv" or not t.is_participle or t.is_resultative
                 or t.case != "d"):
             continue
-        flags: set[str] = set()
         head = sent.head_of(t)
-        if head is not None and head.is_subjunction:
+        augmented = head is not None and head.is_subjunction
+        matrix, flags = _matrix(sent, sent.head_of(head) if augmented else head)
+        if augmented:
             flags.add("augmented")
-            head = sent.head_of(head)
-        head = _climb_conjunctions(sent, head)
-        matrix: TbToken | None = None
-        if head is not None:
-            if head.empty:
-                flags.add("non-canonical")
-                matrix = head
-            elif head.is_verb:
-                matrix = head
 
         subject_id = None
-        sub_children = [c for c in sent.children(t.id) if c.relation == "sub"]
-        dative_subs = [c for c in sub_children if c.case == "d" or c.is_conjunction]
+        dative_subs = [c for c in sent.children(t.id)
+                       if c.relation == "sub" and (c.case == "d" or c.is_conjunction)]
         if dative_subs:
-            first = _first_conjunct(sent, dative_subs[0])
             if len(dative_subs) > 1 or dative_subs[0].is_conjunction:
                 flags.add("coordinated-subject")
-            subject_id = first.id
-
-        position = _position(t, matrix)
-        if subject_id is None:
-            subject = "impersonal" if t.lemma == be_lemma else "null"
-        else:
+            subject_id = _first_conjunct(sent, dative_subs[0]).id
+        if subject_id is not None:
             subject = "overt"
-        if (position == "post" and subject_id is None and t.lemma != be_lemma):
-            continue  # nominalized-participle noise
-        ids = sent.subtree_ids(t.id)
-        out.append(Construction(
-            kind="absolute",
-            sentence_id=sent.id,
-            trigger_ids=[t.id],
-            matrix_id=matrix.id if matrix is not None else None,
-            position=position,
-            sentence_initial=_sentence_initial(sent, ids, particles),
-            subject=subject,
-            subject_id=subject_id,
-            subject_position=(
-                ("SV" if subject_id < t.id else "VS") if subject_id is not None else None
-            ),
-            aspect=t.aspect,
-            flags=flags,
-        ))
+        elif t.lemma == BE_LEMMA:
+            subject = "impersonal"
+        elif matrix is not None and matrix.id < t.id:
+            continue  # post-matrix without a subject: nominalized-participle noise
+        else:
+            subject = "null"
+        out.append(_construction("absolute", sent, [t.id], matrix, subject, subject_id,
+                                 sent.subtree_ids(t.id), t.aspect, flags))
     return out
 
 
 def extract_jegda(sent: Sentence,
-                  particles: tuple[str, ...] = DEFAULT_PARTICLES,
-                  lemmas: tuple[str, ...] = JEGDA_LEMMAS,
                   aspect_overrides: dict[str, str] | None = None) -> list[Construction]:
     """Finite temporal clauses introduced by the subjunction *jegda*.
 
@@ -509,64 +463,37 @@ def extract_jegda(sent: Sentence,
     out: list[Construction] = []
     for tid in sent.order:
         t = sent.tokens[tid]
-        if t.lemma not in lemmas:
+        if t.lemma not in JEGDA_LEMMAS:
             continue
         verb = sent.head_of(t)
-        if verb is None or not verb.is_verb:
+        if verb is None or not verb.is_verb or verb.relation in ("atr", "apos"):
             continue
-        if verb.relation in ("atr", "apos"):
-            continue
-        head = _climb_conjunctions(sent, sent.head_of(verb))
-        matrix: TbToken | None = None
-        flags: set[str] = set()
-        if head is not None:
-            if head.empty:
-                flags.add("non-canonical")
-                matrix = head
-            elif head.is_verb:
-                matrix = head
+        matrix, flags = _matrix(sent, sent.head_of(verb))
 
         subject_id = None
         subs = [c for c in sent.children(verb.id) if c.relation == "sub"]
         if subs:
-            first = _first_conjunct(sent, subs[0])
             if subs[0].is_conjunction:
                 flags.add("coordinated-subject")
-            subject_id = first.id
+            subject_id = _first_conjunct(sent, subs[0]).id
 
         aspect = verb.aspect
         if aspect == "unknown" and aspect_overrides:
             aspect = aspect_overrides.get(verb.lemma, "unknown")
-        position = "NA" if matrix is None else ("pre" if t.id < matrix.id else "post")
-        ids = sent.subtree_ids(verb.id) | {t.id}
-        out.append(Construction(
-            kind="jegda",
-            sentence_id=sent.id,
-            trigger_ids=[t.id, verb.id],
-            matrix_id=matrix.id if matrix is not None else None,
-            position=position,
-            sentence_initial=_sentence_initial(sent, ids, particles),
-            subject="overt" if subject_id is not None else "null",
-            subject_id=subject_id,
-            subject_position=(
-                ("SV" if subject_id < verb.id else "VS") if subject_id is not None else None
-            ),
-            aspect=aspect,
-            flags=flags,
-        ))
+        out.append(_construction("jegda", sent, [t.id, verb.id], matrix,
+                                 "null" if subject_id is None else "overt", subject_id,
+                                 sent.subtree_ids(verb.id) | {t.id}, aspect, flags))
     return out
 
 
 def extract_all(sentences: list[Sentence],
-                particles: tuple[str, ...] = DEFAULT_PARTICLES,
                 aspect_overrides: dict[str, str] | None = None) -> list[Construction]:
     """All three constructions, ordered by sentence then trigger id."""
     out: list[Construction] = []
     for sent in sentences:
-        out.extend(extract_conjuncts(sent, particles=particles))
-        out.extend(extract_absolutes(sent, particles=particles))
-        out.extend(extract_jegda(sent, particles=particles,
-                                 aspect_overrides=aspect_overrides))
+        out.extend(extract_conjuncts(sent))
+        out.extend(extract_absolutes(sent))
+        out.extend(extract_jegda(sent, aspect_overrides=aspect_overrides))
     out.sort(key=lambda c: (c.sentence_id, c.trigger_ids[0], c.kind))
     return out
 
@@ -609,33 +536,6 @@ class EditRules:
         out = {self.conjunct_placeholder, self.absolute_placeholder}
         out.update(marker for _, marker in self.suffix_rules)
         return out
-
-    @classmethod
-    def from_file(cls, path) -> "EditRules":
-        rules = cls(stopwords=set())
-        with open(path, encoding="utf-8") as fh:
-            for ln, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                kind = parts[0]
-                if kind == "rewrite" and len(parts) == 3:
-                    rules.rewrites[parts[1]] = parts[2]
-                elif kind == "stopword" and len(parts) == 2:
-                    rules.stopwords.add(parts[1])
-                elif kind == "placeholder" and len(parts) == 3:
-                    if parts[1] == "conjunct":
-                        rules.conjunct_placeholder = parts[2]
-                    elif parts[1] == "absolute":
-                        rules.absolute_placeholder = parts[2]
-                    else:
-                        raise TreebankError(f"line {ln}: unknown placeholder kind")
-                elif kind == "suffix" and len(parts) == 3:
-                    rules.suffix_rules.append((parts[1], parts[2]))
-                else:
-                    raise TreebankError(f"line {ln}: bad edit rule {line!r}")
-        return rules
 
 
 def inject_annotations(text: str, rules: EditRules,

@@ -413,3 +413,77 @@ def test_malformed_stored_file_is_data_error(tmp_path, capsys, files, argv, wher
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and f"{where}: " in err
     assert "Traceback" not in err
+
+
+# (file name, bytes, the message fragment naming where the input is bad)
+BAD_TREEBANKS = {
+    "two_cycle": ("cyc.tsv", "# sent_id = c1\n1\tw\tw\tV\t_\t0\tpred\t_\t_\t_\n"
+                  "2\ti\ti\tC\t_\t3\taux\t_\t_\t_\n3\ti\ti\tC\t_\t2\taux\t_\t_\t_\n",
+                  "sentence c1: the head chain of token 2 "),
+    "self_head": ("self.tsv", "# sent_id = c2\n1\tw\tw\tV\t_\t1\tpred\t_\t_\t_\n",
+                  "sentence c2: the head chain of token 1 "),
+    "slash_without_target": (
+        "x.xml", '<source><sentence id="x1"><token id="1" form="w" part-of-speech="V">'
+        '<slash relation="xsub"/></token></sentence></source>', "sentence x1: bad token '1': "),
+    "slash_target_not_integer": (
+        "x.xml", '<source><sentence id="x2"><token id="1" form="w" part-of-speech="V">'
+        '<slash target-id="one" relation="xsub"/></token></sentence></source>',
+        "sentence x2: bad token '1': "),
+    "not_utf8": ("latin.tsv", b"1\tcaf\xe9\tcaf\xe9\tN\t_\t0\tpred\t_\t_\t_\n",
+                 "latin.tsv: not UTF-8 text"),
+}
+
+
+@pytest.mark.parametrize("name, content, where", BAD_TREEBANKS.values(),
+                         ids=BAD_TREEBANKS.keys())
+def test_treebank_extract_bad_input_is_data_error(tmp_path, capsys, name, content, where):
+    tb = tmp_path / name
+    if isinstance(content, bytes):
+        tb.write_bytes(content)
+    else:
+        tb.write_text(content, encoding="utf-8")
+    assert main(["treebank-extract", "--treebank", str(tb)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and where in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["fra.txt", "meta.tsv"])
+def test_run_non_utf8_corpus_file_is_data_error(tmp_path, capsys, name):
+    corpus = tmp_path / "corpus"
+    build_corpus(corpus, n_verses=30, seed=3)
+    if name == "meta.tsv":
+        with open(corpus / name, "ab") as fh:
+            fh.write(b"fra\tfran\xe7ais\tIndo-European\tEurasia\t1910\n")
+    else:
+        (corpus / name).write_bytes(b"MAT:1:1\tla caf\xe9\n")
+    code = main(["run", "--corpus-dir", str(corpus), "--metadata", str(corpus / "meta.tsv"),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and f"{name}: not UTF-8 text" in err
+
+
+def test_stats_report_bad_window_is_config_error_before_reading(tmp_path, capsys):
+    missing = str(tmp_path / "missing.tsv")
+    for window in ("0", "-3"):
+        assert main(["stats-report", "--constructions", missing, "--lemmas", missing,
+                     "--window", window]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "--window" in err
+
+
+def test_stats_report_metric_error_is_data_error(tmp_path, capsys, monkeypatch):
+    import semmap.corpstats as cs
+
+    def fail(series, window):
+        raise cs.CorpStatsError("empty lemma series")
+
+    monkeypatch.setattr(cs, "mattr", fail)
+    cons = tmp_path / "c.tsv"
+    cons.write_text(CONSTRUCTIONS, encoding="utf-8")
+    lemmas = tmp_path / "l.tsv"
+    lemmas.write_text("S1\t3\tgo\n", encoding="utf-8")
+    assert main(["stats-report", "--constructions", str(cons), "--lemmas", str(lemmas)]) == 3
+    err = capsys.readouterr().err
+    assert err == "data error: empty lemma series\n"

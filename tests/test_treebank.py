@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from fixture_treebank import EXPECTED, FIXTURE
 from semmap.treebank import (
+    Construction,
     EditRules,
     TreebankError,
+    constructions_to_tsv,
     emit_columns,
     extract_absolutes,
     extract_all,
@@ -38,20 +42,22 @@ def test_roundtrip_columns(sentences):
             assert s1.tokens[tid] == s2.tokens[tid]
 
 
+XML_SENTENCE = """
+<source><sentence id="x1">
+  <token id="1" form="prisedu" lemma="prijti" part-of-speech="V"
+         mood="ptcp" aspect="pfv" head-id="3" relation="xadv">
+    <slash target-id="2" relation="xsub"/>
+  </token>
+  <token id="2" form="isu" lemma="isusu" part-of-speech="N" case="n"
+         head-id="3" relation="sub"/>
+  <token id="3" form="vide" lemma="videti" part-of-speech="V" aspect="pfv"
+         head-id="0" relation="pred"/>
+</sentence></source>
+"""
+
+
 def test_parse_xml_dialect():
-    xml = """
-    <source><sentence id="x1">
-      <token id="1" form="prisedu" lemma="prijti" part-of-speech="V"
-             mood="ptcp" aspect="pfv" head-id="3" relation="xadv">
-        <slash target-id="2" relation="xsub"/>
-      </token>
-      <token id="2" form="isu" lemma="isusu" part-of-speech="N" case="n"
-             head-id="3" relation="sub"/>
-      <token id="3" form="vide" lemma="videti" part-of-speech="V" aspect="pfv"
-             head-id="0" relation="pred"/>
-    </sentence></source>
-    """
-    sents = parse_treebank(xml)
+    sents = parse_treebank(XML_SENTENCE)
     assert len(sents) == 1
     cons = extract_conjuncts(sents[0])
     assert len(cons) == 1
@@ -75,6 +81,17 @@ def test_empty_node_with_form_rejected():
     bad = "# sent_id = b1\n1\tw\tw\tV\t_\t0\tpred\t_\tempty\t_\n"
     with pytest.raises(TreebankError, match="empty node"):
         parse_treebank(bad)
+
+
+@pytest.mark.parametrize("heads, token", [
+    ((0, 1, 4, 5, 3), 3),  # 3 -> 4 -> 5 -> 3
+    ((0, 1, 1, 4, 4), 4),  # 4 heads itself; 5 hangs from it
+    ((2, 1), 1),           # no root at all
+])
+def test_head_cycle_rejected(heads, token):
+    rows = [f"{i}\tw\tw\tV\t_\t{h}\tpred\t_\t_\t_" for i, h in enumerate(heads, 1)]
+    with pytest.raises(TreebankError, match=f"sentence cy: the head chain of token {token} "):
+        parse_treebank("# sent_id = cy\n" + "\n".join(rows) + "\n")
 
 
 def test_two_token_minimal_tree():
@@ -245,19 +262,313 @@ def test_inject_overlap_errors():
         inject_annotations("a", rules, conjunct_positions=[5])
 
 
-def test_edit_rules_from_file(tmp_path):
-    p = tmp_path / "rules.tsv"
-    p.write_text(
-        "rewrite\tegda\tjegda\n"
-        "stopword\tže\n"
-        "stopword\ti\n"
-        "placeholder\tconjunct\txadv\n"
-        "placeholder\tabsolute\tabsoluteadv\n"
-        "suffix\tcu\tDS\n"
-        "suffix\tca\tSS\n",
-        encoding="utf-8",
-    )
-    rules = EditRules.from_file(p)
-    assert rules.rewrites == {"egda": "jegda"}
-    assert rules.stopwords == {"že", "i"}
-    assert rules.suffix_rules == [("cu", "DS"), ("ca", "SS")]
+# oracle: the per-extractor construction code that extract_all replaced ---------
+
+ORACLE_PARTICLES = ("že", "bo", "li", "i")
+
+
+def oracle_climb_conjunctions(sent, tok):
+    while tok is not None and tok.is_conjunction:
+        tok = sent.head_of(tok)
+    return tok
+
+
+def oracle_resolve_matrix(sent, trigger):
+    flags = set()
+    head = oracle_climb_conjunctions(sent, sent.head_of(trigger))
+    if head is None:
+        return None, flags
+    if head.empty:
+        flags.add("non-canonical")
+        return head, flags
+    if head.is_verb:
+        return head, flags
+    return None, flags
+
+
+def oracle_position(trigger, matrix):
+    if matrix is None:
+        return "NA"
+    return "pre" if trigger.id < matrix.id else "post"
+
+
+def oracle_sentence_initial(sent, construction_ids):
+    leftmost = min(construction_ids)
+    for tid in sent.order:
+        if tid >= leftmost:
+            break
+        tok = sent.tokens[tid]
+        if tok.empty or tok.is_punct:
+            continue
+        if tok.form.lower() in ORACLE_PARTICLES:
+            continue
+        return False
+    return True
+
+
+def oracle_first_conjunct(sent, tok):
+    if tok.is_conjunction:
+        kids = [c for c in sent.children(tok.id) if not c.is_punct and not c.is_conjunction]
+        if kids:
+            return min(kids, key=lambda t: t.id)
+    return tok
+
+
+def oracle_conjuncts(sent):
+    cands = [
+        sent.tokens[tid] for tid in sent.order
+        if sent.tokens[tid].relation == "xadv"
+        and sent.tokens[tid].is_participle
+        and not sent.tokens[tid].is_resultative
+    ]
+    out = []
+    leftmost_pre = {}
+    resolved = {}
+    for t in cands:
+        matrix, flags = oracle_resolve_matrix(sent, t)
+        resolved[t.id] = (matrix, flags)
+        if matrix is not None and t.id < matrix.id:
+            cur = leftmost_pre.get(matrix.id)
+            if cur is None or t.id < cur:
+                leftmost_pre[matrix.id] = t.id
+    for t in cands:
+        matrix, flags = resolved[t.id]
+        flags = set(flags)
+        subject = "null"
+        subject_id = None
+        xsubs = [target for target, label in t.slashes if label == "xsub"]
+        if xsubs:
+            target = sent.tokens[xsubs[0]]
+            if target.is_verb or target.empty:
+                subject = "null"
+            else:
+                subject = "overt"
+                subject_id = target.id
+                if not (matrix is not None and leftmost_pre.get(matrix.id) == t.id):
+                    flags.add("shared-subject")
+        ids = sent.subtree_ids(t.id)
+        if subject_id is not None and "shared-subject" not in flags:
+            ids = ids | {subject_id}
+        out.append(Construction(
+            kind="conjunct", sentence_id=sent.id, trigger_ids=[t.id],
+            matrix_id=matrix.id if matrix is not None else None,
+            position=oracle_position(t, matrix),
+            sentence_initial=oracle_sentence_initial(sent, ids),
+            subject=subject, subject_id=subject_id,
+            subject_position=(
+                ("SV" if subject_id < t.id else "VS") if subject_id is not None else None),
+            aspect=t.aspect, flags=flags,
+        ))
+    return out
+
+
+def oracle_absolutes(sent):
+    out = []
+    for tid in sent.order:
+        t = sent.tokens[tid]
+        if (t.relation != "adv" or not t.is_participle or t.is_resultative
+                or t.case != "d"):
+            continue
+        flags = set()
+        head = sent.head_of(t)
+        if head is not None and head.is_subjunction:
+            flags.add("augmented")
+            head = sent.head_of(head)
+        head = oracle_climb_conjunctions(sent, head)
+        matrix = None
+        if head is not None:
+            if head.empty:
+                flags.add("non-canonical")
+                matrix = head
+            elif head.is_verb:
+                matrix = head
+        subject_id = None
+        sub_children = [c for c in sent.children(t.id) if c.relation == "sub"]
+        dative_subs = [c for c in sub_children if c.case == "d" or c.is_conjunction]
+        if dative_subs:
+            first = oracle_first_conjunct(sent, dative_subs[0])
+            if len(dative_subs) > 1 or dative_subs[0].is_conjunction:
+                flags.add("coordinated-subject")
+            subject_id = first.id
+        position = oracle_position(t, matrix)
+        if subject_id is None:
+            subject = "impersonal" if t.lemma == "byti" else "null"
+        else:
+            subject = "overt"
+        if position == "post" and subject_id is None and t.lemma != "byti":
+            continue
+        out.append(Construction(
+            kind="absolute", sentence_id=sent.id, trigger_ids=[t.id],
+            matrix_id=matrix.id if matrix is not None else None,
+            position=position,
+            sentence_initial=oracle_sentence_initial(sent, sent.subtree_ids(t.id)),
+            subject=subject, subject_id=subject_id,
+            subject_position=(
+                ("SV" if subject_id < t.id else "VS") if subject_id is not None else None),
+            aspect=t.aspect, flags=flags,
+        ))
+    return out
+
+
+def oracle_jegda(sent, aspect_overrides=None):
+    out = []
+    for tid in sent.order:
+        t = sent.tokens[tid]
+        if t.lemma not in ("jegda", "egda"):
+            continue
+        verb = sent.head_of(t)
+        if verb is None or not verb.is_verb:
+            continue
+        if verb.relation in ("atr", "apos"):
+            continue
+        head = oracle_climb_conjunctions(sent, sent.head_of(verb))
+        matrix = None
+        flags = set()
+        if head is not None:
+            if head.empty:
+                flags.add("non-canonical")
+                matrix = head
+            elif head.is_verb:
+                matrix = head
+        subject_id = None
+        subs = [c for c in sent.children(verb.id) if c.relation == "sub"]
+        if subs:
+            first = oracle_first_conjunct(sent, subs[0])
+            if subs[0].is_conjunction:
+                flags.add("coordinated-subject")
+            subject_id = first.id
+        aspect = verb.aspect
+        if aspect == "unknown" and aspect_overrides:
+            aspect = aspect_overrides.get(verb.lemma, "unknown")
+        position = "NA" if matrix is None else ("pre" if t.id < matrix.id else "post")
+        out.append(Construction(
+            kind="jegda", sentence_id=sent.id, trigger_ids=[t.id, verb.id],
+            matrix_id=matrix.id if matrix is not None else None,
+            position=position,
+            sentence_initial=oracle_sentence_initial(
+                sent, sent.subtree_ids(verb.id) | {t.id}),
+            subject="overt" if subject_id is not None else "null",
+            subject_id=subject_id,
+            subject_position=(
+                ("SV" if subject_id < verb.id else "VS") if subject_id is not None else None),
+            aspect=aspect, flags=flags,
+        ))
+    return out
+
+
+def extract_all_oracle(sentences, aspect_overrides=None):
+    out = []
+    for sent in sentences:
+        out.extend(oracle_conjuncts(sent))
+        out.extend(oracle_absolutes(sent))
+        out.extend(oracle_jegda(sent, aspect_overrides))
+    out.sort(key=lambda c: (c.sentence_id, c.trigger_ids[0], c.kind))
+    return out
+
+
+# sentence kind: its part-of-speech pool, relation pool and preferred head
+# parts of speech; conjunct sentences also prefer the root verb as a head
+SENTENCE_KINDS = {
+    "plain": ("V V V N N C C G PT PU P D".split(),
+              "xadv xadv adv adv sub sub aux pred obj atr apos".split(), ("V", "C", "G")),
+    "conjunct": ("V V V C N".split(), "xadv xadv sub".split(), ("C",)),
+    "absolute": ("V V N N C".split(), "adv adv sub sub".split(), ("V", "C")),
+}
+
+
+def random_treebank(n_sentences: int, seed: int) -> str:
+    """Seeded random acyclic trees in the column dialect.
+
+    Token ids are a random subset of 1..2n, and about a third of the
+    sentences list them out of id order. Each head is a token earlier in
+    a random ranking, so every chain reaches the root. The draws are
+    skewed toward what the extractors look for: xadv and dative adv
+    participles, conjunction chains, empty nodes, jako and jegda
+    subjunctions, sub dependents, and xsub slashes onto verbs, nouns and
+    empty nodes. A quarter of the sentences coordinate several
+    participles under one root verb with slashes onto its nouns, where
+    only the leftmost pre-matrix conjunct heads the subject; another
+    quarter hang dative participles with several sub dependents under
+    one.
+    """
+    rng = random.Random(seed)
+    lines = []
+    for s in range(n_sentences):
+        n = rng.randint(2, 12)
+        ids = sorted(rng.sample(range(1, 2 * n + 1), n))
+        rank = ids[:]
+        rng.shuffle(rank)
+        mode = rng.choice(["plain", "plain", "conjunct", "absolute"])
+        pos_pool, rel_pool, heads = SENTENCE_KINDS[mode]
+        rows = {}
+        for k, tid in enumerate(rank):
+            empty = k > 0 and rng.random() < 0.08
+            pos = "V" if empty or k == 0 and mode != "plain" else rng.choice(pos_pool)
+            earlier = rank[:k]
+            clausal = [h for h in earlier if rows[h][3] in heads]
+            if mode == "conjunct":
+                clausal = rank[:1] + clausal
+            if k == 0 or rng.random() < 0.1:
+                head = 0
+            else:
+                head = rng.choice(clausal if clausal and rng.random() < 0.8 else earlier)
+            if pos == "G":
+                lemma = rng.choice(["jegda", "egda", "jako", "jegda"])
+            elif pos == "V":
+                lemma = rng.choice(["byti", "priti", "videti", "prijti"])
+            else:
+                lemma = rng.choice(["isusu", "i", "ze", "domu", "_"])
+            form = "_" if empty else rng.choice(["i", "že", "bo", "li", "vide", "Isu", "I"])
+            morph = []
+            if pos == "V" and rng.random() < 0.6:
+                morph.append("mood=ptcp")
+            if rng.random() < 0.6:
+                morph.append("aspect=" + rng.choice(["pfv", "ipfv", "x"]))
+            if rng.random() < 0.6:
+                morph.append("case=" + rng.choice(["d", "d", "n", "a"]))
+            if rng.random() < 0.1:
+                morph.append("resultative=" + rng.choice(["yes", "1", "no"]))
+            relation = "pred" if head == 0 and mode != "plain" else rng.choice(rel_pool)
+            rows[tid] = [str(tid), form, lemma, pos, "|".join(sorted(morph)) or "_",
+                         str(head), relation, "_", "empty" if empty else "_", "_"]
+        nouns = [tid for tid in ids if rows[tid][3] == "N"]
+        for tid in ids:
+            if mode == "conjunct" and nouns and rng.random() < 0.7:
+                rows[tid][7] = f"{rng.choice(nouns)}:xsub"
+            elif rng.random() < 0.35:
+                targets = rng.sample(ids, rng.randint(1, 2))
+                labels = [rng.choice(["xsub", "xsub", "xobj"]) for _ in targets]
+                rows[tid][7] = ",".join(f"{t}:{lb}" for t, lb in zip(targets, labels))
+        order = ids[:]
+        if rng.random() < 0.3:
+            rng.shuffle(order)
+        lines.append(f"# sent_id = r{s:04d}")
+        lines.extend("\t".join(rows[tid]) for tid in order)
+        lines.append("")
+    return "\n".join(lines)
+
+
+OVERRIDES = {"priti": "pfv", "videti": "ipfv"}
+
+
+@pytest.mark.parametrize("overrides", [None, OVERRIDES], ids=["plain", "overrides"])
+def test_extract_all_matches_oracle_on_fixture_and_xml(sentences, overrides):
+    for sents in (sentences, parse_treebank(XML_SENTENCE)):
+        assert (constructions_to_tsv(extract_all(sents, aspect_overrides=overrides))
+                == constructions_to_tsv(extract_all_oracle(sents, overrides)))
+
+
+@pytest.mark.parametrize("overrides", [None, OVERRIDES], ids=["plain", "overrides"])
+def test_extract_all_matches_oracle_on_random_trees(overrides):
+    sents = parse_treebank(random_treebank(2000, seed=9))
+    assert sum(s.order != sorted(s.order) for s in sents) > 400
+    want = extract_all_oracle(sents, overrides)
+    # the draws reach every kind, position and flag the extractors set
+    assert {c.kind for c in want} == {"conjunct", "absolute", "jegda"}
+    assert {c.position for c in want} == {"pre", "post", "NA"}
+    assert {c.subject for c in want} == {"overt", "null", "impersonal"}
+    assert set().union(*(c.flags for c in want)) == {
+        "non-canonical", "augmented", "shared-subject", "coordinated-subject"}
+    assert {c.sentence_initial for c in want} == {True, False}
+    assert constructions_to_tsv(extract_all(sents, aspect_overrides=overrides)) \
+        == constructions_to_tsv(want)
