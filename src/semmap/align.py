@@ -28,7 +28,6 @@ __all__ = [
     "AlignError",
     "Bitext",
     "TranslationModel",
-    "AlignmentTable",
     "PivotParallel",
     "train_em",
     "argmax_links",
@@ -141,12 +140,6 @@ class TranslationModel:
 
     def prob(self, source: str, target: str) -> float:
         return self.t.get((source, target), 0.0)
-
-
-@dataclass
-class AlignmentTable:
-    """Per-verse one-to-one links (pivot_index, target_index)."""
-    links: dict[str, set[tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -266,29 +259,32 @@ def argmax_links(model: TranslationModel, verse_pairs,
 
 
 def symmetrize(fwd: dict[str, set[tuple[int, int]]],
-               rev: dict[str, set[tuple[int, int]]]) -> AlignmentTable:
-    """Intersect forward and reverse argmax links; one-to-one by construction."""
+               rev: dict[str, set[tuple[int, int]]]) -> dict[str, set[tuple[int, int]]]:
+    """Intersect forward and reverse argmax links; one-to-one by construction.
+
+    Returns per-verse links (pivot_index, target_index).
+    """
     if set(fwd.keys()) != set(rev.keys()):
         missing = set(fwd.keys()) ^ set(rev.keys())
         raise AlignError(f"asymmetric input: verses {sorted(missing)[:5]} ...")
-    links = {vid: fwd[vid] & rev[vid] for vid in fwd}
-    return AlignmentTable(links=links)
+    return {vid: fwd[vid] & rev[vid] for vid in fwd}
 
 
-def extract_parallels(table: AlignmentTable,
+def extract_parallels(table: dict[str, set[tuple[int, int]]],
                       pivot_tokens: dict[str, list[str]],
                       target_tokens: dict[str, list[str]],
                       pivot_types: set[str]) -> list[PivotParallel]:
     """Resolve each pivot-type occurrence to its aligned form or NULL.
 
     One row per occurrence of any type in ``pivot_types`` within the
-    verses covered by the table, ordered by verse id then token index.
+    verses covered by the ``symmetrize`` links, ordered by verse id then
+    token index.
     """
     rows: list[PivotParallel] = []
-    for vid in sorted(table.links.keys()):
+    for vid in sorted(table):
         toks = pivot_tokens.get(vid, [])
         tgt = target_tokens.get(vid, [])
-        linked = dict(table.links[vid])
+        linked = dict(table[vid])
         for i, tok in enumerate(toks):
             if tok not in pivot_types:
                 continue

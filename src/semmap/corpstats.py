@@ -135,7 +135,7 @@ def pickup_rate(record: ReferentRecord, at_sentence: int, window: int) -> int:
 # candidates whose givenness is listed in ``null_exceptions``; the
 # published description groups that exception ambiguously, so the set is
 # configurable (widen to {"non-spec", "kind", "new"} for the other
-# reading). Every bonus can be switched off independently.
+# reading). A bonus set to 0 (a table, every entry 0) is switched off.
 @dataclass
 class TopicWeights:
     givenness: dict[str, int] = field(default_factory=lambda: {
@@ -155,12 +155,6 @@ class TopicWeights:
         "time": 0, "place": 0, "nonconc": 0, "veh": 0,
     })
     antecedent_bonus: int = 2
-    use_saliency: bool = True
-    use_word_order: bool = True
-    use_realization: bool = True
-    use_relation: bool = True
-    use_animacy: bool = True
-    use_antecedent: bool = True
 
 
 DEFAULT_WEIGHTS = TopicWeights()
@@ -199,25 +193,20 @@ def topic_score(candidate: TopicCandidate,
 
     score = weights.givenness.get(candidate.givenness, 0)
 
-    if weights.use_saliency:
-        top = max(c.saliency for c in ctx)
-        if candidate.saliency == top:
-            score += weights.saliency_bonus
-    if weights.use_word_order and pos == 0:
+    if candidate.saliency == max(c.saliency for c in ctx):
+        score += weights.saliency_bonus
+    if pos == 0:
         score += weights.word_order_bonus
-    if weights.use_realization:
-        if candidate.realization == "null":
-            if candidate.givenness not in weights.null_exceptions:
-                score += weights.null_realization
-        elif candidate.realization == "personal-pronoun":
-            score += weights.personal_pronoun
-        elif candidate.realization == "proper-noun" and candidate.animacy == "human":
-            score += weights.human_proper_noun
-    if weights.use_relation:
-        score += weights.relation.get(candidate.relation, 0)
-    if weights.use_animacy:
-        score += weights.animacy.get(candidate.animacy, 0)
-    if weights.use_antecedent and candidate.antecedent_outranks:
+    if candidate.realization == "null":
+        if candidate.givenness not in weights.null_exceptions:
+            score += weights.null_realization
+    elif candidate.realization == "personal-pronoun":
+        score += weights.personal_pronoun
+    elif candidate.realization == "proper-noun" and candidate.animacy == "human":
+        score += weights.human_proper_noun
+    score += weights.relation.get(candidate.relation, 0)
+    score += weights.animacy.get(candidate.animacy, 0)
+    if candidate.antecedent_outranks:
         score += weights.antecedent_bonus
     return score
 
@@ -230,7 +219,7 @@ def score_sentence(candidates: list[TopicCandidate],
 # Orthographic merges for mixed Church Slavonic / East Slavic lemma
 # comparisons: je > e, nasals to ja/ju, jat to e, y-variants merged,
 # word-final ii/yi to weak jers, Tort metathesis variants united.
-DEFAULT_LEMMA_REWRITES: tuple[tuple[str, str], ...] = (
+LEMMA_REWRITES: tuple[tuple[str, str], ...] = (
     ("je", "e"),
     ("ę", "ja"),
     ("ję", "ja"),
@@ -241,10 +230,9 @@ DEFAULT_LEMMA_REWRITES: tuple[tuple[str, str], ...] = (
 )
 
 
-def normalize_lemma(lemma: str,
-                    rewrites: tuple[tuple[str, str], ...] = DEFAULT_LEMMA_REWRITES) -> str:
+def normalize_lemma(lemma: str) -> str:
     out = lemma
-    for old, new in rewrites:
+    for old, new in LEMMA_REWRITES:
         out = out.replace(old, new)
     if out.endswith("ii"):
         out = out[:-2] + "ь"

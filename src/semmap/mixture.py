@@ -27,7 +27,11 @@ __all__ = [
     "core_points",
 ]
 
-COV_FLOOR = 1e-6
+COV_FLOOR = 1e-6      # added to the covariance diagonals at every M step
+KMEANS_TOL = 1e-6     # Lloyd iterations stop once no center moves this far
+KMEANS_MAX_ITER = 100
+EM_TOL = 1e-7         # EM stops once the log-likelihood changes less
+EM_MAX_ITER = 500
 
 
 class MixtureError(ValueError):
@@ -62,9 +66,8 @@ class CorePointSet:
     distances: list[float]
 
 
-def kmeans_init(points, k: int, seed: int = 0,
-                tol: float = 1e-6, max_iter: int = 100) -> np.ndarray:
-    """k-means++ seeding followed by Lloyd iterations to tol movement."""
+def kmeans_init(points, k: int, seed: int = 0) -> np.ndarray:
+    """k-means++ seeding followed by Lloyd iterations to KMEANS_TOL movement."""
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
     if k < 1 or k > n:
@@ -93,7 +96,7 @@ def kmeans_init(points, k: int, seed: int = 0,
             centers[j] = pts[pick]
         closest = np.minimum(closest, ((pts - centers[j]) ** 2).sum(axis=1))
 
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(d2, axis=1)
         new_centers = centers.copy()
@@ -103,7 +106,7 @@ def kmeans_init(points, k: int, seed: int = 0,
                 new_centers[j] = pts[sel].mean(axis=0)
         move = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
         centers = new_centers
-        if move < tol:
+        if move < KMEANS_TOL:
             break
     return centers
 
@@ -132,12 +135,11 @@ def _log_gauss_all(pts: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.n
     return -0.5 * (2 * math.log(2 * math.pi) + np.log(det)[None, :] + maha)
 
 
-def fit_gmm(points, k: int, seed: int = 0, max_iter: int = 500,
-            tol: float = 1e-7, cov_floor: float = COV_FLOOR) -> GmmModel:
+def fit_gmm(points, k: int, seed: int = 0) -> GmmModel:
     """Full-covariance EM from a k-means initialization of (n, 2) points.
 
-    The covariance floor is added to the diagonals at every M step, which
-    keeps components from collapsing onto duplicated points. Hard
+    COV_FLOOR keeps components from collapsing onto duplicated points;
+    EM stops after EM_MAX_ITER steps or a change below EM_TOL. Hard
     assignments take the argmax responsibility, lowest cluster id first
     on ties.
     """
@@ -152,12 +154,12 @@ def fit_gmm(points, k: int, seed: int = 0, max_iter: int = 500,
     weights = np.empty(k)
     means = centers.copy()
     covs = np.empty((k, 2, 2))
-    overall = np.cov(pts.T) + cov_floor * np.eye(2)
+    overall = np.cov(pts.T) + COV_FLOOR * np.eye(2)
     for j in range(k):
         sel = labels == j
         weights[j] = max(sel.sum(), 1) / n
         if sel.sum() >= 2:
-            covs[j] = np.cov(pts[sel].T) + cov_floor * np.eye(2)
+            covs[j] = np.cov(pts[sel].T) + COV_FLOOR * np.eye(2)
         else:
             covs[j] = overall.copy()
     weights /= weights.sum()
@@ -165,7 +167,7 @@ def fit_gmm(points, k: int, seed: int = 0, max_iter: int = 500,
     trace: list[float] = []
     resp = np.zeros((n, k))
     converged = False
-    for _ in range(max_iter):
+    for _ in range(EM_MAX_ITER):
         try:
             log_prob = np.log(weights)[None, :] + _log_gauss_all(pts, means, covs)
         except np.linalg.LinAlgError as exc:
@@ -177,7 +179,7 @@ def fit_gmm(points, k: int, seed: int = 0, max_iter: int = 500,
             raise MixtureError("numerical failure")
         resp = np.exp(log_prob - lse[:, None])
         trace.append(ll)
-        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:
+        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < EM_TOL:
             converged = True
             break
         nk = resp.sum(axis=0) + 1e-300
@@ -186,9 +188,9 @@ def fit_gmm(points, k: int, seed: int = 0, max_iter: int = 500,
         dx = pts[:, 0][:, None] - means[:, 0][None, :]
         dy = pts[:, 1][:, None] - means[:, 1][None, :]
         covs = np.empty((k, 2, 2))
-        covs[:, 0, 0] = (resp * dx * dx).sum(axis=0) / nk + cov_floor
+        covs[:, 0, 0] = (resp * dx * dx).sum(axis=0) / nk + COV_FLOOR
         covs[:, 0, 1] = covs[:, 1, 0] = (resp * dx * dy).sum(axis=0) / nk
-        covs[:, 1, 1] = (resp * dy * dy).sum(axis=0) / nk + cov_floor
+        covs[:, 1, 1] = (resp * dy * dy).sum(axis=0) / nk + COV_FLOOR
 
     assignments = np.argmax(resp, axis=1)
     return GmmModel(
@@ -234,6 +236,7 @@ class SelectionReport:
     chosen_k: int
     aic_agrees: bool
     silhouette_agrees: bool
+    model: GmmModel | None   # the chosen K's fit; None when every K failed
 
     def to_tsv(self, header: str | None = None) -> str:
         return tsv.format_rows(
@@ -250,10 +253,10 @@ def select_k(points, candidates, seed: int = 0) -> SelectionReport:
     """Fit every candidate K and pick the BIC argmin.
 
     AIC = 2p - 2L and BIC = p ln(n) - 2L with p = (K-1) + 2K + 3K.
-    The report flags whether the AIC argmin and the silhouette argmax
-    agree with the BIC choice. Degenerate fits (numerical failure or an
-    empty hard cluster) are excluded; if every candidate fails, a
-    MixtureError carrying the report is raised.
+    The report keeps the chosen fit and flags whether the AIC argmin and
+    the silhouette argmax agree with the BIC choice. Degenerate fits
+    (numerical failure or an empty hard cluster) are excluded; if every
+    candidate fails, a MixtureError carrying the report is raised.
     """
     pts = _plane(points)
     n = pts.shape[0]
@@ -264,6 +267,7 @@ def select_k(points, candidates, seed: int = 0) -> SelectionReport:
         if not 2 <= k <= max(2, n // 3):
             raise MixtureError(f"candidate K={k} outside [2, n/3]")
     rows: list[dict] = []
+    models: dict[int, GmmModel] = {}
     for k in candidates:
         row = {"k": k, "loglik": math.nan, "aic": math.inf, "bic": math.inf,
                "silhouette": math.nan, "failed": True}
@@ -280,6 +284,7 @@ def select_k(points, candidates, seed: int = 0) -> SelectionReport:
                     silhouette=silhouette_score(pts, model.assignments),
                     failed=False,
                 )
+                models[k] = model
         except MixtureError:
             pass
         rows.append(row)
@@ -287,7 +292,7 @@ def select_k(points, candidates, seed: int = 0) -> SelectionReport:
     if not ok:
         err = MixtureError("degenerate: every candidate K failed")
         err.report = SelectionReport(rows=rows, chosen_k=-1, aic_agrees=False,
-                                     silhouette_agrees=False)
+                                     silhouette_agrees=False, model=None)
         raise err
     chosen = min(ok, key=lambda r: (r["bic"], r["k"]))["k"]
     aic_best = min(ok, key=lambda r: (r["aic"], r["k"]))["k"]
@@ -295,7 +300,7 @@ def select_k(points, candidates, seed: int = 0) -> SelectionReport:
     return SelectionReport(
         rows=rows, chosen_k=chosen,
         aic_agrees=aic_best == chosen,
-        silhouette_agrees=sil_best == chosen,
+        silhouette_agrees=sil_best == chosen, model=models[chosen],
     )
 
 

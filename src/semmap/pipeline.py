@@ -189,7 +189,6 @@ def run(config: PipelineConfig) -> Path:
     out = Path(config.out_dir)
     header = f"semmap config={config.config_hash()}"
     art = _Artifacts(out, header)
-    art.write("config.json", config.to_json())
 
     # corpus ------------------------------------------------------------
     manifest = cp.load_corpus(config.corpus_dir, config.metadata, config.pivot_iso)
@@ -207,6 +206,8 @@ def run(config: PipelineConfig) -> Path:
     if not occurrences:
         raise cp.CorpusError(
             f"pivot tokens {sorted(pivot_types)} never occur in {config.pivot_iso}")
+    # nothing lands in out_dir until the corpus has loaded and holds the pivot
+    art.write("config.json", config.to_json())
     all_target_verses = set()
     targets = sorted(iso for iso in manifest.doculects if iso != config.pivot_iso)
     for iso in targets:
@@ -260,10 +261,9 @@ def run(config: PipelineConfig) -> Path:
     if len(config.gmm_ks) > 1:
         report = mx.select_k(points, config.gmm_ks, seed=config.gmm_seed)
         art.write("gmm_selection.tsv", report.to_tsv(header))
-        chosen_k = report.chosen_k
+        model = report.model
     else:
-        chosen_k = config.gmm_ks[0]
-    model = mx.fit_gmm(points, chosen_k, seed=config.gmm_seed)
+        model = mx.fit_gmm(points, config.gmm_ks[0], seed=config.gmm_seed)
 
     rows = [("cluster", "weight", "mean_x", "mean_y", "cov_xx", "cov_xy", "cov_yy")]
     for j in range(model.k):

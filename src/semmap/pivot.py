@@ -12,7 +12,6 @@ from .align import NULL_MARKER, PivotParallel
 __all__ = [
     "PivotError",
     "ParallelUsageMatrix",
-    "DistanceMatrix",
     "EmbeddedMap",
     "build_matrix",
     "hamming",
@@ -92,37 +91,15 @@ def build_matrix(parallels_by_doculect: dict[str, list[PivotParallel]],
     return ParallelUsageMatrix(row_ids=rids, columns=columns, cells=cells)
 
 
-@dataclass
-class DistanceMatrix:
-    """Symmetric integer distances, stored as a packed upper triangle.
-
-    Hamming distances are bounded by the column count, so 16-bit cells
-    suffice; full-scale runs have n^2/2 cells and the packing halves the
-    dominant memory cost.
-    """
-    n: int
-    packed: np.ndarray
-
-    def __post_init__(self):
-        want = self.n * (self.n - 1) // 2
-        if self.packed.shape != (want,):
-            raise PivotError(f"packed triangle has {self.packed.shape}, want ({want},)")
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=np.int64)
-        iu = np.triu_indices(self.n, k=1)
-        out[iu] = self.packed
-        out[(iu[1], iu[0])] = self.packed
-        return out
-
-
-def hamming(matrix: ParallelUsageMatrix) -> DistanceMatrix:
+def hamming(matrix: ParallelUsageMatrix) -> np.ndarray:
     """Pairwise count of differing cells between usage-matrix rows.
 
-    NULL is an ordinary value: NULL vs NULL is equal, NULL vs form is
-    different. Rows are compared through per-column integer codes, one
-    row strip at a time; strips are independent, so any block schedule
-    over them yields bit-identical results.
+    Returns the symmetric (n, n) ``uint16`` matrix; Hamming distances are
+    bounded by the column count, so 16-bit cells suffice. NULL is an
+    ordinary value: NULL vs NULL is equal, NULL vs form is different.
+    Rows are compared through per-column integer codes, one row strip at
+    a time; strips are independent, so any block schedule over them
+    yields bit-identical results.
     """
     n = matrix.n_rows
     if n == 0:
@@ -136,13 +113,12 @@ def hamming(matrix: ParallelUsageMatrix) -> DistanceMatrix:
             if v not in seen:
                 seen[v] = len(seen)
             codes[i, j] = seen[v]
-    packed = np.empty(n * (n - 1) // 2, dtype=np.uint16)
-    pos = 0
+    out = np.zeros((n, n), dtype=np.uint16)
     for i in range(n - 1):
         diff = (codes[i + 1:] != codes[i]).sum(axis=1)
-        packed[pos:pos + (n - i - 1)] = diff.astype(np.uint16)
-        pos += n - i - 1
-    return DistanceMatrix(n=n, packed=packed)
+        out[i, i + 1:] = diff
+        out[i + 1:, i] = diff
+    return out
 
 
 @dataclass
@@ -187,7 +163,7 @@ def _fix_signs(coords: np.ndarray) -> np.ndarray:
     return coords
 
 
-def classical_mds(d: DistanceMatrix | np.ndarray, k: int,
+def classical_mds(d: np.ndarray, k: int,
                   row_ids: list[str] | None = None) -> EmbeddedMap:
     """Torgerson scaling: double-center squared distances, eigendecompose.
 
@@ -195,7 +171,7 @@ def classical_mds(d: DistanceMatrix | np.ndarray, k: int,
     their eigenvalues. Eigenpairs with non-positive eigenvalues inside
     the top k yield zero coordinates and set the truncated flag.
     """
-    dm = d.dense().astype(float) if isinstance(d, DistanceMatrix) else np.asarray(d, dtype=float)
+    dm = np.asarray(d, dtype=float)
     n = dm.shape[0]
     if dm.shape != (n, n):
         raise PivotError("distance matrix must be square")

@@ -52,6 +52,22 @@ def _check_tails(tails: str) -> str:
     return tails
 
 
+def _exact_p(log_pmf, lo: int, hi: int, obs: int, upper: bool, tails: str) -> float:
+    """Exact p-value of ``obs`` over the support ``lo..hi`` of ``log_pmf``.
+
+    Two-sided: the mass of every outcome whose point probability does not
+    exceed the observed one (up to ``_TIE_SLACK``). One-sided: the tail
+    from ``obs`` upward when ``upper``, else downward. Masses are summed
+    in increasing outcome order; each log-mass is computed once.
+    """
+    if tails == "two":
+        logs = [log_pmf(x) for x in range(lo, hi + 1)]
+        cut = logs[obs - lo] + math.log1p(_TIE_SLACK)
+        return sum(math.exp(v) for v in logs if v <= cut)
+    tail = range(obs, hi + 1) if upper else range(lo, obs + 1)
+    return sum(math.exp(log_pmf(x)) for x in tail)
+
+
 def fisher_exact(a: int, b: int, c: int, d: int, tails: str = "two") -> TestResult:
     """Fisher's exact test on the 2x2 table [[a, b], [c, d]].
 
@@ -83,17 +99,7 @@ def fisher_exact(a: int, b: int, c: int, d: int, tails: str = "two") -> TestResu
 
     lo = max(0, col1 - (n - row1))
     hi = min(row1, col1)
-    lp_obs = log_pmf(a)
-    expected_a = row1 * col1 / n
-
-    if tails == "two":
-        cut = lp_obs + math.log1p(_TIE_SLACK)
-        p = sum(math.exp(log_pmf(x)) for x in range(lo, hi + 1) if log_pmf(x) <= cut)
-    else:
-        if a >= expected_a:
-            p = sum(math.exp(log_pmf(x)) for x in range(a, hi + 1))
-        else:
-            p = sum(math.exp(log_pmf(x)) for x in range(lo, a + 1))
+    p = _exact_p(log_pmf, lo, hi, a, a >= row1 * col1 / n, tails)
     odds = math.inf if a * d == 0 else (b * c) / (a * d)
     return TestResult(
         statistic=odds, p_value=min(1.0, p), tails=tails,
@@ -118,14 +124,7 @@ def binomial_test(k: int, n: int, p0: float, tails: str = "two") -> TestResult:
     def log_pmf(x: int) -> float:
         return _log_comb(n, x) + x * lp + (n - x) * lq
 
-    if tails == "two":
-        cut = log_pmf(k) + math.log1p(_TIE_SLACK)
-        p = sum(math.exp(log_pmf(x)) for x in range(0, n + 1) if log_pmf(x) <= cut)
-    else:
-        if k >= n * p0:
-            p = sum(math.exp(log_pmf(x)) for x in range(k, n + 1))
-        else:
-            p = sum(math.exp(log_pmf(x)) for x in range(0, k + 1))
+    p = _exact_p(log_pmf, 0, n, k, k >= n * p0, tails)
     return TestResult(
         statistic=float(k), p_value=min(1.0, p), tails=tails,
         method="binomial-exact",

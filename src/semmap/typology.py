@@ -146,11 +146,18 @@ def build_dictionary(core_sets: dict[str, list], areas: dict[str, list],
     return AreaDictionary(groups=result, counts=counts)
 
 
-# Subpattern templates: each template fixes, per group slot, a set of
-# letters; repeated letters across slots mean colexification and "?"
-# marks a group with no area at all. Matching is up to a bijective
-# relabeling of the letters, so the concrete means labels never matter.
+# Pattern templates, basic patterns first: each template fixes, per group
+# slot (TL, ML, BL), a set of letters; repeated letters across slots mean
+# colexification and "?" marks a group with no area at all. Matching is
+# up to a bijective relabeling of the letters, so the concrete means
+# labels never matter.
 SUBPATTERN_TEMPLATES: list[tuple[tuple[str, str, str], str]] = [
+    # the basic patterns: one means per group
+    (("X", "X", "X"), "A"),    # TL=ML=BL
+    (("X", "X", "Y"), "B"),    # (TL=ML) != BL
+    (("X", "Y", "Y"), "C"),    # TL != (ML=BL)
+    (("X", "Y", "Z"), "D"),
+    (("X", "Y", "X"), "E"),    # (TL=BL) != ML
     (("XY", "Y", "X"), "BxE"),
     (("X", "XY", "Y"), "BxC"),
     (("X", "Y", "XY"), "CxE"),
@@ -224,43 +231,27 @@ def _template_lookup() -> dict:
 
 _TEMPLATES_CANON = _template_lookup()
 
-_BASIC_PATTERNS = {
-    (True, True, True): "A",    # TL=ML, ML=BL, TL=BL
-    (True, False, False): "B",  # (TL=ML) != BL
-    (False, True, False): "C",  # TL != (ML=BL)
-    (False, False, False): "D",
-    (False, False, True): "E",  # (TL=BL) != ML
-}
-
 
 def classify_pattern(adict: AreaDictionary) -> PatternAssignment:
     """Total, deterministic classification of an area dictionary.
 
-    Single-means dictionaries map straight to the basic patterns A-E by
-    their equality structure (NULL is a means like any other). Dictionaries
-    with multi-means groups are matched, up to relabeling, against the
-    subpattern template table; the subpattern's leading letter is the
-    main pattern. Dictionaries with an empty group are never assigned a
+    Every dictionary is matched, up to relabeling, against the template
+    table (NULL is a means like any other). The label's leading letter is
+    the main pattern; a label longer than one letter is also the
+    subpattern, so single-means dictionaries get a basic pattern A-E and
+    no subpattern. Dictionaries with an empty group are never assigned a
     main pattern: they classify as unclassified-no-area, with the
     matching ?-template recorded when one exists. Anything else that
     fails to match is unclassified-other.
     """
     sets = tuple(frozenset(adict.groups.get(g, [])) for g in GROUPS)
     null_flags = [g for g, s in zip(GROUPS, sets) if NULL_MARKER in s]
-
-    if any(len(s) == 0 for s in sets):
-        label = _TEMPLATES_CANON.get(_canon(sets))
-        return PatternAssignment("unclassified-no-area", label, null_flags)
-
-    if all(len(s) == 1 for s in sets):
-        tl, ml, bl = sets
-        key = (tl == ml, ml == bl, tl == bl)
-        return PatternAssignment(_BASIC_PATTERNS[key], None, null_flags)
-
     label = _TEMPLATES_CANON.get(_canon(sets))
+    if any(len(s) == 0 for s in sets):
+        return PatternAssignment("unclassified-no-area", label, null_flags)
     if label is None:
         return PatternAssignment("unclassified-other", None, null_flags)
-    return PatternAssignment(label[0], label, null_flags)
+    return PatternAssignment(label[0], label if len(label) > 1 else None, null_flags)
 
 
 def score_means(assignments, labels, cluster: int) -> tuple[list[MeansScore], MeansScore]:

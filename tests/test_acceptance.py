@@ -178,7 +178,7 @@ def test_criterion_04_hamming_mds():
             columns=[f"L{j}" for j in range(20)],
             cells=[[rng.choice(forms) for _ in range(20)] for _ in range(50)],
         )
-        dense = hamming(matrix).dense()
+        dense = hamming(matrix)
         for i in range(50):
             for j in range(50):
                 want = sum(1 for a, b in zip(matrix.cells[i], matrix.cells[j]) if a != b)

@@ -272,13 +272,13 @@ def test_symmetrize_intersection():
     fwd = {"v1": {(0, 0), (1, 2)}}
     rev = {"v1": {(0, 0)}}
     table = symmetrize(fwd, rev)
-    assert table.links["v1"] == {(0, 0)}
+    assert table["v1"] == {(0, 0)}
 
 
 def test_symmetrize_identity():
     fwd = {"v1": {(0, 0), (1, 1)}}
     table = symmetrize(fwd, dict(fwd))
-    assert table.links["v1"] == {(0, 0), (1, 1)}
+    assert table["v1"] == {(0, 0), (1, 1)}
 
 
 def test_symmetrize_result_is_subset_and_one_to_one():
@@ -289,7 +289,7 @@ def test_symmetrize_result_is_subset_and_one_to_one():
     fwd = argmax_links(fwd_model, pairs, "fwd")
     rev = argmax_links(rev_model, pairs, "rev")
     table = symmetrize(fwd, rev)
-    for vid, links in table.links.items():
+    for vid, links in table.items():
         assert links <= fwd[vid] and links <= rev[vid]
         pivots = [i for i, _ in links]
         targets = [j for _, j in links]
@@ -311,7 +311,7 @@ def test_planted_links_survive_symmetrization():
                        argmax_links(rev_model, pairs, "rev"))
     total = hits = 0
     for vid, (src, tgt) in pairs.items():
-        linked = dict(table.links[vid])
+        linked = dict(table[vid])
         for i, s in enumerate(src):
             total += 1
             j = linked.get(i)

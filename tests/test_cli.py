@@ -457,11 +457,14 @@ def test_run_non_utf8_corpus_file_is_data_error(tmp_path, capsys, name):
             fh.write(b"fra\tfran\xe7ais\tIndo-European\tEurasia\t1910\n")
     else:
         (corpus / name).write_bytes(b"MAT:1:1\tla caf\xe9\n")
+    out = tmp_path / "out"
     code = main(["run", "--corpus-dir", str(corpus), "--metadata", str(corpus / "meta.tsv"),
-                 "--out-dir", str(tmp_path / "out")])
+                 "--out-dir", str(out)])
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and f"{name}: not UTF-8 text" in err
+    # nothing is written before the corpus has loaded
+    assert not out.exists()
 
 
 def test_stats_report_bad_window_is_config_error_before_reading(tmp_path, capsys):

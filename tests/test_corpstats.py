@@ -204,11 +204,16 @@ def test_topic_score_each_bonus_removable():
     cand = TopicCandidate(givenness="old", animacy="human", realization="null",
                           relation="sub", saliency=1, antecedent_outranks=True)
     base = topic_score(cand)
-    for attr, delta in [
-        ("use_saliency", 10), ("use_word_order", 15), ("use_realization", 30),
-        ("use_relation", 10), ("use_animacy", 10), ("use_antecedent", 2),
+    default = TopicWeights()
+    for zeroed, delta in [
+        (dict(saliency_bonus=0), 10),
+        (dict(word_order_bonus=0), 15),
+        (dict(null_realization=0, personal_pronoun=0, human_proper_noun=0), 30),
+        (dict(relation=dict.fromkeys(default.relation, 0)), 10),
+        (dict(animacy=dict.fromkeys(default.animacy, 0)), 10),
+        (dict(antecedent_bonus=0), 2),
     ]:
-        weights = TopicWeights(**{attr: False})
+        weights = TopicWeights(**zeroed)
         assert topic_score(cand, weights=weights) == base - delta
 
 

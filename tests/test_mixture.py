@@ -173,6 +173,16 @@ def test_select_k_agreement_flags_on_clean_blobs():
     assert report.aic_agrees and report.silhouette_agrees
 
 
+def test_select_k_keeps_the_chosen_fit():
+    pts, _, _ = three_blobs(n_per=60, seed=5)
+    report = select_k(pts, [2, 3, 4], seed=3)
+    refit = fit_gmm(pts, report.chosen_k, seed=3)
+    assert report.model.k == report.chosen_k
+    assert report.model.loglik == refit.loglik
+    assert np.array_equal(report.model.assignments, refit.assignments)
+    assert np.array_equal(report.model.covariances, refit.covariances)
+
+
 def test_select_k_identical_points_all_fail():
     pts = np.ones((30, 2))
     with pytest.raises(MixtureError) as err:
@@ -180,6 +190,7 @@ def test_select_k_identical_points_all_fail():
     report = getattr(err.value, "report", None)
     assert report is not None
     assert all(row["failed"] for row in report.rows)
+    assert report.model is None
 
 
 def test_select_k_range_validation():

@@ -1,4 +1,5 @@
 import hashlib
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -52,6 +53,22 @@ def test_one_svg_per_doculect_plus_heat(synth_run):
     svgs = sorted(p.name for p in (synth_run["out"] / "svg").glob("*.svg"))
     want = sorted([f"{iso}.svg" for iso in list(all_schemes()) + ["eng"]] + ["heat.svg"])
     assert svgs == want
+
+
+def test_every_svg_is_well_formed_xml(synth_run):
+    ns = "{http://www.w3.org/2000/svg}"
+    n_points = len(EmbeddedMap.from_tsv(synth_run["out"] / "embedding.tsv").row_ids)
+    paths = sorted((synth_run["out"] / "svg").glob("*.svg"))
+    assert paths
+    for path in paths:
+        root = ET.fromstring(path.read_bytes())
+        assert root.tag == f"{ns}svg", path.name
+        assert len(root.findall(f"{ns}circle")) == n_points, path.name
+        title = root.find(f"{ns}text").text
+        if path.stem == "heat":
+            assert title == "null-construction concentration"
+        else:
+            assert title.startswith(f"{path.stem} ("), path.name
 
 
 def test_classification_recovers_planted_patterns(synth_run):

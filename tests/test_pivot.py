@@ -83,7 +83,7 @@ def test_matrix_tsv_roundtrip(tmp_path):
 
 def test_hamming_paper_sample_rows_distance_three():
     d = hamming(fixture_matrix())
-    assert d.dense()[0, 1] == 3
+    assert d[0, 1] == 3
 
 
 def test_hamming_identical_rows():
@@ -91,12 +91,12 @@ def test_hamming_identical_rows():
         row_ids=["a", "b"], columns=["x", "y"],
         cells=[["w", None], ["w", None]],
     )
-    assert hamming(m).dense()[0, 1] == 0
+    assert hamming(m)[0, 1] == 0
 
 
 def test_hamming_equals_naive_recount():
     m = random_matrix()
-    got = hamming(m).dense()
+    got = hamming(m)
     assert np.array_equal(got, naive_hamming(m))
 
 
@@ -108,17 +108,16 @@ def test_hamming_column_permutation_invariant():
         columns=[m.columns[j] for j in perm],
         cells=[[row[j] for j in perm] for row in m.cells],
     )
-    assert np.array_equal(hamming(m).dense(), hamming(mp).dense())
+    assert np.array_equal(hamming(m), hamming(mp))
 
 
 def test_distance_matrix_invariants():
-    d = hamming(random_matrix(n=30, m=10, seed=5))
-    dense = d.dense()
+    dense = hamming(random_matrix(n=30, m=10, seed=5))
     assert np.array_equal(dense, dense.T)
     assert np.all(np.diag(dense) == 0)
     assert dense.max() <= 10
     # metric: triangle inequality
-    n = d.n
+    n = dense.shape[0]
     for i in range(n):
         for j in range(n):
             for k in range(0, n, 7):

@@ -1,3 +1,5 @@
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 
@@ -137,3 +139,15 @@ def test_degenerate_extent_matches_per_vertex_oracle():
     labels = ["a", "b"] * 3
     contours = {"a": {0.29: [np.array([[-3.0005, 0.0], [-2.9995, 0.5], [-3.0, -0.0]])]}}
     assert render_map(pts, labels, contours) == render_map_oracle(pts, labels, contours)
+
+
+def test_markup_in_title_and_labels_is_escaped():
+    # normalize keeps "<", ">" and inner "&" in tokens, and family names may hold "&"
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    labels = ["x&y", "<c>", None, "x&y"]
+    contours = {"<c>": {0.29: [np.array([[0.1, 0.1], [0.9, 0.1], [0.5, 0.9]])]}}
+    root = ET.fromstring(render_map(pts, labels, contours, title="A & B"))
+    ns = "{http://www.w3.org/2000/svg}"
+    texts = [t.text for t in root.iter(f"{ns}text")]
+    assert texts == ["A & B", "<c>", "NULL", "x&y"]
+    assert [t.text for t in root.iter(f"{ns}title")] == ["<c> @ 0.29"]
