@@ -2,9 +2,11 @@
 
 A position-independent lexical model (IBM Model 1, estimated by EM from
 uniform initialization) is trained in both directions for each
-pivot/target pair; argmax links are intersected into a one-to-one table
-and pivot tokens without a surviving link become NULL. Rare aligned
-types can be reassigned to NULL corpus-wide.
+pivot/target pair over every shared verse. Argmax links are built only
+over the verses that hold a pivot occurrence, the only links a row can
+use; they are intersected into a one-to-one table and pivot tokens
+without a surviving link become NULL. Rare aligned types can be
+reassigned to NULL corpus-wide.
 
 Each pair's verses are coded once as integer arrays (``Bitext``). EM
 and the argmax work on the flattened (verse, token, token) cells with
@@ -62,9 +64,22 @@ class _Side(NamedTuple):
         index = {form: k for k, form in enumerate(types)}
         codes = np.array([index[tok] for toks in verses for tok in toks], dtype=np.int32)
         lengths = np.array([len(toks) for toks in verses], dtype=np.int32)
-        starts = np.zeros(len(verses), dtype=np.int32)
-        np.cumsum(lengths[:-1], out=starts[1:])
-        return cls(types, codes, lengths, starts)
+        return cls(types, codes, lengths, _starts(lengths))
+
+    def rows(self, verses: np.ndarray) -> "_Side":
+        """The verses at the ascending indices ``verses``, with the same
+        ``types``, so every code and its form order are kept."""
+        lengths = self.lengths[verses]
+        starts = _starts(lengths)
+        take = np.repeat(self.starts[verses] - starts, lengths) + np.arange(lengths.sum())
+        return _Side(self.types, self.codes[take], lengths, starts)
+
+
+def _starts(lengths: np.ndarray) -> np.ndarray:
+    """Each verse's first token in the concatenation of verses of ``lengths``."""
+    starts = np.zeros(len(lengths), dtype=np.int32)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    return starts
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,6 +111,12 @@ class Bitext:
     def swapped(self) -> "Bitext":
         """The same verses with source and target exchanged (no recoding)."""
         return Bitext(self.ids, self.target, self.source)
+
+    def rows(self, verses) -> "Bitext":
+        """The verses at the ascending indices ``verses`` (no recoding)."""
+        verses = np.asarray(verses, dtype=np.int64)
+        return Bitext([self.ids[k] for k in verses.tolist()],
+                      self.source.rows(verses), self.target.rows(verses))
 
 
 def _cells(outer: _Side, inner: _Side):
@@ -166,7 +187,7 @@ def train_em(bitext, iterations: int = 5) -> TranslationModel:
         raise AlignError("iterations must be >= 1")
     src, tgt = bitext.source, bitext.target
     width = len(tgt.types)
-    tgt_idx, src_idx, _, _ = _cells(tgt, src)
+    tgt_idx, src_idx, run, _ = _cells(tgt, src)
     s = src.codes[src_idx]
     keys, pair = np.unique(s.astype(np.int64) * width + tgt.codes[tgt_idx],
                            return_inverse=True)
@@ -180,18 +201,28 @@ def train_em(bitext, iterations: int = 5) -> TranslationModel:
     for _ in range(iterations):
         p = t[pair]
         z = np.bincount(tgt_idx, weights=p, minlength=len(tgt.codes))
-        zc = z[tgt_idx]
+        zc = np.repeat(z, run)   # z[tgt_idx], as a target token's cells are contiguous
         # a cell counts when its target token's z and its own p are > 0
         live = (zc > 0.0) & (p > 0.0)
-        w = p[live] / zc[live]
-        hit = pair[live]
-        counts = np.bincount(hit, weights=w, minlength=len(keys))
-        totals = np.bincount(s[live], weights=w, minlength=len(src.types))
-        touched = np.zeros(len(keys), dtype=bool)
-        touched[hit] = True
-        t[touched] = counts[touched] / totals[pair_src[touched]]
+        if live.all():
+            # the usual case: every key has a live cell, so the sums and
+            # the update see the same arrays the masked branch would
+            w = p / zc
+            counts = np.bincount(pair, weights=w, minlength=len(keys))
+            totals = np.bincount(s, weights=w, minlength=len(src.types))
+            t = counts / totals[pair_src]
+        else:
+            # some probability underflowed to 0: update only the keys
+            # that still have a live cell
+            w = p[live] / zc[live]
+            hit = pair[live]
+            counts = np.bincount(hit, weights=w, minlength=len(keys))
+            totals = np.bincount(s[live], weights=w, minlength=len(src.types))
+            touched = np.zeros(len(keys), dtype=bool)
+            touched[hit] = True
+            t[touched] = counts[touched] / totals[pair_src[touched]]
         seen = z > 0.0
-        ll = float(np.sum(np.log(z[seen] * inv_len[seen])))
+        ll = float(np.sum(np.log(z * inv_len if seen.all() else z[seen] * inv_len[seen])))
         if loglik_trace:
             # EM guarantee, checked each iteration; tolerance 1e-9 taken
             # relative to the likelihood magnitude so corpus size does not
@@ -331,9 +362,11 @@ def align_pair(pivot_verses: dict[str, list[str]],
                min_count: int = 3) -> list[PivotParallel]:
     """Full per-pair run: train both directions, symmetrize, extract, clean.
 
-    Only verses present on both sides are used; pivot occurrences in
-    verses missing from the target side are reported as NULL rows so the
-    usage matrix keeps a cell for every row.
+    Only verses present on both sides are used. Both models train on
+    every shared verse; links are built only over the shared verses that
+    hold a pivot occurrence, since no other link reaches a row. Pivot
+    occurrences in verses missing from the target side are reported as
+    NULL rows so the usage matrix keeps a cell for every row.
     """
     common = sorted(set(pivot_verses) & set(target_verses))
     if not common:
@@ -342,8 +375,10 @@ def align_pair(pivot_verses: dict[str, list[str]],
     bitext = Bitext.of({v: (pivot_verses[v], target_verses[v]) for v in common})
     fwd_model = train_em(bitext, iterations=iterations)
     rev_model = train_em(bitext.swapped(), iterations=iterations)
-    fwd = argmax_links(fwd_model, bitext, "fwd")
-    rev = argmax_links(rev_model, bitext, "rev")
+    held = bitext.rows([k for k, v in enumerate(common)
+                        if not pivot_types.isdisjoint(pivot_verses[v])])
+    fwd = argmax_links(fwd_model, held, "fwd")
+    rev = argmax_links(rev_model, held, "rev")
     table = symmetrize(fwd, rev)
     parallels = extract_parallels(table, pivot_verses, target_verses, pivot_types)
     covered = set(common)

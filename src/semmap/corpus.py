@@ -72,6 +72,10 @@ def normalize(text: str) -> list[str]:
     """
     out = []
     for raw in text.lower().split():
+        if raw.isalnum():
+            # no letter or digit is Unicode-P, so there is nothing to strip
+            out.append(raw)
+            continue
         start, end = 0, len(raw)
         while start < end and unicodedata.category(raw[start]).startswith("P"):
             start += 1

@@ -206,7 +206,13 @@ def run(config: PipelineConfig) -> Path:
     if not occurrences:
         raise cp.CorpusError(
             f"pivot tokens {sorted(pivot_types)} never occur in {config.pivot_iso}")
-    # nothing lands in out_dir until the corpus has loaded and holds the pivot
+    # the usage-matrix rows are the occurrences, so anchors are checked here
+    row_ids = {pv.row_id(vid, i) for vid, i in occurrences}
+    for anchor in config.group_anchors.values():
+        if anchor not in row_ids:
+            raise ConfigError(f"group anchor {anchor!r} is not a row id")
+    # nothing lands in out_dir until the corpus has loaded, holds the pivot
+    # and names every anchor
     art.write("config.json", config.to_json())
     all_target_verses = set()
     targets = sorted(iso for iso in manifest.doculects if iso != config.pivot_iso)
@@ -279,11 +285,8 @@ def run(config: PipelineConfig) -> Path:
     # cluster -> group mapping
     row_index = {rid: i for i, rid in enumerate(matrix.row_ids)}
     if config.group_anchors:
-        cluster_of_group = {}
-        for g, anchor in config.group_anchors.items():
-            if anchor not in row_index:
-                raise ConfigError(f"group anchor {anchor!r} is not a row id")
-            cluster_of_group[g] = int(model.assignments[row_index[anchor]])
+        cluster_of_group = {g: int(model.assignments[row_index[anchor]])
+                            for g, anchor in config.group_anchors.items()}
     else:
         cluster_of_group = {g: int(c) for g, c in config.cluster_groups.items()}
     for g, c in cluster_of_group.items():

@@ -335,17 +335,11 @@ def _construction(kind: str, sent: Sentence, trigger_ids: list[int],
     ``subject_position`` the subject against ``trigger_ids[-1]`` (the
     participle, or the clause verb of a jegda-clause). The construction
     is sentence-initial when only empty nodes, punctuation and particles
-    come before ``min(ids)`` in file order.
+    have an id below ``min(ids)``, wherever the file lists them.
     """
     leftmost = min(ids)
-    initial = True
-    for tid in sent.order:
-        if tid >= leftmost:
-            break
-        tok = sent.tokens[tid]
-        if not (tok.empty or tok.is_punct or tok.form.lower() in PARTICLES):
-            initial = False
-            break
+    initial = all(tok.empty or tok.is_punct or tok.form.lower() in PARTICLES
+                  for tok in (sent.tokens[tid] for tid in sent.order if tid < leftmost))
     return Construction(
         kind=kind,
         sentence_id=sent.id,

@@ -211,6 +211,30 @@ def test_em_all_sides_empty():
     assert model.t == {} and model.loglik == [0.0, 0.0]
 
 
+def test_em_after_probabilities_underflow_matches_dict_oracle():
+    # after 270 iterations some probabilities have underflowed to 0, so
+    # the later E-steps take the masked branch
+    bitext, _ = planted_bitext(n_pairs=40, seed=3)
+    assert (train_em(bitext, iterations=270).probs == 0.0).any()
+    model = train_em(bitext, iterations=300)
+    t, loglik = train_em_oracle(bitext, iterations=300)
+    assert model.t == t
+    assert model.loglik == pytest.approx(loglik, rel=1e-12)
+
+
+@pytest.mark.parametrize("verses", [[], [0], [1, 2, 5], list(range(12))])
+def test_bitext_rows_equal_coding_the_verses_afresh(verses):
+    pairs = list(random_bitext(4, n_verses=12).values())
+    assert any(not src or not tgt for src, tgt in pairs)
+    sub = Bitext.of(pairs).rows(verses)
+    fresh = Bitext.of({k: pairs[k] for k in verses})
+    assert sub.ids == fresh.ids == verses
+    for got, want in ((sub.source, fresh.source), (sub.target, fresh.target)):
+        assert [got.types[c] for c in got.codes] == [want.types[c] for c in want.codes]
+        assert got.lengths.tolist() == want.lengths.tolist()
+        assert got.starts.tolist() == want.starts.tolist()
+
+
 # argmax links -------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(8))
@@ -264,6 +288,49 @@ def test_align_pair_matches_oracle_on_synthetic_corpus(tmp_path):
         target = {vid: normalize(text) for vid, text in sorted(doc.verses.items())}
         assert align_pair(pivot, target, {"when"}) == \
             align_pair_oracle(pivot, target, {"when"}), iso
+
+
+def filler_pair(seed, n_verses=120):
+    """A pivot/target pair where about a third of the verses hold "when"
+    and the rest are pivot-free filler, with empty sides, and a tenth of
+    the verses on the pivot side only and a tenth on the target side only."""
+    rng = random.Random(seed)
+    src_vocab = [f"s{k}" for k in range(8)]
+    tgt_vocab = [f"t{k}" for k in range(8)]
+    pivot, target = {}, {}
+    for i in range(n_verses):
+        src = [rng.choice(src_vocab) for _ in range(rng.randint(0, 5))]
+        tgt = [rng.choice(tgt_vocab) for _ in range(rng.randint(0, 5))]
+        if rng.random() < 0.3:
+            src.insert(rng.randint(0, len(src)), "when")
+            tgt.insert(rng.randint(0, len(tgt)), "kogda")
+        side = rng.random()
+        if side >= 0.1:
+            pivot[f"v{i:03d}"] = src
+        if side < 0.1 or side >= 0.2:
+            target[f"v{i:03d}"] = tgt
+    return pivot, target
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("min_count", [1, 3])
+def test_align_pair_matches_oracle_with_filler_and_one_sided_verses(seed, min_count):
+    pivot, target = filler_pair(seed)
+    shared = set(pivot) & set(target)
+    assert any("when" not in pivot[v] for v in shared)
+    assert any(not pivot[v] or not target[v] for v in shared)
+    assert any("when" in toks for v, toks in pivot.items() if v not in target)
+    assert set(target) - set(pivot)
+    assert align_pair(pivot, target, {"when"}, min_count=min_count) == \
+        align_pair_oracle(pivot, target, {"when"}, min_count=min_count)
+
+
+def test_align_pair_without_pivot_in_shared_verses():
+    pivot = {"v1": ["a", "b"], "v2": ["b"], "v3": ["when", "a"]}
+    target = {"v1": ["x", "y"], "v2": ["y"], "v4": ["z"]}
+    want = [PivotParallel("v3", 0, None)]
+    assert align_pair(pivot, target, {"when"}, min_count=1) == want
+    assert align_pair_oracle(pivot, target, {"when"}, min_count=1) == want
 
 
 # symmetrize -------------------------------------------------------------------

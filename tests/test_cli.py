@@ -232,26 +232,33 @@ def test_classify_rerun_is_identical(tmp_path):
 
 
 def test_threaded_run_matches_single_thread(tmp_path, monkeypatch):
-    corpus = tmp_path / "corpus"
-    build_corpus(corpus, n_verses=90, seed=11)
-    results = {}
-    for name, threads in [("one", "1"), ("four", "4")]:
-        monkeypatch.setenv("SEMMAP_THREADS", threads)
-        out = tmp_path / name
-        config = PipelineConfig(
-            corpus_dir=str(corpus), metadata=str(corpus / "meta.tsv"),
-            out_dir=str(out), gmm_ks=(3,), grid=60, core_k=10,
-            cluster_groups={"TL": 0, "ML": 1, "BL": 2}, dump_grids=False,
-        )
-        cfg = tmp_path / f"{name}.json"
-        cfg.write_text(config.to_json(), encoding="utf-8")
-        assert main(["run", "--config", str(cfg)]) == 0
-        results[name] = {
-            ln.split("\t")[1]: ln.split("\t")[0]
-            for ln in (out / "manifest.tsv").read_text().splitlines()
-            if "\t" in ln and not ln.endswith("config.json")
-        }
-    assert results["one"] == results["four"]
+    for filler, threads in [(0, "4"), (60, "2")]:
+        corpus = tmp_path / f"corpus{filler}"
+        build_corpus(corpus, n_verses=90, seed=11)
+        # pivot-free verses, which EM trains on and linking skips
+        for path in sorted(corpus.glob("*.txt")):
+            prefix = "" if path.stem == "eng" else path.stem
+            with open(path, "a", encoding="utf-8") as fh:
+                for i in range(filler):
+                    fh.write(f"MAT:2:{i}\t{prefix}w{i % 40:02d} {prefix}w{(7 * i) % 40:02d}\n")
+        results = {}
+        for name in ("1", threads):
+            monkeypatch.setenv("SEMMAP_THREADS", name)
+            out = tmp_path / f"out{filler}-{name}"
+            config = PipelineConfig(
+                corpus_dir=str(corpus), metadata=str(corpus / "meta.tsv"),
+                out_dir=str(out), gmm_ks=(3,), grid=60, core_k=10,
+                cluster_groups={"TL": 0, "ML": 1, "BL": 2}, dump_grids=False,
+            )
+            cfg = tmp_path / f"{filler}-{name}.json"
+            cfg.write_text(config.to_json(), encoding="utf-8")
+            assert main(["run", "--config", str(cfg)]) == 0
+            results[name] = {
+                ln.split("\t")[1]: ln.split("\t")[0]
+                for ln in (out / "manifest.tsv").read_text().splitlines()
+                if "\t" in ln and not ln.endswith("config.json")
+            }
+        assert results["1"] == results[threads], filler
 
 
 def test_run_target_verse_without_tokens_aligns_to_null(tmp_path, capsys):
@@ -316,6 +323,20 @@ def test_run_config_out_of_range_is_config_error_before_work(tmp_path, capsys, f
     assert main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and field in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_run_group_anchor_naming_no_row_is_config_error_before_work(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    _, anchors, _ = build_corpus(corpus, n_verses=30, seed=3)
+    out = tmp_path / "out"
+    code = main(["run", "--corpus-dir", str(corpus), "--metadata", str(corpus / "meta.tsv"),
+                 "--out-dir", str(out), "--gmm-ks", "3", "--grid", "20", "--core-k", "5",
+                 "--group-anchors", json.dumps({**anchors, "TL": "MAT:9:99#0"})])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'MAT:9:99#0' is not a row id" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,4 +1,6 @@
 import itertools
+import sys
+import unicodedata
 
 import pytest
 
@@ -44,6 +46,38 @@ def test_normalize_idempotent():
         once = normalize(text)
         again = normalize(" ".join(once))
         assert once == again
+
+
+def normalize_oracle(text):
+    """``normalize`` without its fast path: every token scans its edges."""
+    out = []
+    for raw in text.lower().split():
+        start, end = 0, len(raw)
+        while start < end and unicodedata.category(raw[start]).startswith("P"):
+            start += 1
+        while end > start and unicodedata.category(raw[end - 1]).startswith("P"):
+            end -= 1
+        if end > start:
+            out.append(raw[start:end])
+    return out
+
+
+def test_no_punctuation_code_point_is_alphanumeric():
+    # the fast path in normalize keeps an isalnum() token whole
+    assert [c for c in range(sys.maxunicode + 1)
+            if unicodedata.category(chr(c)).startswith("P") and chr(c).isalnum()] == []
+
+
+@pytest.mark.parametrize("text", [
+    "(when) «he» ¿saw? ‹her›…",            # leading and trailing punctuation
+    "tse'faei'ccuyi ja-ja don’t",          # interior punctuation only
+    "-- … !? «» '",                        # punctuation-only tokens
+    "Ἐγένετο ΔΕ ὅτε ἐτέλεσεν; Когда ДЕНЬ",  # non-ASCII letters, cased
+    "e\u0301te \u0301a a\u0301 ৫০ Ⅻ ½",      # combining marks, other digits
+    "",
+])
+def test_normalize_matches_edge_scan(text):
+    assert normalize(text) == normalize_oracle(text)
 
 
 # select_translation -----------------------------------------------------------

@@ -140,6 +140,19 @@ def test_sentence_initial_flags(sentences):
     assert extract_conjuncts(s01)[0].sentence_initial
 
 
+def test_sentence_initial_follows_id_order_not_file_order():
+    # the lexical noun 1 precedes the participle 2 but is listed last
+    text = ("# sent_id = sh1\n"
+            "2\tprislu\tprijti\tV\tmood=ptcp|aspect=pfv\t3\txadv\t_\t_\t_\n"
+            "3\tjestu\tbyti\tV\t_\t0\tpred\t_\t_\t_\n"
+            "1\tIsusu\tisusu\tN\tcase=n\t3\tsub\t_\t_\t_\n")
+    sent = parse_treebank(text)[0]
+    assert sent.order == [2, 3, 1]
+    cons = extract_conjuncts(sent)
+    assert [c.trigger_ids for c in cons] == [[2]]
+    assert not cons[0].sentence_initial
+
+
 def test_non_leftmost_overt_conjunct_flagged_shared():
     # two pre-matrix conjuncts whose xsub slashes point at the same
     # overt argument: only the leftmost heads it
@@ -294,7 +307,7 @@ def oracle_position(trigger, matrix):
 
 def oracle_sentence_initial(sent, construction_ids):
     leftmost = min(construction_ids)
-    for tid in sent.order:
+    for tid in sorted(sent.order):
         if tid >= leftmost:
             break
         tok = sent.tokens[tid]
