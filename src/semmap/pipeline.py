@@ -52,9 +52,9 @@ def _finite(value) -> bool:
     return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
-def _check_positive(name: str, value) -> None:
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
+def _check_integer(name: str, value, least: int = 1) -> None:
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 @dataclass
@@ -82,6 +82,8 @@ class PipelineConfig:
     def validate(self) -> None:
         if not Path(self.corpus_dir).is_dir():
             raise ConfigError(f"corpus dir not found: {self.corpus_dir}")
+        if not isinstance(self.metadata, (str, type(None))):
+            raise ConfigError(f"metadata must be a path or null, got {self.metadata!r}")
         if self.metadata and not Path(self.metadata).is_file():
             raise ConfigError(f"metadata file not found: {self.metadata}")
         # exp(-h / rho) is a covariance only for rho > 0, and a negative
@@ -99,11 +101,17 @@ class PipelineConfig:
         if not self.pivot_tokens:
             raise ConfigError("need at least one pivot token")
         for name in ("iterations", "min_count", "core_k"):
-            _check_positive(name, getattr(self, name))
+            _check_integer(name, getattr(self, name))
         if not self.gmm_ks:
             raise ConfigError("gmm_ks must name at least one K")
         for k in self.gmm_ks:
-            _check_positive("every K in gmm_ks", k)
+            _check_integer("every K in gmm_ks", k)
+        # numpy seeds its generators with non-negative integers only
+        _check_integer("gmm_seed", self.gmm_seed, least=0)
+        if not (_finite(self.alpha) and 0.0 < self.alpha < 1.0):
+            raise ConfigError(f"alpha must be a finite number in (0, 1), got {self.alpha!r}")
+        if not isinstance(self.dump_grids, bool):
+            raise ConfigError(f"dump_grids must be true or false, got {self.dump_grids!r}")
         if self.group_anchors and set(self.group_anchors) != set(GROUPS):
             raise ConfigError(f"group_anchors must cover {GROUPS}")
         if not self.group_anchors and set(self.cluster_groups) != set(GROUPS):

@@ -146,6 +146,13 @@ class EmbeddedMap:
         if not rows:
             raise PivotError(f"{path}: empty embedding file")
         coords = np.asarray([r[1:] for r in rows], dtype=float)
+        # the maps are drawn over the first two coordinates
+        if coords.shape[1] < 2:
+            raise PivotError(f"{path}: need at least two coordinate columns, "
+                             f"got {coords.shape[1]}")
+        bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+        if bad.size:
+            raise PivotError(f"{path}: row {rows[bad[0]][0]!r} has a non-finite coordinate")
         return cls(coords=coords, eigenvalues=np.zeros(coords.shape[1]),
                    row_ids=[r[0] for r in rows])
 

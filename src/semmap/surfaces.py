@@ -3,9 +3,10 @@
 Each surface interpolates the indicator of one linguistic means for one
 doculect by ordinary kriging with an exponential covariance, on a square
 lattice over the map's bounding box padded by 5%. sigma^2 scales out of
-the kriging system, so every surface over the same points shares one set
-of weights: ``fit_surfaces`` solves it once and each surface is the
-product of its indicator with those weights. Contours at fixed
+the kriging system, so every surface over the same points shares one
+system: ``fit_surfaces`` solves it once, in dual form, against all the
+indicators, and each node's value is its covariances to the points times
+the solved coefficients, with no per-node weights. Contours at fixed
 probability levels become closed polygons used for containment tests.
 """
 
@@ -75,7 +76,7 @@ class KrigSurface:
 def fit_surface(points, labels, target_means: str, grid: int = 200,
                 levels: tuple[float, ...] = DEFAULT_LEVELS,
                 rho: float | None = None, nugget_frac: float = 0.05) -> KrigSurface:
-    """Ordinary kriging of the indicator for one means, over its own system.
+    """Ordinary kriging of the indicator for one means: ``fit_surfaces`` of one column.
 
     The indicator is 1 where a point's label equals ``target_means`` and
     0 elsewhere (``None`` labels are the means NULL, the string "NULL",
@@ -84,10 +85,10 @@ def fit_surface(points, labels, target_means: str, grid: int = 200,
     rho defaults to the median pairwise distance between the labeled
     points. Predictions are clamped to [0, 1].
     """
-    (labels,), xs, ys, weights = _grid_system(points, [labels], grid, rho, nugget_frac)
-    if target_means not in labels:
+    surfs = fit_surfaces(points, {"": labels}, grid, levels, rho, nugget_frac)[""]
+    if target_means not in surfs:
         raise SurfaceError(f"target means {target_means!r} never occurs")
-    return _surface(labels, target_means, xs, ys, weights, levels)
+    return surfs[target_means]
 
 
 def fit_surfaces(points, columns, grid: int = 200,
@@ -97,30 +98,25 @@ def fit_surfaces(points, columns, grid: int = 200,
     """One surface per means attested in each column, over one kriging system.
 
     ``columns`` maps a key (a doculect's iso) to one label per point.
-    The kriging weights are solved once for all columns and means, which
-    are fitted in sorted order; returns ``{key: {means: surface}}``. Too
-    few or coincident points, labels that do not cover every point, or a
+    The system is solved once, against the indicators of every column's
+    means in sorted order; returns ``{key: {means: surface}}``. Too few
+    or coincident points, labels that do not cover every point, or a
     system no jitter makes solvable raise ``SurfaceError`` for the whole
     call.
     """
-    labels, xs, ys, weights = _grid_system(points, columns.values(), grid, rho, nugget_frac)
-    return {
-        key: {m: _surface(col, m, xs, ys, weights, levels) for m in sorted(set(col))}
-        for key, col in zip(columns, labels)
-    }
-
-
-def _grid_system(points, columns, grid: int, rho: float | None, nugget_frac: float):
-    """Checked label columns, the padded lattice's axes and its nodes' weights."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise SurfaceError("points must be an (n, 2) array")
     n = pts.shape[0]
     if n < 5:
         raise SurfaceError(f"need at least 5 labeled points, got {n}")
-    columns = [[lab if lab is not None else NULL_MARKER for lab in col] for col in columns]
-    if any(len(col) != n for col in columns):
+    columns = {key: [lab if lab is not None else NULL_MARKER for lab in col]
+               for key, col in columns.items()}
+    if any(len(col) != n for col in columns.values()):
         raise SurfaceError(f"labels must cover every point, one label for each of {n}")
+    fields = [(key, m) for key, col in columns.items() for m in sorted(set(col))]
+    z = np.array([[1.0 if lab == m else 0.0 for lab in columns[key]]
+                  for key, m in fields]).reshape(len(fields), n)
     x0, y0 = pts.min(axis=0)
     x1, y1 = pts.max(axis=0)
     spanx = (x1 - x0) or 1.0
@@ -129,29 +125,30 @@ def _grid_system(points, columns, grid: int, rho: float | None, nugget_frac: flo
     ys = np.linspace(y0 - PAD_FRACTION * spany, y1 + PAD_FRACTION * spany, grid)
     gx, gy = np.meshgrid(xs, ys)
     nodes = np.column_stack([gx.ravel(), gy.ravel()])
-    return columns, xs, ys, _kriging_weights(pts, nodes, rho, nugget_frac)
+    probs = _krige(pts, z, nodes, rho, nugget_frac)
+    np.clip(probs, 0.0, 1.0, out=probs)
+    surfs: dict[str, dict[str, KrigSurface]] = {key: {} for key in columns}
+    for (key, m), prob in zip(fields, probs):
+        surf = KrigSurface(means_label=m, xs=xs, ys=ys, prob=prob.reshape(len(ys), len(xs)),
+                           levels=tuple(levels))
+        for level in levels:
+            surf.contours[level] = contour(surf, level)
+        surfs[key][m] = surf
+    return surfs
 
 
-def _surface(labels: list, means: str, xs: np.ndarray, ys: np.ndarray,
-             weights: np.ndarray, levels: tuple[float, ...]) -> KrigSurface:
-    """The clamped surface of one means' indicator and its contours."""
-    z = np.array([1.0 if lab == means else 0.0 for lab in labels])
-    prob = np.clip((z @ weights).reshape(len(ys), len(xs)), 0.0, 1.0)
-    surf = KrigSurface(means_label=means, xs=xs, ys=ys, prob=prob, levels=tuple(levels))
-    for level in levels:
-        surf.contours[level] = contour(surf, level)
-    return surf
+def _krige(pts: np.ndarray, z: np.ndarray, nodes: np.ndarray, rho: float | None,
+           nugget_frac: float) -> np.ndarray:
+    """Ordinary-kriging predictions of the fields ``z`` at ``nodes``, in dual form.
 
-
-def _kriging_weights(pts: np.ndarray, where: np.ndarray, rho: float | None,
-                     nugget_frac: float) -> np.ndarray:
-    """Ordinary-kriging weights of the ``n`` points for each location in ``where``.
-
-    Solves the (n+1)-square system of exponential covariances plus the
-    Lagrange row with sigma^2 = 1, which scales out of the weights, for
-    every location at once, adding the diagonal jitters in ``_JITTERS``
-    in turn until the solution is finite. Returns the (n, len(where))
-    weights; the prediction of a field ``z`` is ``z @ weights``.
+    ``z`` holds one field per row over the ``n`` points. The (n+1)-square
+    system of exponential covariances plus the Lagrange row, with
+    sigma^2 = 1 (it scales out), is solved once against every field,
+    adding the diagonal jitters in ``_JITTERS`` in turn until the
+    solution is finite. A node's value of a field is the node's
+    covariances to the points times the field's coefficients, plus its
+    Lagrange coefficient (the dual form, Cressie 1993), for
+    ``_NODE_CHUNK`` nodes at a time. Returns (len(z), len(nodes)) values.
     """
     n = pts.shape[0]
     dists = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
@@ -163,24 +160,27 @@ def _kriging_weights(pts: np.ndarray, where: np.ndarray, rho: float | None,
     a[:n, :n] = np.exp(-dists / rho) + nugget_frac * np.eye(n)
     a[n, :n] = 1.0
     a[:n, n] = 1.0
-
-    b = np.empty((n + 1, where.shape[0]))
-    for lo in range(0, where.shape[0], _NODE_CHUNK):
-        block = where[lo:lo + _NODE_CHUNK]
-        d = np.sqrt(((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-        b[:n, lo:lo + _NODE_CHUNK] = np.exp(-d.T / rho)
-    b[n] = 1.0
+    rhs = np.zeros((n + 1, z.shape[0]))
+    rhs[:n] = z.T
 
     for jitter in _JITTERS:
         aj = a.copy()
         aj[:n, :n] += jitter * np.eye(n)
         try:
-            sol = np.linalg.solve(aj, b)
+            coef = np.linalg.solve(aj, rhs)
         except np.linalg.LinAlgError:
             continue
-        if np.all(np.isfinite(sol)):
-            return sol[:n]
-    raise SurfaceError("degenerate configuration: no jitter makes the kriging system solvable")
+        if np.all(np.isfinite(coef)):
+            break
+    else:
+        raise SurfaceError("degenerate configuration: no jitter makes the kriging system solvable")
+
+    out = np.empty((z.shape[0], nodes.shape[0]))
+    for lo in range(0, nodes.shape[0], _NODE_CHUNK):
+        block = nodes[lo:lo + _NODE_CHUNK]
+        d = np.sqrt(((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        out[:, lo:lo + _NODE_CHUNK] = coef[:n].T @ np.exp(-d.T / rho) + coef[n][:, None]
+    return out
 
 
 # ---------------------------------------------------------------------------

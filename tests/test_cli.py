@@ -310,6 +310,9 @@ def test_run_config_scalar_for_list_is_config_error(tmp_path, capsys, field, val
     # keys older configs carried
     ("seed", 13), ("mds_dims", 2), ("covariance", "exponential"),
     ("treebank_paths", []), ("edit_rules", None),
+    ("alpha", "0.01"), ("alpha", -1), ("alpha", 1.0), ("alpha", float("inf")),
+    ("gmm_seed", "x"), ("gmm_seed", 2.5), ("gmm_seed", -1),
+    ("dump_grids", "false"), ("dump_grids", 0), ("metadata", 5),
 ])
 def test_run_config_out_of_range_is_config_error_before_work(tmp_path, capsys, field, value):
     corpus = tmp_path / "corpus"
@@ -375,6 +378,24 @@ def test_map_embedding_of_other_rows_is_data_error(tmp_path, capsys):
     assert "data error" in err and "row ids" in err and "(20 rows)" in err
     assert not out.exists()
 
+
+@pytest.mark.parametrize("text, reason", [
+    ("".join(f"r{i}\t{0.1 * i}\n" for i in range(6)), "at least two coordinate columns"),
+    ("".join(f"r{i}\t{0.1 * i}\t{'nan' if i == 4 else 1.0 - 0.1 * i}\n" for i in range(6)),
+     "row 'r4' has a non-finite coordinate"),
+], ids=["one_column", "nan_coordinate"])
+def test_map_bad_embedding_is_data_error(tmp_path, capsys, text, reason):
+    emb = tmp_path / "embedding.tsv"
+    emb.write_text(text, encoding="utf-8")
+    mat = tmp_path / "matrix.tsv"
+    mat.write_text("row_id\txyz\n" + "".join(f"r{i}\t{'uv'[i % 2]}\n" for i in range(6)),
+                   encoding="utf-8")
+    out = tmp_path / "map.svg"
+    assert main(["map", "--embedding", str(emb), "--matrix", str(mat),
+                 "--iso", "xyz", "--out", str(out), "--grid", "20"]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and reason in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("coords, reason", [

@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,3 +182,15 @@ def test_config_validation_errors(tmp_path):
                           group_anchors={"TL": "x"})
     with pytest.raises(ConfigError, match="group_anchors"):
         cfg3.validate()
+
+
+def test_benchmark_hooks_find_every_function_they_wrap():
+    # perfbench/spans.py replaces semmap functions by name; renaming or
+    # deleting one of them must fail here too, not only in the harness
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import spans; spans.install(spans.Tracer())"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -9,7 +9,7 @@ from semmap.surfaces import (
     _NODE_CHUNK,
     _assemble,
     _dedupe,
-    _kriging_weights,
+    _krige,
     _segments,
     contains,
     contour,
@@ -43,12 +43,40 @@ def polygon_area(poly):
     return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
+def kriging_weights(pts, where, nugget_frac):
+    """Ordinary-kriging weights of the ``n`` points for each location in ``where``.
+
+    The primal form the dual solve replaced: the (n+1)-square system is
+    solved against every location's covariances, with the same jitter
+    ladder, and the (n, len(where)) weights are returned; the prediction
+    of a field ``z`` is ``z @ weights``.
+    """
+    n = pts.shape[0]
+    dists = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    rho = float(np.median(dists[np.triu_indices(n, k=1)]))
+    a = np.zeros((n + 1, n + 1))
+    a[:n, :n] = np.exp(-dists / rho) + nugget_frac * np.eye(n)
+    a[n, :n] = 1.0
+    a[:n, n] = 1.0
+    b = np.ones((n + 1, where.shape[0]))
+    d = np.sqrt(((where[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    b[:n] = np.exp(-d.T / rho)
+    for jitter in (0.0, 1e-8, 1e-6):
+        try:
+            sol = np.linalg.solve(a + jitter * np.diag([1.0] * n + [0.0]), b)
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(np.isfinite(sol)):
+            return sol[:n]
+    raise AssertionError("no jitter makes the reference system solvable")
+
+
 def predict(pts, labels, target, where, nugget_frac=0.05):
     """Clamped kriging prediction of one indicator field at ``where``."""
     z = np.array([1.0 if lab == target else 0.0 for lab in labels])
-    weights = _kriging_weights(np.asarray(pts, dtype=float),
-                               np.atleast_2d(np.asarray(where, dtype=float)),
-                               None, nugget_frac)
+    weights = kriging_weights(np.asarray(pts, dtype=float),
+                              np.atleast_2d(np.asarray(where, dtype=float)),
+                              nugget_frac)
     return np.clip(z @ weights, 0.0, 1.0)
 
 
@@ -105,18 +133,26 @@ def test_exact_interpolation_with_zero_nugget():
     assert np.abs(pred - z).max() < 1e-6
 
 
-def test_kriging_weight_columns_sum_to_one():
+def test_constant_field_is_one_at_every_node():
     rng = np.random.default_rng(8)
     pts = rng.normal(size=(50, 2))
+    nodes = rng.uniform(-3.0, 3.0, size=(2 * _NODE_CHUNK + 300, 2))
+    pred = _krige(pts, np.ones((1, 50)), nodes, None, 0.05)
+    assert pred.shape == (1, nodes.shape[0])
+    assert np.abs(pred - 1.0).max() < 1e-9
+
+
+def test_node_alone_gets_its_value_in_a_multi_block_call():
+    rng = np.random.default_rng(8)
+    pts = rng.normal(size=(50, 2))
+    z = (rng.uniform(size=(3, 50)) < 0.4).astype(float)
     m = 2 * _NODE_CHUNK + 300
-    where = rng.uniform(-3.0, 3.0, size=(m, 2))
-    weights = _kriging_weights(pts, where, None, 0.05)
-    assert weights.shape == (50, m)
-    assert np.abs(weights.sum(axis=0) - 1.0).max() < 1e-9
-    # a location in any block of the covariance gets the weights it gets alone
+    nodes = rng.uniform(-3.0, 3.0, size=(m, 2))
+    pred = _krige(pts, z, nodes, None, 0.05)
+    # a node in any block of the covariance gets the values it gets alone
     for k in (0, _NODE_CHUNK - 1, _NODE_CHUNK, m - 1):
-        alone = _kriging_weights(pts, where[k:k + 1], None, 0.05)
-        assert np.abs(weights[:, k] - alone[:, 0]).max() < 1e-12
+        alone = _krige(pts, z, nodes[k:k + 1], None, 0.05)
+        assert np.abs(pred[:, k] - alone[:, 0]).max() < 1e-12
 
 
 def test_surface_probabilities_clamped_and_nested():
@@ -161,6 +197,28 @@ def test_fit_surfaces_equals_one_off_fits():
                 assert len(surf.contours[level]) == len(one.contours[level])
                 for p, q in zip(surf.contours[level], one.contours[level]):
                     assert np.array_equal(p, q)
+
+
+def test_fit_surfaces_agrees_with_primal_weights():
+    rng = np.random.default_rng(12)
+    pts = rng.normal(size=(80, 2))
+    columns = {
+        "xx": [["a", "b", "c"][i % 3] for i in range(80)],
+        "yy": ["d" if p[0] + p[1] < 0 else None for p in pts],
+    }
+    grid = 60
+    assert grid * grid > 3 * _NODE_CHUNK
+    surfs = fit_surfaces(pts, columns, grid=grid)
+    xx = surfs["xx"]["a"]
+    gx, gy = np.meshgrid(xx.xs, xx.ys)
+    nodes = np.column_stack([gx.ravel(), gy.ravel()])
+    n_surfaces = 0
+    for key, labels in columns.items():
+        for means, surf in surfs[key].items():
+            want = predict(pts, labels, None if means == "NULL" else means, nodes)
+            assert np.abs(surf.prob.ravel() - want).max() < 1e-10, (key, means)
+            n_surfaces += 1
+    assert n_surfaces == 5
 
 
 @pytest.mark.parametrize("points, labels", [
