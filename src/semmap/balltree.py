@@ -1,88 +1,34 @@
-"""Exact k-nearest-neighbour search with a ball tree.
+"""Exact k-nearest-neighbour search by one sorted scan.
 
-Queries return exactly the linear-scan result under the total order
-(distance, row index), so downstream core-point extraction is fully
-deterministic even with duplicated coordinates.
+A query measures the distance to every point and sorts on (distance,
+row index), so downstream core-point extraction is fully deterministic
+even with duplicated coordinates. At the sizes a run queries (a few
+queries over at most a few thousand usage points) one vectorized scan
+is faster than building a ball tree. The module and class keep their
+ball-tree names because the benchmark's ``balltree.query`` span wraps
+``BallTree.query`` by name.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
 __all__ = ["BallTree"]
 
 
-class _Node:
-    __slots__ = ("center", "radius", "start", "end", "left", "right")
-
-    def __init__(self, center, radius, start, end):
-        self.center = center
-        self.radius = radius
-        self.start = start
-        self.end = end
-        self.left = None
-        self.right = None
-
-
 class BallTree:
-    def __init__(self, points, leaf_size: int = 16):
+    def __init__(self, points):
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("points must be a non-empty 2-d array")
         self.points = pts
-        self.leaf_size = max(1, leaf_size)
-        self.idx = np.arange(pts.shape[0])
-        self.root = self._build(0, pts.shape[0])
-
-    def _build(self, start: int, end: int) -> _Node:
-        sel = self.idx[start:end]
-        sub = self.points[sel]
-        center = sub.mean(axis=0)
-        radius = float(np.sqrt(((sub - center) ** 2).sum(axis=1).max()))
-        node = _Node(center, radius, start, end)
-        if end - start > self.leaf_size:
-            spread = sub.max(axis=0) - sub.min(axis=0)
-            dim = int(np.argmax(spread))
-            # stable split: sort by (coordinate, original index) and cut at the median
-            order = np.lexsort((sel, sub[:, dim]))
-            self.idx[start:end] = sel[order]
-            mid = start + (end - start) // 2
-            node.left = self._build(start, mid)
-            node.right = self._build(mid, end)
-        return node
 
     def query(self, point, k: int) -> list[tuple[float, int]]:
         """The k nearest points, sorted by (distance, index)."""
-        if k < 1 or k > self.points.shape[0]:
-            raise ValueError(f"k must be in [1, {self.points.shape[0]}]")
+        n = self.points.shape[0]
+        if k < 1 or k > n:
+            raise ValueError(f"k must be in [1, {n}]")
         q = np.asarray(point, dtype=float)
-        # max-heap of the current best k, keyed on (-distance, -index)
-        heap: list[tuple[float, int]] = []
-
-        def worst():
-            return (-heap[0][0], -heap[0][1])
-
-        def visit(node: _Node):
-            lb = max(0.0, float(np.sqrt(((q - node.center) ** 2).sum())) - node.radius)
-            if len(heap) == k and (lb, -1) > worst():
-                return
-            if node.left is None:
-                for i in self.idx[node.start:node.end]:
-                    d = float(np.sqrt(((self.points[i] - q) ** 2).sum()))
-                    cand = (d, int(i))
-                    if len(heap) < k:
-                        heapq.heappush(heap, (-cand[0], -cand[1]))
-                    elif cand < worst():
-                        heapq.heapreplace(heap, (-cand[0], -cand[1]))
-                return
-            children = [node.left, node.right]
-            dists = [float(np.sqrt(((q - ch.center) ** 2).sum())) for ch in children]
-            if dists[1] < dists[0]:
-                children.reverse()
-            for ch in children:
-                visit(ch)
-
-        visit(self.root)
-        return sorted((-d, -i) for d, i in heap)
+        d = np.sqrt(((self.points - q) ** 2).sum(axis=1))
+        order = np.lexsort((np.arange(n), d))[:k]
+        return [(float(d[i]), int(i)) for i in order]

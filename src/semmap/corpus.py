@@ -59,9 +59,6 @@ class CorpusManifest:
     def pivot(self) -> Doculect:
         return self.doculects[self.pivot_iso]
 
-    def coverage(self) -> dict[str, int]:
-        return {iso: d.coverage for iso, d in sorted(self.doculects.items())}
-
 
 def normalize(text: str) -> list[str]:
     """Tokenize a verse: lowercase, split on whitespace, strip punctuation.

@@ -2,7 +2,7 @@
 
 Full-covariance EM with k-means initialization, model-size selection by
 AIC/BIC/silhouette, and per-cluster core-point extraction (centroid plus
-its k nearest observations found with a ball tree).
+its k nearest observations found by one exact sorted scan).
 """
 
 from __future__ import annotations
@@ -305,13 +305,12 @@ def select_k(points, candidates, seed: int = 0) -> SelectionReport:
 
 
 def core_points(points, assignments, cluster: int, k: int = 30,
-                row_ids: list | None = None,
-                tree: BallTree | None = None) -> CorePointSet:
+                row_ids: list | None = None) -> CorePointSet:
     """Centroid of a cluster plus its k nearest observations overall.
 
     The centroid is the arithmetic mean of the cluster's hard-assigned
-    points; neighbours are searched over all points with a ball tree and
-    distance ties break on the row id.
+    points; neighbours are searched over all points and distance ties
+    break on the row index.
     """
     pts = np.asarray(points, dtype=float)
     assignments = np.asarray(assignments)
@@ -322,8 +321,7 @@ def core_points(points, assignments, cluster: int, k: int = 30,
     if not sel.any():
         raise MixtureError(f"cluster {cluster} is empty")
     centroid = pts[sel].mean(axis=0)
-    tree = tree or BallTree(pts)
-    hits = tree.query(centroid, k)
+    hits = BallTree(pts).query(centroid, k)
     ids = row_ids if row_ids is not None else list(range(n))
     return CorePointSet(
         cluster=int(cluster),

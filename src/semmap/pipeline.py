@@ -80,6 +80,9 @@ class PipelineConfig:
     dump_grids: bool = True
 
     def validate(self) -> None:
+        for name in ("corpus_dir", "out_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a path, got {getattr(self, name)!r}")
         if not Path(self.corpus_dir).is_dir():
             raise ConfigError(f"corpus dir not found: {self.corpus_dir}")
         if not isinstance(self.metadata, (str, type(None))):
@@ -112,10 +115,19 @@ class PipelineConfig:
             raise ConfigError(f"alpha must be a finite number in (0, 1), got {self.alpha!r}")
         if not isinstance(self.dump_grids, bool):
             raise ConfigError(f"dump_grids must be true or false, got {self.dump_grids!r}")
+        for name in ("cluster_groups", "group_anchors"):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"{name} must be a JSON object, got {getattr(self, name)!r}")
         if self.group_anchors and set(self.group_anchors) != set(GROUPS):
             raise ConfigError(f"group_anchors must cover {GROUPS}")
-        if not self.group_anchors and set(self.cluster_groups) != set(GROUPS):
-            raise ConfigError(f"cluster_groups must cover {GROUPS}")
+        if not self.group_anchors:
+            if set(self.cluster_groups) != set(GROUPS):
+                raise ConfigError(f"cluster_groups must cover {GROUPS}")
+            top = max(self.gmm_ks)
+            for g, c in self.cluster_groups.items():
+                if isinstance(c, bool) or not isinstance(c, numbers.Integral) or not 0 <= c < top:
+                    raise ConfigError(
+                        f"cluster_groups[{g!r}] must be a cluster in [0, {top}), got {c!r}")
 
     def to_json(self) -> str:
         d = asdict(self)
@@ -219,8 +231,11 @@ def run(config: PipelineConfig) -> Path:
     for anchor in config.group_anchors.values():
         if anchor not in row_ids:
             raise ConfigError(f"group anchor {anchor!r} is not a row id")
-    # nothing lands in out_dir until the corpus has loaded, holds the pivot
-    # and names every anchor
+    if config.core_k > len(occurrences):
+        raise ConfigError(f"core_k={config.core_k} exceeds the {len(occurrences)} "
+                          f"occurrences of the pivot tokens")
+    # nothing lands in out_dir until the corpus has loaded, holds the pivot,
+    # names every anchor and has core_k occurrences
     art.write("config.json", config.to_json())
     all_target_verses = set()
     targets = sorted(iso for iso in manifest.doculects if iso != config.pivot_iso)
@@ -301,10 +316,9 @@ def run(config: PipelineConfig) -> Path:
         if not (model.assignments == c).any():
             raise mx.MixtureError(f"group {g}: cluster {c} is empty")
 
-    tree = mx.BallTree(points)
     cores = {
         g: mx.core_points(points, model.assignments, cluster_of_group[g],
-                          k=config.core_k, row_ids=matrix.row_ids, tree=tree)
+                          k=config.core_k, row_ids=matrix.row_ids)
         for g in GROUPS
     }
     rows = [("group", "cluster", "centroid_x", "centroid_y", "member_row_ids")]

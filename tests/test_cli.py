@@ -64,13 +64,15 @@ def test_empty_mapped_cluster_is_numerical_failure(tmp_path, capsys):
     build_corpus(corpus, n_verses=30, seed=3)
     config = PipelineConfig(
         corpus_dir=str(corpus), metadata=str(corpus / "meta.tsv"),
-        out_dir=str(tmp_path / "out"), gmm_ks=(3,), grid=40,
+        out_dir=str(tmp_path / "out"), gmm_ks=(3, 8), grid=40,
         core_k=5, cluster_groups={"TL": 7, "ML": 1, "BL": 2},
     )
     cfg = tmp_path / "c.json"
     cfg.write_text(config.to_json(), encoding="utf-8")
+    # cluster 7 exists at K = 8, but K = 8 fails on 30 points and K = 3 is chosen
     assert main(["run", "--config", str(cfg)]) == 4
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "cluster 7 is empty" in err
 
 
 def test_align_eval(tmp_path, capsys):
@@ -313,6 +315,14 @@ def test_run_config_scalar_for_list_is_config_error(tmp_path, capsys, field, val
     ("alpha", "0.01"), ("alpha", -1), ("alpha", 1.0), ("alpha", float("inf")),
     ("gmm_seed", "x"), ("gmm_seed", 2.5), ("gmm_seed", -1),
     ("dump_grids", "false"), ("dump_grids", 0), ("metadata", 5),
+    ("cluster_groups", {"TL": "x", "ML": 2, "BL": 4}),
+    ("cluster_groups", {"TL": 99, "ML": 2, "BL": 4}),
+    ("cluster_groups", {"TL": -1, "ML": 2, "BL": 4}),
+    ("cluster_groups", {"TL": True, "ML": 2, "BL": 4}),
+    ("cluster_groups", ["TL", "ML", "BL"]), ("group_anchors", ["TL", "ML", "BL"]),
+    ("corpus_dir", 5), ("out_dir", 5),
+    # more core points than the 30 pivot occurrences
+    ("core_k", 1000),
 ])
 def test_run_config_out_of_range_is_config_error_before_work(tmp_path, capsys, field, value):
     corpus = tmp_path / "corpus"

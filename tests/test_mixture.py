@@ -29,7 +29,7 @@ def brute_knn(points, q, k):
     return [(float(d[i]), i) for i in order]
 
 
-# ball tree ----------------------------------------------------------------------
+# exact kNN -----------------------------------------------------------------------
 
 def test_balltree_equals_linear_scan():
     rng = np.random.default_rng(1)
@@ -39,13 +39,12 @@ def test_balltree_equals_linear_scan():
     for q in queries:
         got = tree.query(q, 30)
         want = brute_knn(pts, q, 30)
-        assert [i for _, i in got] == [i for _, i in want]
-        assert np.allclose([d for d, _ in got], [d for d, _ in want])
+        assert got == want
 
 
 def test_balltree_with_duplicate_points_breaks_ties_by_index():
     pts = np.array([[0.0, 0.0]] * 5 + [[1.0, 1.0]] * 5)
-    tree = BallTree(pts, leaf_size=2)
+    tree = BallTree(pts)
     got = tree.query((0.0, 0.0), 7)
     assert [i for _, i in got] == [0, 1, 2, 3, 4, 5, 6]
 
@@ -54,7 +53,7 @@ def test_balltree_with_duplicate_points_breaks_ties_by_index():
 def test_balltree_various_k(k):
     rng = np.random.default_rng(k)
     pts = rng.normal(size=(300, 2))
-    tree = BallTree(pts, leaf_size=8)
+    tree = BallTree(pts)
     for q in rng.normal(size=(20, 2)):
         assert [i for _, i in tree.query(q, k)] == [i for _, i in brute_knn(pts, q, k)]
 
