@@ -48,12 +48,14 @@ def check_grid_levels(grid, levels) -> None:
             raise ConfigError(f"contour levels must lie in (0, 1), got {level!r}")
 
 
+# JSON true and false load as bool, a subclass of int: no number knob takes them
 def _finite(value) -> bool:
-    return isinstance(value, numbers.Real) and math.isfinite(value)
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _check_integer(name: str, value, least: int = 1) -> None:
-    if not isinstance(value, numbers.Integral) or value < least:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
@@ -125,7 +127,8 @@ class PipelineConfig:
                 raise ConfigError(f"cluster_groups must cover {GROUPS}")
             top = max(self.gmm_ks)
             for g, c in self.cluster_groups.items():
-                if isinstance(c, bool) or not isinstance(c, numbers.Integral) or not 0 <= c < top:
+                _check_integer(f"cluster_groups[{g!r}]", c, least=0)
+                if c >= top:
                     raise ConfigError(
                         f"cluster_groups[{g!r}] must be a cluster in [0, {top}), got {c!r}")
 
@@ -282,7 +285,7 @@ def run(config: PipelineConfig) -> Path:
     art.write("heat.tsv", tsv.format_rows(
         [("row_id", "null_count"), *zip(matrix.row_ids, heat)], header))
     art.write("svg/heat.svg", svgmod.render_map(
-        points, [None] * len(heat), heat=heat,
+        points, [al.NULL_MARKER] * len(heat), heat=heat,
         title="null-construction concentration", comment=header,
     ))
 

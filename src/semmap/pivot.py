@@ -31,12 +31,12 @@ def row_id(verse_id: str, pivot_index: int) -> str:
 class ParallelUsageMatrix:
     """Rows are pivot-token occurrences, columns doculects, cells forms.
 
-    ``None`` cells mark NULL alignments. Every row has a cell for every
-    column.
+    ``NULL_MARKER`` cells mark NULL alignments. Every row has a cell for
+    every column.
     """
     row_ids: list[str]
     columns: list[str]
-    cells: list[list[str | None]]
+    cells: list[list[str]]
 
     def __post_init__(self):
         if len(set(self.row_ids)) != len(self.row_ids):
@@ -49,7 +49,7 @@ class ParallelUsageMatrix:
     def n_rows(self) -> int:
         return len(self.row_ids)
 
-    def column(self, iso: str) -> list[str | None]:
+    def column(self, iso: str) -> list[str]:
         if iso not in self.columns:
             raise PivotError(f"doculect {iso!r} is not a column of the usage matrix")
         j = self.columns.index(iso)
@@ -58,8 +58,7 @@ class ParallelUsageMatrix:
     def to_tsv(self, header: str | None = None) -> str:
         return tsv.format_rows(
             [["row_id", *self.columns]]
-            + [[rid, *(c if c is not None else NULL_MARKER for c in row)]
-               for rid, row in zip(self.row_ids, self.cells)],
+            + [[rid, *row] for rid, row in zip(self.row_ids, self.cells)],
             header,
         )
 
@@ -69,23 +68,24 @@ class ParallelUsageMatrix:
         if not rows:
             raise PivotError(f"{path}: empty matrix file")
         return cls(row_ids=[r[0] for r in rows[1:]], columns=rows[0][1:],
-                   cells=[[None if c == NULL_MARKER else c for c in r[1:]]
-                          for r in rows[1:]])
+                   cells=[r[1:] for r in rows[1:]])
 
 
 def build_matrix(parallels_by_doculect: dict[str, list[PivotParallel]],
                  pivot_occurrences: list[tuple[str, int]]) -> ParallelUsageMatrix:
-    """Assemble the usage matrix; occurrences missing from a dump are NULL."""
+    """Assemble the usage matrix; a ``None`` form or an occurrence missing
+    from a dump becomes ``NULL_MARKER``, the NULL label from here on."""
     rids = [row_id(v, i) for v, i in pivot_occurrences]
     if len(set(rids)) != len(rids):
         raise PivotError("duplicate row ids in pivot occurrence list")
     columns = sorted(parallels_by_doculect.keys())
     lookup = {
-        iso: {(p.verse_id, p.pivot_index): p.form for p in rows}
+        iso: {(p.verse_id, p.pivot_index): NULL_MARKER if p.form is None else p.form
+              for p in rows}
         for iso, rows in parallels_by_doculect.items()
     }
     cells = [
-        [lookup[iso].get(occ) for iso in columns]
+        [lookup[iso].get(occ, NULL_MARKER) for iso in columns]
         for occ in pivot_occurrences
     ]
     return ParallelUsageMatrix(row_ids=rids, columns=columns, cells=cells)
@@ -104,15 +104,10 @@ def hamming(matrix: ParallelUsageMatrix) -> np.ndarray:
     n = matrix.n_rows
     if n == 0:
         raise PivotError("empty usage matrix")
-    m = len(matrix.columns)
-    codes = np.empty((n, m), dtype=np.int32)
-    for j in range(m):
-        seen: dict = {}
-        for i, row in enumerate(matrix.cells):
-            v = row[j]
-            if v not in seen:
-                seen[v] = len(seen)
-            codes[i, j] = seen[v]
+    # column by column: one string array of the whole matrix is ~100 MB at ~1,400 doculects
+    codes = np.empty((n, len(matrix.columns)), dtype=np.int32)
+    for j, iso in enumerate(matrix.columns):
+        codes[:, j] = np.unique(matrix.column(iso), return_inverse=True)[1]
     out = np.zeros((n, n), dtype=np.uint16)
     for i in range(n - 1):
         diff = (codes[i + 1:] != codes[i]).sum(axis=1)

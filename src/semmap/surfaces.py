@@ -79,8 +79,8 @@ def fit_surface(points, labels, target_means: str, grid: int = 200,
     """Ordinary kriging of the indicator for one means: ``fit_surfaces`` of one column.
 
     The indicator is 1 where a point's label equals ``target_means`` and
-    0 elsewhere (``None`` labels are the means NULL, the string "NULL",
-    which may be targeted like any other means). The covariance is
+    0 elsewhere (NULL is the label ``NULL_MARKER``, which may be targeted
+    like any other means). The covariance is
     sigma^2 * exp(-h / rho) with a nugget of ``nugget_frac * sigma^2``;
     rho defaults to the median pairwise distance between the labeled
     points. Predictions are clamped to [0, 1].
@@ -110,8 +110,6 @@ def fit_surfaces(points, columns, grid: int = 200,
     n = pts.shape[0]
     if n < 5:
         raise SurfaceError(f"need at least 5 labeled points, got {n}")
-    columns = {key: [lab if lab is not None else NULL_MARKER for lab in col]
-               for key, col in columns.items()}
     if any(len(col) != n for col in columns.values()):
         raise SurfaceError(f"labels must cover every point, one label for each of {n}")
     fields = [(key, m) for key, col in columns.items() for m in sorted(set(col))]
@@ -404,4 +402,4 @@ def contains(polygons: list[np.ndarray], point):
 
 def null_heat(matrix) -> list[int]:
     """Per usage point, how many doculects realize it with NULL."""
-    return [sum(1 for cell in row if cell is None) for row in matrix.cells]
+    return [row.count(NULL_MARKER) for row in matrix.cells]

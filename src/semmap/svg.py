@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .align import NULL_MARKER
+
 __all__ = ["render_map"]
 
 # color-blind-safe cycle (Okabe-Ito), NULL always grey
@@ -55,18 +57,17 @@ def render_map(points, labels, contours_by_means=None, heat=None,
                title: str = "", comment: str = "") -> str:
     """Build the SVG document for one doculect's map.
 
-    ``labels`` may contain None for NULL; ``contours_by_means`` maps a
+    ``labels`` name NULL by ``NULL_MARKER``; ``contours_by_means`` maps a
     means label to {level: [polygons]}; ``heat`` (per-point counts)
     switches the scatter to a warm/cold fill by count.
     """
     pts = np.asarray(points, dtype=float)
-    labels = ["NULL" if lab is None else lab for lab in labels]
     to_px = _scale(pts)
     means_order = sorted(set(labels))
     color_of = {}
     ci = 0
     for m in means_order:
-        if m == "NULL":
+        if m == NULL_MARKER:
             color_of[m] = NULL_COLOR
         else:
             color_of[m] = PALETTE[ci % len(PALETTE)]
@@ -106,7 +107,7 @@ def render_map(points, labels, contours_by_means=None, heat=None,
 
     if contours_by_means:
         for m in sorted(contours_by_means):
-            color = color_of.get(m, NULL_COLOR if m == "NULL" else PALETTE[0])
+            color = color_of.get(m, NULL_COLOR if m == NULL_MARKER else PALETTE[0])
             level_map = contours_by_means[m]
             for level in sorted(level_map, reverse=True):
                 for poly in level_map[level]:

@@ -260,10 +260,10 @@ def score_means(assignments, labels, cluster: int) -> tuple[list[MeansScore], Me
     For one doculect: tp counts the means' usage points inside the
     cluster, fp its points outside, fn the other means' points inside.
     Returns all scores plus the best one (max F1, lexicographic means
-    label on ties). NULL cells score as the NULL marker.
+    label on ties). NULL is the label ``NULL_MARKER``, scored like any
+    other means.
     """
     assignments = np.asarray(assignments)
-    labels = [lab if lab is not None else NULL_MARKER for lab in labels]
     if len(labels) != assignments.shape[0]:
         raise TypologyError("labels must cover every embedded point")
     inside = assignments == cluster
@@ -301,9 +301,7 @@ def prototypicality(cluster: int, best_per_doculect: dict[str, str],
         row = matrix.cells[i]
         s = 0
         for iso, best in best_per_doculect.items():
-            cell = row[col_of[iso]]
-            cell = cell if cell is not None else NULL_MARKER
-            if cell == best:
+            if row[col_of[iso]] == best:
                 s += 1
         scores.append((rid, s))
     scores.sort(key=lambda t: (-t[1], t[0]))

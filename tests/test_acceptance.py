@@ -24,6 +24,7 @@ from fixture_treebank import EXPECTED as TB_EXPECTED
 from fixture_treebank import FIXTURE as TB_FIXTURE
 from synth import EXPECTED_PATTERNS
 
+from semmap.align import NULL_MARKER
 from semmap.balltree import BallTree
 from semmap.corpstats import TopicCandidate, mattr, ten_mfl, topic_score
 from semmap.mixture import fit_gmm, select_k
@@ -172,7 +173,7 @@ def test_criterion_04_hamming_mds():
         import random
 
         rng = random.Random(40)
-        forms = ["a", "b", "c", None]
+        forms = ["a", "b", "c", NULL_MARKER]
         matrix = ParallelUsageMatrix(
             row_ids=[f"r{i}" for i in range(50)],
             columns=[f"L{j}" for j in range(20)],

@@ -339,6 +339,28 @@ def test_run_config_out_of_range_is_config_error_before_work(tmp_path, capsys, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rho", True), ("nugget_frac", True), ("core_k", True), ("iterations", True),
+    ("min_count", True), ("gmm_seed", True), ("gmm_seed", False), ("gmm_ks", [3, True]),
+])
+def test_run_config_boolean_for_number_is_config_error_before_work(tmp_path, capsys,
+                                                                   field, value):
+    # JSON true and false are no numbers, though Python's bool is an int
+    corpus = tmp_path / "corpus"
+    build_corpus(corpus, n_verses=30, seed=3)
+    cfg = tmp_path / "c.json"
+    out = tmp_path / "out"
+    cfg.write_text(json.dumps({
+        "corpus_dir": str(corpus), "metadata": str(corpus / "meta.tsv"),
+        "out_dir": str(out), "gmm_ks": [3], "grid": 20, "core_k": 5,
+        "cluster_groups": {"TL": 0, "ML": 1, "BL": 2}, field: value,
+    }), encoding="utf-8")
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_group_anchor_naming_no_row_is_config_error_before_work(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     _, anchors, _ = build_corpus(corpus, n_verses=30, seed=3)

@@ -4,6 +4,7 @@ import unicodedata
 
 import pytest
 
+from semmap.align import NULL_MARKER
 from semmap.corpus import (
     CorpusError,
     Doculect,
@@ -78,6 +79,22 @@ def test_no_punctuation_code_point_is_alphanumeric():
 ])
 def test_normalize_matches_edge_scan(text):
     assert normalize(text) == normalize_oracle(text)
+
+
+def test_no_token_equals_the_null_marker():
+    # the usage matrix holds NULL as NULL_MARKER among the forms; lowercasing
+    # keeps every token apart from it
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    words = st.one_of(st.text(), st.sampled_from(["NULL", "Null", "«NULL»", "ＮＵＬＬ"]))
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.lists(words).map(" ".join))
+    @hyp.example(NULL_MARKER)
+    def check(text):
+        assert NULL_MARKER not in normalize(text)
+
+    check()
 
 
 # select_translation -----------------------------------------------------------

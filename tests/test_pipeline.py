@@ -10,6 +10,7 @@ import pytest
 
 from synth import EXPECTED_NULL_FLAGS, EXPECTED_PATTERNS, EXPECTED_SUBPATTERNS, all_schemes
 
+from semmap.align import NULL_MARKER
 from semmap.pipeline import ConfigError, PipelineConfig
 from semmap.pivot import EmbeddedMap, ParallelUsageMatrix
 from semmap.surfaces import contains
@@ -99,7 +100,7 @@ def test_heat_layer_counts_nulls(synth_run):
     m = ParallelUsageMatrix.from_tsv(synth_run["out"] / "matrix.tsv")
     heat = {r["row_id"]: int(r["null_count"]) for r in read_tsv(synth_run["out"] / "heat.tsv")}
     for rid, row in zip(m.row_ids, m.cells):
-        assert heat[rid] == sum(1 for c in row if c is None)
+        assert heat[rid] == sum(1 for c in row if c == NULL_MARKER)
     # the NULL-realizing scheme makes BL rows strictly warmer on average
     bl = [heat[rid] for rid in m.row_ids if 200 <= int(rid.split(":")[2].split("#")[0])]
     tl = [heat[rid] for rid in m.row_ids if int(rid.split(":")[2].split("#")[0]) < 100]

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from semmap.align import PivotParallel
+from semmap.align import NULL_MARKER, PivotParallel
 from semmap.pivot import (
     ParallelUsageMatrix,
     PivotError,
@@ -25,13 +25,34 @@ def fixture_matrix():
     )
 
 
-def random_matrix(n=50, m=20, seed=4, forms=("a", "b", "c", None)):
+def random_matrix(n=50, m=20, seed=4, forms=("a", "b", "c", NULL_MARKER)):
     rng = random.Random(seed)
     return ParallelUsageMatrix(
         row_ids=[f"r{i}" for i in range(n)],
         columns=[f"L{j}" for j in range(m)],
         cells=[[rng.choice(forms) for _ in range(m)] for _ in range(n)],
     )
+
+
+def matrices(st):
+    """Hypothesis strategy: small usage matrices over a small alphabet.
+
+    The alphabet holds NULL_MARKER and "null", a form that differs from it
+    only in case.
+    """
+    forms = st.sampled_from(["a", "b", "null", "ü", NULL_MARKER])
+
+    @st.composite
+    def matrix(draw):
+        n, m = draw(st.integers(1, 12)), draw(st.integers(0, 6))
+        return ParallelUsageMatrix(
+            row_ids=[f"r{i}" for i in range(n)],
+            columns=[f"L{j}" for j in range(m)],
+            cells=draw(st.lists(st.lists(forms, min_size=m, max_size=m),
+                                min_size=n, max_size=n)),
+        )
+
+    return matrix()
 
 
 def naive_hamming(matrix):
@@ -55,13 +76,13 @@ def test_build_matrix_from_parallels():
     occ = [("v1", 0), ("v2", 1)]
     m = build_matrix(par, occ)
     assert m.columns == ["deu", "fin"]
-    assert m.cells == [["als", "kun"], [None, None]]
+    assert m.cells == [["als", "kun"], [NULL_MARKER, NULL_MARKER]]
 
 
 def test_build_matrix_full_null_column():
     par = {"deu": [PivotParallel("v1", 0, "als")], "xxx": []}
     m = build_matrix(par, [("v1", 0)])
-    assert m.column("xxx") == [None]
+    assert m.column("xxx") == [NULL_MARKER]
 
 
 def test_build_matrix_duplicate_rows_error():
@@ -70,13 +91,20 @@ def test_build_matrix_duplicate_rows_error():
 
 
 def test_matrix_tsv_roundtrip(tmp_path):
-    m = random_matrix(n=12, m=5)
+    hyp = pytest.importorskip("hypothesis")
     p = tmp_path / "m.tsv"
-    p.write_text(m.to_tsv(header="x"), encoding="utf-8")
-    again = ParallelUsageMatrix.from_tsv(p)
-    assert again.row_ids == m.row_ids
-    assert again.columns == m.columns
-    assert again.cells == m.cells
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hyp.given(matrices(hyp.strategies))
+    @hyp.example(random_matrix(n=12, m=5))
+    def roundtrip(m):
+        p.write_text(m.to_tsv(header="x"), encoding="utf-8")
+        again = ParallelUsageMatrix.from_tsv(p)
+        assert again.row_ids == m.row_ids
+        assert again.columns == m.columns
+        assert again.cells == m.cells
+
+    roundtrip()
 
 
 # hamming ----------------------------------------------------------------------
@@ -89,15 +117,21 @@ def test_hamming_paper_sample_rows_distance_three():
 def test_hamming_identical_rows():
     m = ParallelUsageMatrix(
         row_ids=["a", "b"], columns=["x", "y"],
-        cells=[["w", None], ["w", None]],
+        cells=[["w", NULL_MARKER], ["w", NULL_MARKER]],
     )
     assert hamming(m)[0, 1] == 0
 
 
 def test_hamming_equals_naive_recount():
-    m = random_matrix()
-    got = hamming(m)
-    assert np.array_equal(got, naive_hamming(m))
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(matrices(hyp.strategies))
+    @hyp.example(random_matrix())
+    def recount(m):
+        assert np.array_equal(hamming(m), naive_hamming(m))
+
+    recount()
 
 
 def test_hamming_column_permutation_invariant():

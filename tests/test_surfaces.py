@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from semmap.align import NULL_MARKER
 from semmap.pivot import ParallelUsageMatrix
 from semmap.surfaces import (
     DEFAULT_LEVELS,
@@ -183,12 +184,11 @@ def test_fit_surfaces_equals_one_off_fits():
     pts = rng.normal(size=(60, 2))
     columns = {
         "xx": ["a" if p[0] < 0 else "b" for p in pts],
-        "yy": ["c" if p[1] < 0 else None for p in pts],
+        "yy": ["c" if p[1] < 0 else NULL_MARKER for p in pts],
     }
     surfs = fit_surfaces(pts, columns, grid=30)
-    assert {k: sorted(v) for k, v in surfs.items()} == {"xx": ["a", "b"], "yy": ["NULL", "c"]}
+    assert {k: sorted(v) for k, v in surfs.items()} == {"xx": ["a", "b"], "yy": [NULL_MARKER, "c"]}
     for key, labels in columns.items():
-        labels = [lab if lab is not None else "NULL" for lab in labels]
         for means, surf in surfs[key].items():
             one = fit_surface(pts, labels, means, grid=30)
             assert np.array_equal(surf.prob, one.prob)
@@ -204,7 +204,7 @@ def test_fit_surfaces_agrees_with_primal_weights():
     pts = rng.normal(size=(80, 2))
     columns = {
         "xx": [["a", "b", "c"][i % 3] for i in range(80)],
-        "yy": ["d" if p[0] + p[1] < 0 else None for p in pts],
+        "yy": ["d" if p[0] + p[1] < 0 else NULL_MARKER for p in pts],
     }
     grid = 60
     assert grid * grid > 3 * _NODE_CHUNK
@@ -215,7 +215,7 @@ def test_fit_surfaces_agrees_with_primal_weights():
     n_surfaces = 0
     for key, labels in columns.items():
         for means, surf in surfs[key].items():
-            want = predict(pts, labels, None if means == "NULL" else means, nodes)
+            want = predict(pts, labels, means, nodes)
             assert np.abs(surf.prob.ravel() - want).max() < 1e-10, (key, means)
             n_surfaces += 1
     assert n_surfaces == 5
@@ -747,7 +747,7 @@ def test_null_heat_counts():
     m = ParallelUsageMatrix(
         row_ids=["r1", "r2"],
         columns=[f"L{i}" for i in range(10)],
-        cells=[[None] * 10, ["w"] * 10],
+        cells=[[NULL_MARKER] * 10, ["w"] * 10],
     )
     assert null_heat(m) == [10, 0]
 
@@ -756,14 +756,14 @@ def test_null_heat_equals_brute_force_on_random_matrix():
     import random
 
     rng = random.Random(5)
-    cells = [[rng.choice(["x", None]) for _ in range(7)] for _ in range(40)]
+    cells = [[rng.choice(["x", NULL_MARKER]) for _ in range(7)] for _ in range(40)]
     m = ParallelUsageMatrix(
         row_ids=[f"r{i}" for i in range(40)],
         columns=[f"L{j}" for j in range(7)],
         cells=cells,
     )
     got = null_heat(m)
-    assert got == [sum(1 for c in row if c is None) for row in cells]
+    assert got == [sum(1 for c in row if c == NULL_MARKER) for row in cells]
 
 
 # text formatting ---------------------------------------------------------------

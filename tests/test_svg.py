@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from semmap.align import NULL_MARKER
 from semmap.surfaces import DEFAULT_LEVELS, KrigSurface, contour
 from semmap.svg import HEIGHT, MARGIN, NULL_COLOR, PALETTE, WIDTH, render_map
 
@@ -118,7 +119,7 @@ def map_contours():
 @pytest.mark.parametrize("with_contours", [False, True])
 def test_render_map_matches_per_vertex_oracle(with_contours):
     pts = unit_points()
-    labels = [("kai", "hote", None, "ote")[i % 4] for i in range(len(pts))]
+    labels = [("kai", "hote", NULL_MARKER, "ote")[i % 4] for i in range(len(pts))]
     contours = map_contours() if with_contours else None
     kwargs = dict(title="deu (Germanic)", comment="run abc seed=13")
     assert (render_map(pts, labels, contours, **kwargs)
@@ -128,7 +129,7 @@ def test_render_map_matches_per_vertex_oracle(with_contours):
 def test_heat_map_matches_per_vertex_oracle():
     pts = unit_points()
     heat = [(7 * i) % 11 for i in range(len(pts))]
-    labels = [None] * len(pts)
+    labels = [NULL_MARKER] * len(pts)
     assert (render_map(pts, labels, heat=heat, title="nulls")
             == render_map_oracle(pts, labels, heat=heat, title="nulls"))
 
@@ -144,10 +145,10 @@ def test_degenerate_extent_matches_per_vertex_oracle():
 def test_markup_in_title_and_labels_is_escaped():
     # normalize keeps "<", ">" and inner "&" in tokens, and family names may hold "&"
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    labels = ["x&y", "<c>", None, "x&y"]
+    labels = ["x&y", "<c>", NULL_MARKER, "x&y"]
     contours = {"<c>": {0.29: [np.array([[0.1, 0.1], [0.9, 0.1], [0.5, 0.9]])]}}
     root = ET.fromstring(render_map(pts, labels, contours, title="A & B"))
     ns = "{http://www.w3.org/2000/svg}"
     texts = [t.text for t in root.iter(f"{ns}text")]
-    assert texts == ["A & B", "<c>", "NULL", "x&y"]
+    assert texts == ["A & B", "<c>", NULL_MARKER, "x&y"]
     assert [t.text for t in root.iter(f"{ns}title")] == ["<c> @ 0.29"]

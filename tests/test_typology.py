@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from semmap.align import NULL_MARKER
 from semmap.typology import (
     GROUPS,
     SUBPATTERN_TEMPLATES,
@@ -283,13 +284,12 @@ def test_score_whole_map_means():
 def test_score_matches_brute_force_recount():
     rng = random.Random(3)
     assignments = np.array([rng.randint(0, 2) for _ in range(200)])
-    labels = [rng.choice(["a", "b", "c", None]) for _ in range(200)]
+    labels = [rng.choice(["a", "b", "c", NULL_MARKER]) for _ in range(200)]
     scores, _ = score_means(assignments, labels, 1)
-    norm = [lab if lab is not None else "NULL" for lab in labels]
     for s in scores:
-        tp = sum(1 for lab, a in zip(norm, assignments) if lab == s.means and a == 1)
-        fp = sum(1 for lab, a in zip(norm, assignments) if lab == s.means and a != 1)
-        fn = sum(1 for lab, a in zip(norm, assignments) if lab != s.means and a == 1)
+        tp = sum(1 for lab, a in zip(labels, assignments) if lab == s.means and a == 1)
+        fp = sum(1 for lab, a in zip(labels, assignments) if lab == s.means and a != 1)
+        fn = sum(1 for lab, a in zip(labels, assignments) if lab != s.means and a == 1)
         assert (s.tp, s.fp, s.fn) == (tp, fp, fn)
         assert s.precision == pytest.approx(tp / (tp + fp) if tp + fp else 0.0)
         assert s.recall == pytest.approx(tp / (tp + fn) if tp + fn else 0.0)
@@ -316,7 +316,7 @@ def proto_matrix():
         cells=[
             ["wenn", "jegda", "quando"],
             ["wenn", "jegda", "mentre"],
-            [None, None, None],
+            [NULL_MARKER, NULL_MARKER, NULL_MARKER],
         ],
     )
 
@@ -336,7 +336,7 @@ def test_prototypicality_all_null_scores_zero():
 
 def test_prototypicality_matches_brute_force():
     rng = random.Random(11)
-    forms = ["u", "v", None]
+    forms = ["u", "v", NULL_MARKER]
     cells = [[rng.choice(forms) for _ in range(5)] for _ in range(40)]
     matrix = ParallelUsageMatrix(
         row_ids=[f"r{i:02d}" for i in range(40)],
@@ -344,7 +344,7 @@ def test_prototypicality_matches_brute_force():
         cells=cells,
     )
     assignments = np.array([rng.randint(0, 1) for _ in range(40)])
-    best = {f"d{j}": rng.choice(["u", "v", "NULL"]) for j in range(5)}
+    best = {f"d{j}": rng.choice(["u", "v", NULL_MARKER]) for j in range(5)}
     ranking = prototypicality(1, best, matrix, assignments)
     got = dict(ranking)
     for i, rid in enumerate(matrix.row_ids):
@@ -353,7 +353,7 @@ def test_prototypicality_matches_brute_force():
             continue
         want = sum(
             1 for j in range(5)
-            if (cells[i][j] if cells[i][j] is not None else "NULL") == best[f"d{j}"]
+            if cells[i][j] == best[f"d{j}"]
         )
         assert got[rid] == want
     # ranking is by descending score then row id
