@@ -9,6 +9,7 @@ stored intermediates. Exit codes: 0 ok, 2 config error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ from . import treebank as tb
 from . import tsv
 from . import typology as ty
 from .corpus import CorpusError
-from .pipeline import ConfigError, PipelineConfig, check_grid_levels, run
+from .pipeline import ConfigError, PipelineConfig, check_grid_levels, check_kriging, run
 from .treebank import TreebankError
 from .typology import TypologyError
 
@@ -108,9 +109,38 @@ def _require(path: str, stage: str) -> Path:
     return p
 
 
+# the run's config fields that `map` draws its surfaces with
+_MAP_FIELDS = ("grid", "levels", "rho", "nugget_frac")
+
+
+def _map_settings(args) -> dict:
+    """Grid, levels, rho and nugget_frac for ``map``.
+
+    They come from the config.json beside ``--embedding`` (the run's),
+    or are PipelineConfig's defaults where there is none; ``--grid`` and
+    ``--levels`` override.
+    """
+    settings = {f.name: f.default for f in dataclasses.fields(PipelineConfig)
+                if f.name in _MAP_FIELDS}
+    path = Path(args.embedding).with_name("config.json")
+    if path.is_file():
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(stored, dict):
+            raise ConfigError(f"{path} is not a JSON object")
+        if not isinstance(stored.get("levels", []), list):
+            raise ConfigError(f"levels in {path} must be a JSON list, got {stored['levels']!r}")
+        settings.update((k, stored[k]) for k in _MAP_FIELDS if k in stored)
+    if args.grid is not None:
+        settings["grid"] = args.grid
+    settings["levels"] = (_split(args.levels, float) if args.levels is not None
+                          else tuple(settings["levels"]))
+    check_grid_levels(settings["grid"], settings["levels"])
+    check_kriging(settings["rho"], settings["nugget_frac"])
+    return settings
+
+
 def _cmd_map(args) -> int:
-    levels = _split(args.levels, float)
-    check_grid_levels(args.grid, levels)
+    settings = _map_settings(args)
     emb = pv.EmbeddedMap.from_tsv(_require(args.embedding, "run"))
     matrix = pv.ParallelUsageMatrix.from_tsv(_require(args.matrix, "run"))
     if emb.row_ids != matrix.row_ids:
@@ -120,7 +150,7 @@ def _cmd_map(args) -> int:
             "use the embedding and matrix of one `semmap run`")
     points = emb.coords[:, :2]
     labels = matrix.column(args.iso)
-    surfs = sf.fit_surfaces(points, {args.iso: labels}, grid=args.grid, levels=levels)[args.iso]
+    surfs = sf.fit_surfaces(points, {args.iso: labels}, **settings)[args.iso]
     svg_text = svgmod.render_map(points, labels, {m: s.contours for m, s in surfs.items()},
                                  title=args.iso)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -221,8 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--iso", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--grid", type=int, default=200)
-    p.add_argument("--levels", default=",".join(map(str, sf.DEFAULT_LEVELS)))
+    p.add_argument("--grid", type=int,
+                   help="kriging grid size (default: the run's, beside --embedding, else 200)")
+    p.add_argument("--levels", help="comma-separated contour levels (default: the run's, "
+                   f"beside --embedding, else {','.join(map(str, sf.DEFAULT_LEVELS))})")
     p.set_defaults(fn=_cmd_map)
 
     p = sub.add_parser("classify", help="classify stored area dictionaries")

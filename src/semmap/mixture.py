@@ -208,14 +208,13 @@ def silhouette_score(points, labels) -> float:
     pts = np.asarray(points, dtype=float)
     labels = np.asarray(labels)
     n = pts.shape[0]
-    uniq = np.unique(labels)
+    uniq, own_col = np.unique(labels, return_inverse=True)
     if uniq.size < 2:
         raise MixtureError("silhouette needs at least two clusters")
     dm = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
     onehot = (labels[:, None] == uniq[None, :]).astype(float)
     counts = onehot.sum(axis=0)
     sums = dm @ onehot                                   # (n, n_clusters)
-    own_col = np.searchsorted(uniq, labels)
     own_count = counts[own_col]
     scores = np.zeros(n)
     multi = own_count > 1
@@ -273,8 +272,7 @@ def select_k(points, candidates, seed: int = 0) -> SelectionReport:
                "silhouette": math.nan, "failed": True}
         try:
             model = fit_gmm(pts, k, seed=seed)
-            occupied = np.unique(model.assignments)
-            if occupied.size == k:
+            if np.bincount(model.assignments, minlength=k).all():
                 p = model.n_parameters()
                 ll = model.final_loglik
                 row.update(

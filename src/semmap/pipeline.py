@@ -28,7 +28,7 @@ from . import svg as svgmod
 from . import tsv
 from . import typology as ty
 
-__all__ = ["PipelineConfig", "ConfigError", "check_grid_levels", "run"]
+__all__ = ["PipelineConfig", "ConfigError", "check_grid_levels", "check_kriging", "run"]
 
 GROUPS = ty.GROUPS
 # config fields stored as JSON lists and held as tuples
@@ -52,6 +52,17 @@ def check_grid_levels(grid, levels) -> None:
 def _finite(value) -> bool:
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and math.isfinite(value))
+
+
+def check_kriging(rho, nugget_frac) -> None:
+    """Reject a covariance range or nugget that gives no valid kriging system."""
+    # exp(-h / rho) is a covariance only for rho > 0, and a negative
+    # nugget can make the kriging system indefinite
+    if rho is not None and not (_finite(rho) and rho > 0):
+        raise ConfigError(f"rho must be a finite number above 0, got {rho!r}")
+    if not (_finite(nugget_frac) and nugget_frac >= 0):
+        raise ConfigError(f"nugget_frac must be a finite number of at least 0, "
+                          f"got {nugget_frac!r}")
 
 
 def _check_integer(name: str, value, least: int = 1) -> None:
@@ -91,13 +102,7 @@ class PipelineConfig:
             raise ConfigError(f"metadata must be a path or null, got {self.metadata!r}")
         if self.metadata and not Path(self.metadata).is_file():
             raise ConfigError(f"metadata file not found: {self.metadata}")
-        # exp(-h / rho) is a covariance only for rho > 0, and a negative
-        # nugget can make the kriging system indefinite
-        if self.rho is not None and not (_finite(self.rho) and self.rho > 0):
-            raise ConfigError(f"rho must be a finite number above 0, got {self.rho!r}")
-        if not (_finite(self.nugget_frac) and self.nugget_frac >= 0):
-            raise ConfigError(f"nugget_frac must be a finite number of at least 0, "
-                              f"got {self.nugget_frac!r}")
+        check_kriging(self.rho, self.nugget_frac)
         check_grid_levels(self.grid, self.levels)
         if list(self.levels) != sorted(self.levels, reverse=True):
             raise ConfigError("levels must be sorted descending")

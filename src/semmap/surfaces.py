@@ -7,7 +7,9 @@ the kriging system, so every surface over the same points shares one
 system: ``fit_surfaces`` solves it once, in dual form, against all the
 indicators, and each node's value is its covariances to the points times
 the solved coefficients, with no per-node weights. Contours at fixed
-probability levels become closed polygons used for containment tests.
+probability levels become closed polygons used for containment tests;
+``fit_surfaces`` draws them for a batch of (surface, level) fields at
+once, its chains found as the cycles of a permutation.
 """
 
 from __future__ import annotations
@@ -41,6 +43,10 @@ _NODE_CHUNK = 1024
 # polygon edges per block of the batched containment test; bounds its
 # (points, edges) temporaries whatever the polygon size
 _EDGE_CHUNK = 128
+# padded lattice cells per batch of contoured (surface, level) fields;
+# bounds the batch's temporaries whatever the number of surfaces (a larger
+# field is a batch of its own)
+_CONTOUR_CELLS = 16384
 
 
 class SurfaceError(ValueError):
@@ -60,16 +66,17 @@ class KrigSurface:
         xs = [f"{x:.6f}" for x in self.xs.tolist()]
         lines = [tsv.format_rows([("x", "y", "prob")], header)]
         for y, probs in zip(self.ys.tolist(), self.prob.tolist()):
-            fy = f"{y:.6f}"
-            lines += [f"{fx}\t{fy}\t{p:.6f}\n" for fx, p in zip(xs, probs)]
+            # one template per row: every x, then the row's y and its value
+            tail = f"\t{y:.6f}\t%.6f\n"
+            lines.append((tail.join(xs) + tail) % tuple(probs))
         return "".join(lines)
 
     def contours_to_tsv(self, header: str | None = None) -> str:
         lines = [tsv.format_rows([("level", "polygon", "x", "y")], header)]
         for level in self.levels:
             for pi, poly in enumerate(self.contours.get(level, [])):
-                head = f"{level:g}\t{pi}"
-                lines += [f"{head}\t{x:.6f}\t{y:.6f}\n" for x, y in poly.tolist()]
+                row = f"{level:g}\t{pi}\t%.6f\t%.6f\n"
+                lines.append((row * len(poly)) % tuple(poly.ravel().tolist()))
         return "".join(lines)
 
 
@@ -123,15 +130,13 @@ def fit_surfaces(points, columns, grid: int = 200,
     ys = np.linspace(y0 - PAD_FRACTION * spany, y1 + PAD_FRACTION * spany, grid)
     gx, gy = np.meshgrid(xs, ys)
     nodes = np.column_stack([gx.ravel(), gy.ravel()])
-    probs = _krige(pts, z, nodes, rho, nugget_frac)
+    probs = _krige(pts, z, nodes, rho, nugget_frac).reshape(len(fields), len(ys), len(xs))
     np.clip(probs, 0.0, 1.0, out=probs)
+    levels = tuple(levels)
     surfs: dict[str, dict[str, KrigSurface]] = {key: {} for key in columns}
-    for (key, m), prob in zip(fields, probs):
-        surf = KrigSurface(means_label=m, xs=xs, ys=ys, prob=prob.reshape(len(ys), len(xs)),
-                           levels=tuple(levels))
-        for level in levels:
-            surf.contours[level] = contour(surf, level)
-        surfs[key][m] = surf
+    for (key, m), prob, polys in zip(fields, probs, _contours(xs, ys, probs, levels)):
+        surfs[key][m] = KrigSurface(means_label=m, xs=xs, ys=ys, prob=prob, levels=levels,
+                                    contours=dict(zip(levels, polys)))
     return surfs
 
 
@@ -151,7 +156,7 @@ def _krige(pts: np.ndarray, z: np.ndarray, nodes: np.ndarray, rho: float | None,
     n = pts.shape[0]
     dists = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
     if rho is None:
-        rho = float(np.median(dists[np.triu_indices(n, k=1)]))
+        rho = _median(dists[np.triu_indices(n, k=1)])
         if rho <= 0.0:
             raise SurfaceError("degenerate configuration: the points coincide")
     a = np.zeros((n + 1, n + 1))
@@ -179,6 +184,18 @@ def _krige(pts: np.ndarray, z: np.ndarray, nodes: np.ndarray, rho: float | None,
         d = np.sqrt(((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
         out[:, lo:lo + _NODE_CHUNK] = coef[:n].T @ np.exp(-d.T / rho) + coef[n][:, None]
     return out
+
+
+def _median(values: np.ndarray) -> float:
+    """The median of a non-empty 1-d array, as ``np.median`` gives it.
+
+    ``np.median`` imports ``numpy.ma`` on first use, 12-16 ms per process.
+    """
+    ordered = np.sort(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -219,92 +236,192 @@ def contour(surface: KrigSurface, level: float) -> list[np.ndarray]:
     follow the order of their first segment, cells being visited in
     row-major order.
     """
-    if not 0.0 < level < 1.0:
-        raise SurfaceError("level must be in (0, 1)")
-    starts, ends, edges = _segments(surface, level)
-    chains, _ = _assemble(starts, ends, edges)
-    lo = (surface.xs[0], surface.ys[0])
-    hi = (surface.xs[-1], surface.ys[-1])
-    starts, ends = np.clip(starts, lo, hi), np.clip(ends, lo, hi)
-    polys = []
-    for chain in chains:
-        # the first segment's start, then the end of every segment but the
-        # last, which returns to that start
-        poly = _dedupe(np.concatenate([starts[chain[:1]], ends[chain[:-1]]]))
-        if poly.shape[0] >= 3:
-            polys.append(poly)
-    return polys
+    return _contours(surface.xs, surface.ys, surface.prob[None], (level,))[0][0]
 
 
-def _segments(surface: KrigSurface,
-              level: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One level's iso-segments: start points, end points and lattice edges.
+def _contours(xs: np.ndarray, ys: np.ndarray, probs: np.ndarray,
+              levels: tuple[float, ...]) -> list[list[list[np.ndarray]]]:
+    """``contour`` of every field of a stack at every level.
 
-    Starts and ends are (m, 2) arrays; row i of the (m, 2) int array of
-    edges names the lattice edges segment i starts and ends on.
-    Case codes, edge crossings and segments are computed for all cells at
-    once; segments come in row-major cell order, the two of a saddle cell
-    in table order.
+    ``probs`` holds fields over the lattice ``xs`` by ``ys``, shape
+    (fields, len(ys), len(xs)); returns per field one polygon list per
+    level. The (field, level) pairs are contoured field-major, as many
+    at a time as fit in ``_CONTOUR_CELLS`` padded cells (at least one).
     """
-    xs, ys, prob = surface.xs, surface.ys, surface.prob
+    for level in levels:
+        if not 0.0 < level < 1.0:
+            raise SurfaceError("level must be in (0, 1)")
+    lv = np.array(levels, dtype=float)
+    pairs = len(probs) * len(lv)
+    per = max(1, _CONTOUR_CELLS // ((len(xs) + 2) * (len(ys) + 2)))
+    lo, hi = (xs[0], ys[0]), (xs[-1], ys[-1])
+    polys: list[list[np.ndarray]] = []
+    for first in range(0, pairs, per):
+        which = np.arange(first, min(first + per, pairs))
+        pts, edges, stack = _segments(xs, ys, probs[which // len(lv)], lv[which % len(lv)])
+        seq, lens, _ = _chains(pts, edges, stack, len(which))
+        polys += _polygons(np.clip(pts, lo, hi), seq, lens, stack, len(which))
+    return [polys[i * len(lv):(i + 1) * len(lv)] for i in range(len(probs))]
+
+
+def _segments(xs: np.ndarray, ys: np.ndarray, probs: np.ndarray,
+              levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Iso-segments of a stack of fields, each at its own level.
+
+    ``probs`` is (stacks, len(ys), len(xs)) and ``levels`` (stacks,).
+    Returns, for m segments, the (2m, 2) points (row i is segment i's
+    start, row m + i its end), the (2m,) lattice edges those points lie
+    on, and the (m,) stack of each segment. Case codes, edge crossings
+    and segments are computed for all stacks at once; segments come in
+    stack order, then row-major cell order, the two of a saddle cell in
+    table order. Each stack's lattice edges are numbered apart from every
+    other stack's.
+    """
     gx = np.concatenate([[2 * xs[0] - xs[1]], xs, [2 * xs[-1] - xs[-2]]])
     gy = np.concatenate([[2 * ys[0] - ys[1]], ys, [2 * ys[-1] - ys[-2]]])
-    vals = np.full((len(gy), len(gx)), level - 1.0)
-    vals[1:-1, 1:-1] = prob
+    w, cells = len(gx), len(gx) * len(gy)
+    vals = np.empty((len(levels), len(gy), w))
+    vals[:] = (levels - 1.0)[:, None, None]
+    vals[:, 1:-1, 1:-1] = probs
 
-    inside = vals >= level
-    code = (inside[:-1, :-1] + 2 * inside[:-1, 1:]
-            + 4 * inside[1:, 1:] + 8 * inside[1:, :-1])
-    iy, ix = np.nonzero((code != 0) & (code != 15))
-    centre_in = (vals[iy, ix] + vals[iy, ix + 1] + vals[iy + 1, ix + 1]
-                 + vals[iy + 1, ix]) / 4.0 >= level
-    pairs = _EDGE_PAIRS[code[iy, ix], centre_in.astype(np.intp)]
+    bits = (vals >= levels[:, None, None]).view(np.uint8)
+    code = (bits[:, :-1, :-1] | bits[:, :-1, 1:] << 1
+            | bits[:, 1:, 1:] << 2 | bits[:, 1:, :-1] << 3)
+    ib, iy, ix = np.nonzero((code != 0) & (code != 15))
+    flat = vals.ravel()
+    # every active cell's bottom-left node, as an index into ``flat``
+    base = ib * cells + iy * w + ix
+    centre_in = (flat[base] + flat[base + 1] + flat[base + w + 1]
+                 + flat[base + w]) / 4.0 >= levels[ib]
+    pairs = _EDGE_PAIRS[code[ib, iy, ix], centre_in.astype(np.intp)]
     cell, k = np.nonzero(pairs[:, :, 0] >= 0)
-    m = cell.shape[0]
+    stack = ib[cell]
     # the cell edge of every segment's start, then of every segment's end;
     # edge e runs from corner a = e to corner b = e + 1, across the level
     e = pairs[cell, k].T.ravel()
     cell = np.concatenate([cell, cell])
+    of = ib[cell]
+    f = (e + 1) % 4
     ax, ay = ix[cell] + _CORNER_DX[e], iy[cell] + _CORNER_DY[e]
-    bx, by = ix[cell] + _CORNER_DX[(e + 1) % 4], iy[cell] + _CORNER_DY[(e + 1) % 4]
-    va = vals[ay, ax]
-    t = (level - va) / (vals[by, bx] - va)
+    bx, by = ix[cell] + _CORNER_DX[f], iy[cell] + _CORNER_DY[f]
+    # both corners as indices into ``flat``
+    a, b = of * cells + ay * w + ax, of * cells + by * w + bx
+    va = flat[a]
+    t = (levels[of] - va) / (flat[b] - va)
     pts = np.column_stack([gx[ax] + t * (gx[bx] - gx[ax]), gy[ay] + t * (gy[by] - gy[ay])])
     # a lattice edge is named by its lower node and whether it is vertical
-    a, b = ay * len(gx) + ax, by * len(gx) + bx
-    edges = 2 * np.minimum(a, b) + (ax == bx)
-    return pts[:m], pts[m:], edges.reshape(2, m).T
+    return pts, 2 * np.minimum(a, b) + (ax == bx), stack
 
 
-def _assemble(starts: np.ndarray, ends: np.ndarray,
-              edges: np.ndarray) -> tuple[list[list[int]], int]:
-    """Segment-index chains that close, and the number of chains that do not.
+def _chains(pts: np.ndarray, edges: np.ndarray, stack: np.ndarray,
+            n_stacks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every stack's closed segment chains, and its number of open ones.
 
-    Two points meet when they lie on the same lattice edge (``edges``, as
-    from ``_segments``), or when both coordinates round, half to even, to
-    the same multiple of span * 1e-9, span being the largest absolute
-    coordinate (at least 1). Each unused segment in turn starts a chain,
-    which takes the first unused segment starting where it ends until it
-    returns to its start. A chain no segment continues is open and dropped
-    (the padded ring makes that impossible); closed chains of fewer than
-    three segments are dropped too.
+    Takes ``_segments``' output. Two points of a stack meet when they lie
+    on the same lattice edge, or when both coordinates round, half to
+    even, to the same multiple of span * 1e-9, span being the stack's
+    largest absolute coordinate (at least 1). Where every meeting point
+    (node) of a stack starts one segment and ends one, "next segment" is
+    a permutation and the chains are its cycles: pointer jumping labels
+    each cycle by its smallest segment and counts every segment's steps
+    to it, which rank the segments along the cycle (Wyllie 1979). Other
+    stacks, which a lattice value exactly on the level makes, take
+    ``_assemble``. Chains of fewer than three segments are dropped.
+
+    Returns the segments of every chain, chain after chain in order of
+    their first segment, the chain lengths, and per stack the number of
+    chains no segment continues (the padded ring makes that impossible).
     """
-    m = starts.shape[0]
+    m = len(stack)
+    n_open = np.zeros(n_stacks, dtype=np.intp)
     if m == 0:
-        return [], 0
-    scale = max(float(np.abs(starts).max()), float(np.abs(ends).max()), 1.0) * 1e-9
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), n_open
+    bounds = np.searchsorted(stack, np.arange(n_stacks + 1))
+    filled = np.flatnonzero(np.diff(bounds))
+    big = np.abs(pts).max(axis=1)
+    span = np.ones(n_stacks)
+    span[filled] = np.maximum(np.maximum.reduceat(np.maximum(big[:m], big[m:]),
+                                                  bounds[filled]), 1.0)
+    both = np.concatenate([stack, stack])
     # |coordinate / scale| is at most ~1e9 < 2**31, so both keys pack into one int64
-    keys = np.rint(np.concatenate([starts, ends]) / scale).astype(np.int64)
+    keys = np.rint(pts / (span * 1e-9)[both][:, None]).astype(np.int64)
     packed = keys[:, 0] * (1 << 32) + keys[:, 1]
     # the two cells sharing a lattice edge interpolate its crossing from
     # opposite corners, and the last bit they differ in can round to another
-    # key; every point on an edge takes the key of the edge's first point
-    _, first, copy = np.unique(edges.T.ravel(), return_index=True, return_inverse=True)
-    nodes, node = np.unique(packed[first][copy], return_inverse=True)
+    # key; every point on an edge takes the key of the edge's first point.
+    # Edges come sorted by stack, so nodes are numbered stack after stack.
+    _, first, copy = np.unique(edges, return_index=True, return_inverse=True)
+    by_key = np.lexsort((packed[first], both[first]))
+    key, of = packed[first][by_key], both[first][by_key]
+    fresh = np.concatenate([[True], (key[1:] != key[:-1]) | (of[1:] != of[:-1])])
+    node = np.empty(len(first), dtype=np.intp)
+    node[by_key] = np.cumsum(fresh) - 1
+    node = node[copy]
+    src, dst = node[:m], node[m:]
+    n_nodes = int(node.max()) + 1
+    bad = (np.bincount(src, minlength=n_nodes) != 1) | (np.bincount(dst, minlength=n_nodes) != 1)
+    regular = np.ones(n_stacks, dtype=bool)
+    regular[of[fresh][bad]] = False
+
+    ids = np.arange(m)
+    follows = np.zeros(n_nodes, dtype=np.intp)
+    follows[src] = ids
+    # segments of the other stacks stand alone, as cycles of one
+    nxt = np.where(regular[stack], follows[dst], ids)
+    # after round r, ``label`` is the smallest segment among the 2**r from
+    # each segment on, ``ahead`` the steps to it, and ``jump`` the segment
+    # 2**r on; once a round changes no label, every window holds its
+    # cycle's smallest segment
+    label, ahead, jump, step = ids, np.zeros(m, dtype=np.intp), nxt, 1
+    while True:
+        later = label[jump]
+        nearer = later < label
+        if not nearer.any():
+            break
+        label = np.where(nearer, later, label)
+        ahead = np.where(nearer, step + ahead[jump], ahead)
+        jump, step = jump[jump], 2 * step
+    size = np.bincount(label, minlength=m)
+    # the position along the cycle from its smallest segment
+    rank = (size[label] - ahead) % size[label]
+
+    cycles = np.flatnonzero((label == ids) & (size >= 3))
+    loops = []
+    for s in np.flatnonzero(~regular).tolist():
+        lo, hi = bounds[s], bounds[s + 1]
+        base = min(src[lo:hi].min(), dst[lo:hi].min())
+        chains, n_open[s] = _assemble(src[lo:hi] - base, dst[lo:hi] - base)
+        loops += [[lo + i for i in chain] for chain in chains]
+    heads = np.concatenate([cycles, np.array([c[0] for c in loops], dtype=np.intp)])
+    lens = np.concatenate([size[cycles], np.array([len(c) for c in loops], dtype=np.intp)])
+    order = np.argsort(heads)
+    heads, lens = heads[order], lens[order]
+    # every chain's offset in ``seq``, at its first segment
+    at = np.zeros(m, dtype=np.intp)
+    at[heads] = np.cumsum(lens) - lens
+    seq = np.empty(int(lens.sum()), dtype=np.intp)
+    on_cycle = np.flatnonzero(size[label] >= 3)
+    seq[at[label[on_cycle]] + rank[on_cycle]] = on_cycle
+    for chain in loops:
+        seq[at[chain[0]]:at[chain[0]] + len(chain)] = chain
+    return seq, lens, n_open
+
+
+def _assemble(src: np.ndarray, dst: np.ndarray) -> tuple[list[list[int]], int]:
+    """Segment-index chains that close, and the number of chains that do not.
+
+    ``src`` and ``dst`` give each segment's start and end node, numbered
+    from 0. Each unused segment in turn starts a chain, which takes the
+    first unused segment starting where it ends until it returns to its
+    start. A chain no segment continues is open and dropped; closed
+    chains of fewer than three segments are dropped too.
+    """
+    m = src.shape[0]
+    n_nodes = int(max(src.max(), dst.max())) + 1
     # segments grouped by start node, in segment order within a node
-    order = np.argsort(node[:m], kind="stable")
-    bounds = np.searchsorted(node[:m][order], np.arange(len(nodes) + 1))
-    src, dst, order = node[:m].tolist(), node[m:].tolist(), order.tolist()
+    order = np.argsort(src, kind="stable")
+    bounds = np.searchsorted(src[order], np.arange(n_nodes + 1))
+    src, dst, order = src.tolist(), dst.tolist(), order.tolist()
     # per node, the position in ``order`` before which every segment is used
     head, stop = bounds[:-1].tolist(), bounds[1:].tolist()
     used = [False] * m
@@ -333,31 +450,67 @@ def _assemble(starts: np.ndarray, ends: np.ndarray,
     return chains, n_open
 
 
-def _dedupe(arr: np.ndarray) -> np.ndarray:
-    """The polygon without repeated vertices.
+def _polygons(pts: np.ndarray, seq: np.ndarray, lens: np.ndarray, stack: np.ndarray,
+              n_stacks: int) -> list[list[np.ndarray]]:
+    """Per stack, the polygons of ``_chains``' chains over the (clamped) ``pts``.
 
-    A vertex is dropped when both its coordinates lie within span * 1e-12
-    of the last vertex kept (span: the largest absolute coordinate, at
-    least 1), and trailing vertices within that of the first are dropped.
+    A chain's polygon is its first segment's start, then the end of every
+    segment but the last, which returns to that start; ``_dedupe`` drops
+    its repeated vertices, and a polygon left with fewer than three is
+    dropped.
     """
-    span = max(float(np.abs(arr).max()), 1.0)
-    tol = span * 1e-12
-    step = np.abs(np.diff(arr, axis=0)) > tol
-    keep = np.concatenate([[True], step[:, 0] | step[:, 1]])
-    kept = np.flatnonzero(keep).tolist()
-    if len(kept) < len(arr):
-        # comparing with the predecessor is comparing with the last kept
-        # vertex unless a run of dropped vertices drifts; then take the loop
-        last = np.maximum.accumulate(np.where(keep, np.arange(len(arr)), 0))
-        drift = np.abs(arr[1:] - arr[last[:-1]]) > tol
-        if not np.array_equal(keep[1:], drift[:, 0] | drift[:, 1]):
-            kept = [0]
-            for i in range(1, len(arr)):
-                if (np.abs(arr[i] - arr[kept[-1]]) > tol).any():
-                    kept.append(i)
-    while len(kept) > 1 and (np.abs(arr[kept[-1]] - arr[kept[0]]) <= tol).all():
-        kept.pop()
-    return arr[kept]
+    polys: list[list[np.ndarray]] = [[] for _ in range(n_stacks)]
+    if not len(seq):
+        return polys
+    m = len(stack)
+    first = np.cumsum(lens) - lens
+    verts = pts[m + np.roll(seq, 1)]
+    verts[first] = pts[seq[first]]
+    keep = _dedupe(verts, lens)
+    ends = np.cumsum(np.add.reduceat(keep.astype(np.intp), first)).tolist()
+    verts = verts[keep]
+    for s, lo, hi in zip(stack[seq[first]].tolist(), [0] + ends, ends):
+        if hi - lo >= 3:
+            polys[s].append(verts[lo:hi])
+    return polys
+
+
+def _dedupe(verts: np.ndarray, lens) -> np.ndarray:
+    """Which vertices the polygons keep once repeated vertices are dropped.
+
+    ``verts`` holds the polygons one after another, ``lens`` their vertex
+    counts. A vertex is dropped when both its coordinates lie within
+    span * 1e-12 of the last vertex its polygon kept (span: the polygon's
+    largest absolute coordinate, at least 1), and trailing vertices within
+    that of the polygon's first are dropped. Returns a bool mask.
+    """
+    lens = np.asarray(lens, dtype=np.intp)
+    first = np.cumsum(lens) - lens
+    poly = np.repeat(np.arange(len(lens)), lens)
+    rows = np.arange(len(verts))
+    span = np.maximum(np.maximum.reduceat(np.abs(verts).max(axis=1), first), 1.0)
+    tol = (span * 1e-12)[poly][:, None]
+    keep = np.ones(len(verts), dtype=bool)
+    keep[1:] = (np.abs(np.diff(verts, axis=0)) > tol[1:]).any(axis=1)
+    keep[first] = True
+    # comparing with the predecessor is comparing with the last kept
+    # vertex unless a run of dropped vertices drifts; such polygons take
+    # the loop
+    last = np.maximum.accumulate(np.where(keep, rows, 0))
+    drift = (np.abs(verts[1:] - verts[last[:-1]]) > tol[1:]).any(axis=1)
+    drift[first[1:] - 1] = True
+    for p in sorted(set(poly[1:][keep[1:] != drift].tolist())):
+        lo, hi = first[p], first[p] + lens[p]
+        kept = [lo]
+        for i in range(lo + 1, hi):
+            if (np.abs(verts[i] - verts[kept[-1]]) > tol[i]).any():
+                kept.append(i)
+        keep[lo:hi] = False
+        keep[kept] = True
+    near = (np.abs(verts - verts[first][poly]) <= tol).all(axis=1)
+    near[first] = False
+    anchor = np.maximum.accumulate(np.where(keep & ~near, rows, 0))
+    return keep & (rows <= anchor[first + lens - 1][poly])
 
 
 def contains(polygons: list[np.ndarray], point):

@@ -32,13 +32,13 @@ def _scale(points: np.ndarray):
     spanx = (x1 - x0) or 1.0
     spany = (y1 - y0) or 1.0
 
-    def to_px(p) -> list[list[float]]:
+    def to_px(p) -> np.ndarray:
         """Pixel coordinates of each row of an (m, 2) array of map coordinates."""
         p = np.asarray(p, dtype=float)
         x = MARGIN + (p[:, 0] - x0) / spanx * (WIDTH - 2 * MARGIN)
         # svg y grows downward
         y = HEIGHT - MARGIN - (p[:, 1] - y0) / spany * (HEIGHT - 2 * MARGIN)
-        return np.column_stack([x, y]).tolist()
+        return np.column_stack([x, y])
 
     return to_px
 
@@ -89,7 +89,7 @@ def render_map(points, labels, contours_by_means=None, heat=None,
 
     if heat is not None:
         top = max(max(heat), 1)
-        for (x, y), h in zip(to_px(pts), heat):
+        for (x, y), h in zip(to_px(pts).tolist(), heat):
             # warm red for many NULLs, cold blue for few
             frac = h / top
             r = int(40 + 215 * frac)
@@ -99,7 +99,7 @@ def render_map(points, labels, contours_by_means=None, heat=None,
                 f'fill="rgb({r},60,{b})"/>'
             )
     else:
-        for (x, y), lab in zip(to_px(pts), labels):
+        for (x, y), lab in zip(to_px(pts).tolist(), labels):
             out.append(
                 f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3.0" '
                 f'fill="{color_of[lab]}" fill-opacity="0.75"/>'
@@ -111,7 +111,8 @@ def render_map(points, labels, contours_by_means=None, heat=None,
             level_map = contours_by_means[m]
             for level in sorted(level_map, reverse=True):
                 for poly in level_map[level]:
-                    coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in to_px(poly))
+                    px = to_px(poly)
+                    coords = " ".join(["%.3f,%.3f"] * len(px)) % tuple(px.ravel().tolist())
                     out.append(
                         f'<polygon points="{coords}" fill="none" '
                         f'stroke="{color}" stroke-width="1.5" '

@@ -211,6 +211,62 @@ def test_map_subcommand_three_disjoint_families(tmp_path, capsys):
                     assert not contains(areas[a], vertex), (a, b)
 
 
+def polygons_of(svg: str) -> list[str]:
+    """The points of every contour polygon of an SVG map, in document order."""
+    return [line.split('"')[1] for line in svg.splitlines() if line.startswith("<polygon")]
+
+
+def test_map_draws_what_run_drew(tmp_path, capsys):
+    # a run with non-default kriging settings; map reads them from the
+    # config.json beside the embedding, and grid and levels with them
+    corpus = tmp_path / "corpus"
+    _, anchors, _ = build_corpus(corpus, n_verses=90, seed=11)
+    out = tmp_path / "out"
+    config = PipelineConfig(
+        corpus_dir=str(corpus), metadata=str(corpus / "meta.tsv"), out_dir=str(out),
+        gmm_ks=(3,), grid=40, levels=(0.4, 0.29), dictionary_level=0.29, core_k=10,
+        rho=0.05, nugget_frac=0.2, group_anchors=anchors, dump_grids=False,
+    )
+    cfg = tmp_path / "config.json"
+    cfg.write_text(config.to_json(), encoding="utf-8")
+    assert main(["run", "--config", str(cfg)]) == 0
+    isos = sorted(p.stem for p in (out / "svg").glob("*.svg") if p.stem != "heat")
+    assert len(isos) == 18
+    drawn = 0
+    for iso in isos:
+        svg = tmp_path / f"{iso}.svg"
+        assert main(["map", "--embedding", str(out / "embedding.tsv"),
+                     "--matrix", str(out / "matrix.tsv"), "--iso", iso, "--out", str(svg)]) == 0
+        want = polygons_of((out / "svg" / f"{iso}.svg").read_text(encoding="utf-8"))
+        assert polygons_of(svg.read_text(encoding="utf-8")) == want, iso
+        drawn += len(want)
+    assert drawn > 0
+    # flags still override the run's grid and levels
+    svg = tmp_path / "flags.svg"
+    assert main(["map", "--embedding", str(out / "embedding.tsv"),
+                 "--matrix", str(out / "matrix.tsv"), "--iso", isos[0], "--out", str(svg),
+                 "--grid", "30", "--levels", "0.5"]) == 0
+    assert "@ 0.5<" in svg.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("stored, reason", [
+    ("[1, 2]", "is not a JSON object"),
+    ('{"rho": -1.0}', "rho must be"),
+    ('{"nugget_frac": "x"}', "nugget_frac must be"),
+    ('{"levels": 0.29}', "must be a JSON list"),
+    ('{"grid": 1}', "grid must be"),
+], ids=["not_object", "negative_rho", "string_nugget", "scalar_levels", "grid_one"])
+def test_map_bad_run_config_is_config_error(tmp_path, capsys, stored, reason):
+    _, _, emb, mat = null_diluted_fixture(tmp_path)
+    (tmp_path / "config.json").write_text(stored, encoding="utf-8")
+    out = tmp_path / "map.svg"
+    assert main(["map", "--embedding", str(emb), "--matrix", str(mat),
+                 "--iso", "xyz", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and reason in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_map_missing_intermediate_instructs(tmp_path, capsys):
     code = main(["map", "--embedding", str(tmp_path / "e.tsv"),
                  "--matrix", str(tmp_path / "m.tsv"),

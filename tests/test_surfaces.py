@@ -1,16 +1,26 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import semmap
+import semmap.surfaces as surfaces_module
 from semmap.align import NULL_MARKER
 from semmap.pivot import ParallelUsageMatrix
 from semmap.surfaces import (
     DEFAULT_LEVELS,
     KrigSurface,
     SurfaceError,
+    _CONTOUR_CELLS,
     _NODE_CHUNK,
-    _assemble,
+    _chains,
+    _contours,
     _dedupe,
     _krige,
+    _median,
     _segments,
     contains,
     contour,
@@ -620,19 +630,21 @@ CLOSURE_FIELDS = [
 
 
 def test_every_contour_chain_closes():
-    # 432 fields; quantized ones put crossings on exact halves of the
-    # assembly's rounding step, where the two cells sharing a lattice edge
-    # can round its crossing apart
+    # 432 fields, each one stack of its three levels; quantized ones put
+    # crossings on exact halves of the assembly's rounding step, where the
+    # two cells sharing a lattice edge can round its crossing apart
     rng = np.random.default_rng(29)
+    levels = np.array(CLOSURE_LEVELS)
     for _ in range(12):
         for kind, scale, offset in CLOSURE_FIELDS:
             surf = random_field(rng, kind, scale, offset)
-            for level in CLOSURE_LEVELS:
-                chains, n_open = _assemble(*_segments(surf, level))
-                assert n_open == 0, (kind, scale, offset, level)
-                # a closed chain never reuses a segment
-                flat = [i for chain in chains for i in chain]
-                assert len(flat) == len(set(flat))
+            pts, edges, stack = _segments(surf.xs, surf.ys, np.stack([surf.prob] * 3), levels)
+            seq, lens, n_open = _chains(pts, edges, stack, 3)
+            assert n_open.tolist() == [0, 0, 0], (kind, scale, offset)
+            # a closed chain never reuses a segment, nor leaves its stack
+            assert len(set(seq.tolist())) == len(seq)
+            heads = seq[np.cumsum(lens) - lens]
+            assert np.array_equal(stack[seq], np.repeat(stack[heads], lens))
 
 
 @pytest.mark.parametrize("kind, scale, offset", CLOSURE_FIELDS)
@@ -642,6 +654,156 @@ def test_contour_matches_scalar_oracle_on_random_fields(kind, scale, offset):
         surf = random_field(rng, kind, scale, offset)
         for level in CLOSURE_LEVELS:
             assert_same_polygons(contour(surf, level), contour_oracle(surf, level))
+
+
+# batched contours ---------------------------------------------------------------
+
+STACK_KINDS = ("uniform", "snapped", "on-level", "bump")
+
+
+def field_stack(seed, kinds, ny, nx, scale, levels):
+    """Fields of the kinds named over one ``ny`` by ``nx`` lattice of extent
+    ``scale``: uniform values, values snapped to 0.1, values on
+    0.2/0.5/0.8 only (lattice values exactly on a level), or a bump."""
+    rng = np.random.default_rng(seed)
+    xs = scale * (np.linspace(0.0, 1.0, nx) - rng.uniform(0.0, 2.0))
+    ys = scale * np.linspace(-0.4, 0.3, ny)
+    gx, gy = np.meshgrid(np.linspace(-1.0, 1.0, nx), np.linspace(-1.0, 1.0, ny))
+    probs = []
+    for kind in kinds:
+        u = rng.uniform(0.0, 1.0, size=(ny, nx))
+        probs.append({
+            "uniform": u,
+            "snapped": np.round(u * 10) / 10,
+            "on-level": rng.choice([0.2, 0.5, 0.8], size=(ny, nx)),
+            "bump": np.exp(-((gx - u[0, 0] + 0.5) ** 2 + gy ** 2) * 4.0),
+        }[kind])
+    return xs, ys, np.array(probs), tuple(levels)
+
+
+def assert_batch_matches_oracle(xs, ys, probs, levels):
+    got = _contours(xs, ys, probs, levels)
+    assert len(got) == len(probs)
+    for prob, polys in zip(probs, got):
+        surf = KrigSurface("f", xs, ys, prob, levels)
+        assert len(polys) == len(levels)
+        for level, p in zip(levels, polys):
+            assert_same_polygons(p, contour_oracle(surf, level))
+
+
+def stack_cases(st, min_side, max_side):
+    return st.tuples(
+        st.integers(0, 2 ** 32 - 1),
+        st.lists(st.sampled_from(STACK_KINDS), min_size=1, max_size=6),
+        st.integers(min_side, max_side),
+        st.integers(min_side, max_side),
+        st.sampled_from([1e-3, 1.0, 1e3, 1e6]),
+        st.lists(st.sampled_from([0.5, 0.3, 0.29, 0.2, 0.8, 0.35]), min_size=1, max_size=3),
+    )
+
+
+def test_batched_contours_match_scalar_oracle_per_field():
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hyp.given(stack_cases(hyp.strategies, 2, 16))
+    @hyp.example((29, ["uniform", "on-level", "snapped"], 24, 24, 1.0, list(CLOSURE_LEVELS)))
+    @hyp.example((31, ["on-level", "bump"], 2, 23, 1e6, [0.5, 0.2]))
+    def check(case):
+        assert_batch_matches_oracle(*field_stack(*case))
+
+    check()
+
+
+def test_batched_contours_spanning_several_batches_match_scalar_oracle():
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @hyp.given(stack_cases(hyp.strategies, 30, 44))
+    @hyp.example((23, ["bump", "uniform", "on-level", "snapped", "bump"], 40, 40, 1.0,
+                  list(DEFAULT_LEVELS)))
+    def check(case):
+        seed, kinds, ny, nx, scale, levels = case
+        cells = (ny + 2) * (nx + 2)
+        # enough fields for the (field, level) pairs to fill two batches
+        per = _CONTOUR_CELLS // cells
+        kinds = (kinds * (2 * per + 1))[:max(len(kinds), per // len(levels) + 1)]
+        assert len(kinds) * len(levels) > per
+        assert_batch_matches_oracle(*field_stack(seed, kinds, ny, nx, scale, levels))
+
+    check()
+
+
+def test_only_stacks_with_on_level_values_take_the_loop(monkeypatch):
+    calls = []
+    loop = surfaces_module._assemble
+
+    def spy(src, dst):
+        calls.append(len(src))
+        return loop(src, dst)
+
+    monkeypatch.setattr(surfaces_module, "_assemble", spy)
+    xs, ys, probs, levels = field_stack(3, ["uniform", "on-level", "bump"], 20, 20, 1.0,
+                                        (0.5, 0.35))
+    assert_batch_matches_oracle(xs, ys, probs, levels)
+    # the on-level field at 0.5 only; at 0.35 no lattice value is on the level
+    assert len(calls) == 1
+
+
+def test_fit_surfaces_contours_equal_one_contour_call_per_level():
+    rng = np.random.default_rng(14)
+    pts = rng.normal(size=(60, 2))
+    columns = {"xx": [["a", "b", "c"][i % 3] for i in range(60)],
+               "yy": ["d" if p[0] < 0.3 else NULL_MARKER for p in pts]}
+    surfs = fit_surfaces(pts, columns, grid=50)
+    assert 5 * len(DEFAULT_LEVELS) * 52 * 52 > _CONTOUR_CELLS
+    for key in columns:
+        for surf in surfs[key].values():
+            assert list(surf.contours) == list(DEFAULT_LEVELS)
+            for level in DEFAULT_LEVELS:
+                assert_same_polygons(surf.contours[level], contour(surf, level))
+
+
+# median ------------------------------------------------------------------------
+
+def test_median_equals_numpy_median():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
+    @hyp.example([0.1, 0.2, 0.7])
+    @hyp.example([0.1, 0.2, 0.7, 0.3])
+    @hyp.example([1.0 / 3.0, 2.0 / 3.0])
+    def check(values):
+        a = np.array(values)
+        assert _median(a) == float(np.median(a))
+
+    check()
+    rng = np.random.default_rng(2)
+    for n in (45, 46, 4950, 4951):
+        a = rng.uniform(0.0, 7.0, size=n)
+        assert _median(a) == float(np.median(a))
+
+
+def test_fit_surfaces_and_k_selection_leave_numpy_ma_unimported():
+    # np.median and np.unique without indices import numpy.ma on first
+    # use, 12-16 ms in every process
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from semmap.mixture import select_k\n"
+        "from semmap.surfaces import fit_surfaces\n"
+        "pts = np.random.default_rng(0).normal(size=(40, 2))\n"
+        "fit_surfaces(pts, {'x': ['a' if p[0] < 0 else 'b' for p in pts]}, grid=30)\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported by fit_surfaces'\n"
+        "select_k(pts, (2, 3), seed=0)\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported by select_k'\n"
+    )
+    src = str(Path(semmap.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=False)
+    assert proc.returncode == 0, proc.stderr
 
 
 def drifting_polygon():
@@ -662,10 +824,23 @@ DEDUPE_CASES = {
 }
 
 
+def dedupe(arr):
+    """``_dedupe`` of one polygon, as the vertices it keeps."""
+    return arr[_dedupe(arr, [len(arr)])]
+
+
+def dedupe_all(polys):
+    """``_dedupe`` of polygons in one call, as each polygon's kept vertices."""
+    lens = [len(p) for p in polys]
+    keep = _dedupe(np.concatenate(polys), lens)
+    bounds = np.cumsum(lens)[:-1]
+    return [p[k] for p, k in zip(polys, np.split(keep, bounds))]
+
+
 @pytest.mark.parametrize("name", sorted(DEDUPE_CASES))
 def test_dedupe_matches_loop(name):
     arr = DEDUPE_CASES[name]
-    got = _dedupe(arr)
+    got = dedupe(arr)
     assert got.dtype == arr.dtype
     assert np.array_equal(got, dedupe_oracle(arr))
 
@@ -674,11 +849,21 @@ def test_dedupe_drifting_run_needs_the_loop():
     # vertex 2 is kept, though comparing it with its predecessor alone
     # would drop it; vertex 5 repeats vertex 4
     arr = drifting_polygon()
-    assert np.array_equal(_dedupe(arr), arr[[0, 2, 3, 4]])
+    assert np.array_equal(dedupe(arr), arr[[0, 2, 3, 4]])
+
+
+def test_dedupe_of_many_polygons_matches_loop_per_polygon():
+    # each polygon has its own span and tolerance; the drifting ones take
+    # the loop while their neighbours do not
+    polys = [DEDUPE_CASES[name] * scale
+             for scale in (1.0, 1e-6, 1e6) for name in sorted(DEDUPE_CASES)]
+    for got, arr in zip(dedupe_all(polys), polys):
+        assert np.array_equal(got, dedupe_oracle(arr))
 
 
 def test_dedupe_matches_loop_on_random_near_duplicate_runs():
     rng = np.random.default_rng(37)
+    polys = []
     for _ in range(300):
         n = int(rng.integers(1, 30))
         base = rng.uniform(-3.0, 3.0, size=(n, 2))
@@ -688,7 +873,10 @@ def test_dedupe_matches_loop_on_random_near_duplicate_runs():
         arr = arr + rng.choice([0.0, 0.6, -0.6, 1.2], size=arr.shape) * tol
         if rng.uniform() < 0.3:
             arr = np.concatenate([arr, arr[:1]])
-        assert np.array_equal(_dedupe(arr), dedupe_oracle(arr))
+        assert np.array_equal(dedupe(arr), dedupe_oracle(arr))
+        polys.append(arr)
+    for got, arr in zip(dedupe_all(polys), polys):
+        assert np.array_equal(got, dedupe_oracle(arr))
 
 
 def probe_points(polys, rng, n_random=60):
