@@ -11,7 +11,8 @@ reassigned to NULL corpus-wide.
 Each pair's verses are coded once as integer arrays (``Bitext``). EM
 and the argmax work on the flattened (verse, token, token) cells with
 ``np.bincount`` and ``reduceat``, adding in the order a per-verse loop
-would, so tables and links do not depend on the batching.
+would, so tables and links do not depend on the batching. One E-step
+serves all cells: a probability that underflowed to 0 just weighs 0.
 """
 
 from __future__ import annotations
@@ -202,27 +203,15 @@ def train_em(bitext, iterations: int = 5) -> TranslationModel:
         p = t[pair]
         z = np.bincount(tgt_idx, weights=p, minlength=len(tgt.codes))
         zc = np.repeat(z, run)   # z[tgt_idx], as a target token's cells are contiguous
-        # a cell counts when its target token's z and its own p are > 0
-        live = (zc > 0.0) & (p > 0.0)
-        if live.all():
-            # the usual case: every key has a live cell, so the sums and
-            # the update see the same arrays the masked branch would
-            w = p / zc
-            counts = np.bincount(pair, weights=w, minlength=len(keys))
-            totals = np.bincount(s, weights=w, minlength=len(src.types))
-            t = counts / totals[pair_src]
-        else:
-            # some probability underflowed to 0: update only the keys
-            # that still have a live cell
-            w = p[live] / zc[live]
-            hit = pair[live]
-            counts = np.bincount(hit, weights=w, minlength=len(keys))
-            totals = np.bincount(s[live], weights=w, minlength=len(src.types))
-            touched = np.zeros(len(keys), dtype=bool)
-            touched[hit] = True
-            t[touched] = counts[touched] / totals[pair_src[touched]]
+        # zc > 0, as a target token's heaviest cell keeps t >= 1 / (its verse's
+        # source tokens * all target tokens). Adding a 0 weight leaves a sum
+        # as it was, a key with no p > 0 has t = 0 already, and totals > 0
+        w = p / zc
+        counts = np.bincount(pair, weights=w, minlength=len(keys))
+        totals = np.bincount(s, weights=w, minlength=len(src.types))
+        t = counts / totals[pair_src]
         seen = z > 0.0
-        ll = float(np.sum(np.log(z * inv_len if seen.all() else z[seen] * inv_len[seen])))
+        ll = float(np.sum(np.log(z[seen] * inv_len[seen])))
         if loglik_trace:
             # EM guarantee, checked each iteration; tolerance 1e-9 taken
             # relative to the likelihood magnitude so corpus size does not
@@ -379,14 +368,10 @@ def align_pair(pivot_verses: dict[str, list[str]],
                         if not pivot_types.isdisjoint(pivot_verses[v])])
     fwd = argmax_links(fwd_model, held, "fwd")
     rev = argmax_links(rev_model, held, "rev")
-    table = symmetrize(fwd, rev)
+    # a pivot verse the target lacks has no links, so its rows are NULL
+    table = dict.fromkeys(set(pivot_verses) - set(target_verses), frozenset())
+    table.update(symmetrize(fwd, rev))
     parallels = extract_parallels(table, pivot_verses, target_verses, pivot_types)
-    covered = set(common)
-    for vid in sorted(set(pivot_verses) - covered):
-        for i, tok in enumerate(pivot_verses[vid]):
-            if tok in pivot_types:
-                parallels.append(PivotParallel(vid, i, None))
-    parallels.sort(key=lambda p: (p.verse_id, p.pivot_index))
     return reassign_nulls(parallels, min_count=min_count)
 
 

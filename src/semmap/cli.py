@@ -167,13 +167,10 @@ def _dictionary(cell: str) -> tuple[str, ty.AreaDictionary]:
 
 
 def _cmd_classify(args) -> int:
-    rows = [("iso", "pattern", "subpattern", "null_flags", "dictionary")]
-    for iso, (djson, adict) in tsv.read_rows(_require(args.dictionaries, "run"),
-                                             str, _dictionary, header=("iso", "dictionary")):
-        res = ty.classify_pattern(adict)
-        rows.append((iso, res.pattern, res.subpattern or "_",
-                     ",".join(res.null_flags) or "_", djson))
-    _emit(tsv.format_rows(rows), args.out)
+    rows = tsv.read_rows(_require(args.dictionaries, "run"), str, _dictionary,
+                         header=("iso", "dictionary"))
+    _emit(ty.classification_to_tsv((iso, djson, adict) for iso, (djson, adict) in rows),
+          args.out)
     return EXIT_OK
 
 

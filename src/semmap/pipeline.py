@@ -46,6 +46,9 @@ def check_grid_levels(grid, levels) -> None:
     for level in levels:
         if not isinstance(level, numbers.Real) or not 0.0 < level < 1.0:
             raise ConfigError(f"contour levels must lie in (0, 1), got {level!r}")
+    # a repeated level would draw, and store, each of its polygons twice
+    if len(set(levels)) != len(levels):
+        raise ConfigError(f"contour levels must differ, got {list(levels)!r}")
 
 
 # JSON true and false load as bool, a subclass of int: no number knob takes them
@@ -342,8 +345,7 @@ def run(config: PipelineConfig) -> Path:
                                   levels=config.levels, rho=config.rho,
                                   nugget_frac=config.nugget_frac)
 
-    classification = [("iso", "pattern", "subpattern", "null_flags", "dictionary")]
-    dict_rows = [("iso", "dictionary")]
+    dictionaries = []
     score_rows = [("iso", "cluster", "means", "tp", "fp", "fn",
                    "precision", "recall", "f1", "best")]
     best_by_cluster: dict[int, dict[str, str]] = {}
@@ -360,11 +362,8 @@ def run(config: PipelineConfig) -> Path:
         core_ids = {g: cores[g].member_ids for g in GROUPS}
         adict = ty.build_dictionary(core_ids, areas, points, row_index,
                                     alpha=config.alpha)
-        assignment = ty.classify_pattern(adict)
         djson = json.dumps(adict.groups, sort_keys=True, ensure_ascii=False)
-        dict_rows.append((iso, djson))
-        classification.append((iso, assignment.pattern, assignment.subpattern or "_",
-                               ",".join(assignment.null_flags) or "_", djson))
+        dictionaries.append((iso, djson, adict))
 
         for g in GROUPS:
             cl = cluster_of_group[g]
@@ -382,8 +381,9 @@ def run(config: PipelineConfig) -> Path:
         )
         art.write(f"svg/{iso}.svg", svg_text)
 
-    art.write("dictionaries.tsv", tsv.format_rows(dict_rows, header))
-    art.write("classification.tsv", tsv.format_rows(classification, header))
+    art.write("dictionaries.tsv", tsv.format_rows(
+        [("iso", "dictionary"), *((iso, djson) for iso, djson, _ in dictionaries)], header))
+    art.write("classification.tsv", ty.classification_to_tsv(dictionaries, header))
     art.write("scores.tsv", tsv.format_rows(score_rows, header))
 
     proto_rows = [("cluster", "rank", "row_id", "score")]

@@ -130,10 +130,9 @@ class EmbeddedMap:
     truncated: bool = False
 
     def to_tsv(self, header: str | None = None) -> str:
+        # shortest round-trip text: `map` redraws from the exact floats `run` drew from
         return tsv.format_rows(
-            ([rid, *(f"{v:.9f}" for v in row)] for rid, row in zip(self.row_ids, self.coords)),
-            header,
-        )
+            ([rid, *row] for rid, row in zip(self.row_ids, self.coords.tolist())), header)
 
     @classmethod
     def from_tsv(cls, path) -> "EmbeddedMap":

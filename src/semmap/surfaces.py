@@ -9,7 +9,7 @@ indicators, and each node's value is its covariances to the points times
 the solved coefficients, with no per-node weights. Contours at fixed
 probability levels become closed polygons used for containment tests;
 ``fit_surfaces`` draws them for a batch of (surface, level) fields at
-once, its chains found as the cycles of a permutation.
+once, every chain found as a cycle of one permutation.
 """
 
 from __future__ import annotations
@@ -326,7 +326,8 @@ def _chains(pts: np.ndarray, edges: np.ndarray, stack: np.ndarray,
     each cycle by its smallest segment and counts every segment's steps
     to it, which rank the segments along the cycle (Wyllie 1979). Other
     stacks, which a lattice value exactly on the level makes, take
-    ``_assemble``. Chains of fewer than three segments are dropped.
+    ``_assemble``, whose closed chains join the permutation as cycles.
+    Chains of fewer than three segments are dropped.
 
     Returns the segments of every chain, chain after chain in order of
     their first segment, the chain lengths, and per stack the number of
@@ -366,8 +367,15 @@ def _chains(pts: np.ndarray, edges: np.ndarray, stack: np.ndarray,
     ids = np.arange(m)
     follows = np.zeros(n_nodes, dtype=np.intp)
     follows[src] = ids
-    # segments of the other stacks stand alone, as cycles of one
+    # other stacks: each chain of ``_assemble``, which starts at its
+    # smallest segment, is a cycle, and every other segment stands alone
     nxt = np.where(regular[stack], follows[dst], ids)
+    for s in np.flatnonzero(~regular).tolist():
+        lo, hi = bounds[s], bounds[s + 1]
+        base = min(src[lo:hi].min(), dst[lo:hi].min())
+        chains, n_open[s] = _assemble(src[lo:hi] - base, dst[lo:hi] - base)
+        for chain in chains:
+            nxt[lo + np.array(chain)] = lo + np.roll(chain, -1)
     # after round r, ``label`` is the smallest segment among the 2**r from
     # each segment on, ``ahead`` the steps to it, and ``jump`` the segment
     # 2**r on; once a round changes no label, every window holds its
@@ -385,25 +393,14 @@ def _chains(pts: np.ndarray, edges: np.ndarray, stack: np.ndarray,
     # the position along the cycle from its smallest segment
     rank = (size[label] - ahead) % size[label]
 
-    cycles = np.flatnonzero((label == ids) & (size >= 3))
-    loops = []
-    for s in np.flatnonzero(~regular).tolist():
-        lo, hi = bounds[s], bounds[s + 1]
-        base = min(src[lo:hi].min(), dst[lo:hi].min())
-        chains, n_open[s] = _assemble(src[lo:hi] - base, dst[lo:hi] - base)
-        loops += [[lo + i for i in chain] for chain in chains]
-    heads = np.concatenate([cycles, np.array([c[0] for c in loops], dtype=np.intp)])
-    lens = np.concatenate([size[cycles], np.array([len(c) for c in loops], dtype=np.intp)])
-    order = np.argsort(heads)
-    heads, lens = heads[order], lens[order]
+    heads = np.flatnonzero((label == ids) & (size >= 3))
+    lens = size[heads]
     # every chain's offset in ``seq``, at its first segment
     at = np.zeros(m, dtype=np.intp)
     at[heads] = np.cumsum(lens) - lens
     seq = np.empty(int(lens.sum()), dtype=np.intp)
     on_cycle = np.flatnonzero(size[label] >= 3)
     seq[at[label[on_cycle]] + rank[on_cycle]] = on_cycle
-    for chain in loops:
-        seq[at[chain[0]]:at[chain[0]] + len(chain)] = chain
     return seq, lens, n_open
 
 

@@ -14,6 +14,7 @@ from itertools import permutations
 
 import numpy as np
 
+from . import tsv
 from .align import NULL_MARKER
 from .stats import fisher_exact
 from .surfaces import contains
@@ -26,6 +27,7 @@ __all__ = [
     "MeansScore",
     "build_dictionary",
     "classify_pattern",
+    "classification_to_tsv",
     "score_means",
     "prototypicality",
 ]
@@ -252,6 +254,17 @@ def classify_pattern(adict: AreaDictionary) -> PatternAssignment:
     if label is None:
         return PatternAssignment("unclassified-other", None, null_flags)
     return PatternAssignment(label[0], label if len(label) > 1 else None, null_flags)
+
+
+def classification_to_tsv(dictionaries, header: str | None = None) -> str:
+    """The classification table of (iso, dictionary JSON, AreaDictionary)
+    triples; "_" stands for no subpattern and for no NULL flag."""
+    rows = [("iso", "pattern", "subpattern", "null_flags", "dictionary")]
+    for iso, djson, adict in dictionaries:
+        res = classify_pattern(adict)
+        rows.append((iso, res.pattern, res.subpattern or "_",
+                     ",".join(res.null_flags) or "_", djson))
+    return tsv.format_rows(rows, header)
 
 
 def score_means(assignments, labels, cluster: int) -> tuple[list[MeansScore], MeansScore]:

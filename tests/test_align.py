@@ -213,7 +213,7 @@ def test_em_all_sides_empty():
 
 def test_em_after_probabilities_underflow_matches_dict_oracle():
     # after 270 iterations some probabilities have underflowed to 0, so
-    # the later E-steps take the masked branch
+    # the later E-steps see cells of p = 0, which weigh 0
     bitext, _ = planted_bitext(n_pairs=40, seed=3)
     assert (train_em(bitext, iterations=270).probs == 0.0).any()
     model = train_em(bitext, iterations=300)

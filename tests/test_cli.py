@@ -37,7 +37,7 @@ def test_run_bad_json_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--grid", "1"], ["--grid", "0"], ["--levels", "1.5,0.29"],
+    ["--grid", "1"], ["--grid", "0"], ["--levels", "1.5,0.29"], ["--levels", "0.35,0.35,0.29"],
 ])
 def test_run_bad_grid_or_levels_is_config_error_before_work(tmp_path, capsys, flags):
     corpus = tmp_path / "corpus"
@@ -50,7 +50,8 @@ def test_run_bad_grid_or_levels_is_config_error_before_work(tmp_path, capsys, fl
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags", [["--grid", "1"], ["--levels", "0.35,1.0"], ["--levels", "x"]])
+@pytest.mark.parametrize("flags", [["--grid", "1"], ["--levels", "0.35,1.0"], ["--levels", "x"],
+                                   ["--levels", "0.35,0.35,0.29"]])
 def test_map_bad_grid_or_levels_is_config_error(tmp_path, capsys, flags):
     code = main(["map", "--embedding", str(tmp_path / "e.tsv"),
                  "--matrix", str(tmp_path / "m.tsv"),
@@ -217,30 +218,37 @@ def polygons_of(svg: str) -> list[str]:
 
 
 def test_map_draws_what_run_drew(tmp_path, capsys):
-    # a run with non-default kriging settings; map reads them from the
-    # config.json beside the embedding, and grid and levels with them
-    corpus = tmp_path / "corpus"
-    _, anchors, _ = build_corpus(corpus, n_verses=90, seed=11)
-    out = tmp_path / "out"
-    config = PipelineConfig(
-        corpus_dir=str(corpus), metadata=str(corpus / "meta.tsv"), out_dir=str(out),
-        gmm_ks=(3,), grid=40, levels=(0.4, 0.29), dictionary_level=0.29, core_k=10,
-        rho=0.05, nugget_frac=0.2, group_anchors=anchors, dump_grids=False,
-    )
-    cfg = tmp_path / "config.json"
-    cfg.write_text(config.to_json(), encoding="utf-8")
-    assert main(["run", "--config", str(cfg)]) == 0
-    isos = sorted(p.stem for p in (out / "svg").glob("*.svg") if p.stem != "heat")
-    assert len(isos) == 18
-    drawn = 0
-    for iso in isos:
-        svg = tmp_path / f"{iso}.svg"
-        assert main(["map", "--embedding", str(out / "embedding.tsv"),
-                     "--matrix", str(out / "matrix.tsv"), "--iso", iso, "--out", str(svg)]) == 0
-        want = polygons_of((out / "svg" / f"{iso}.svg").read_text(encoding="utf-8"))
-        assert polygons_of(svg.read_text(encoding="utf-8")) == want, iso
-        drawn += len(want)
-    assert drawn > 0
+    cases = {
+        # non-default kriging settings, grid and levels, which map reads
+        # from the config.json beside the embedding
+        "run_settings": (11, dict(grid=40, levels=(0.4, 0.29), dictionary_level=0.29,
+                                  rho=0.05, nugget_frac=0.2)),
+        # pixel coordinates on a rounding boundary, which map redraws only
+        # from the embedding's exact coordinates
+        "exact_embedding": (4, dict(grid=60, rho=0.05)),
+    }
+    for name, (seed, settings) in cases.items():
+        corpus = tmp_path / name / "corpus"
+        _, anchors, _ = build_corpus(corpus, n_verses=90, seed=seed)
+        out = tmp_path / name / "out"
+        config = PipelineConfig(
+            corpus_dir=str(corpus), metadata=str(corpus / "meta.tsv"), out_dir=str(out),
+            gmm_ks=(3,), core_k=10, group_anchors=anchors, dump_grids=False, **settings,
+        )
+        cfg = tmp_path / name / "config.json"
+        cfg.write_text(config.to_json(), encoding="utf-8")
+        assert main(["run", "--config", str(cfg)]) == 0
+        isos = sorted(p.stem for p in (out / "svg").glob("*.svg") if p.stem != "heat")
+        assert len(isos) == 18
+        drawn = 0
+        for iso in isos:
+            svg = tmp_path / name / f"{iso}.svg"
+            assert main(["map", "--embedding", str(out / "embedding.tsv"), "--matrix",
+                         str(out / "matrix.tsv"), "--iso", iso, "--out", str(svg)]) == 0
+            want = polygons_of((out / "svg" / f"{iso}.svg").read_text(encoding="utf-8"))
+            assert polygons_of(svg.read_text(encoding="utf-8")) == want, (name, iso)
+            drawn += len(want)
+        assert drawn > 0
     # flags still override the run's grid and levels
     svg = tmp_path / "flags.svg"
     assert main(["map", "--embedding", str(out / "embedding.tsv"),

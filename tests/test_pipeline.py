@@ -11,6 +11,7 @@ import pytest
 from synth import EXPECTED_NULL_FLAGS, EXPECTED_PATTERNS, EXPECTED_SUBPATTERNS, all_schemes
 
 from semmap.align import NULL_MARKER
+from semmap.cli import main
 from semmap.pipeline import ConfigError, PipelineConfig
 from semmap.pivot import EmbeddedMap, ParallelUsageMatrix
 from semmap.surfaces import contains
@@ -85,6 +86,15 @@ def test_classification_recovers_planted_patterns(synth_run):
     for iso, flags in EXPECTED_NULL_FLAGS.items():
         assert rows[iso]["null_flags"] == ",".join(flags), iso
     assert rows["eng"]["pattern"] == "A"
+
+
+def test_classify_of_stored_dictionaries_equals_the_run_table(synth_run, tmp_path):
+    out = tmp_path / "classification.tsv"
+    assert main(["classify", "--dictionaries", str(synth_run["out"] / "dictionaries.tsv"),
+                 "--out", str(out)]) == 0
+    stored = (synth_run["out"] / "classification.tsv").read_text(encoding="utf-8")
+    # the run's table behind its `# semmap config=` header line
+    assert stored.split("\n", 1)[1] == out.read_text(encoding="utf-8")
 
 
 def test_matrix_and_embedding_parse_back(synth_run):

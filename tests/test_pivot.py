@@ -5,6 +5,7 @@ import pytest
 
 from semmap.align import NULL_MARKER, PivotParallel
 from semmap.pivot import (
+    EmbeddedMap,
     ParallelUsageMatrix,
     PivotError,
     build_matrix,
@@ -206,13 +207,18 @@ def test_mds_k_bounds():
         classical_mds(np.zeros((4, 4)), 0)
 
 
-def test_mds_hamming_embedding_reproducible():
+def test_mds_hamming_embedding_reproducible(tmp_path):
     m = random_matrix(n=30, m=15, seed=3)
     d = hamming(m)
     e1 = classical_mds(d, 2, row_ids=m.row_ids)
     e2 = classical_mds(d, 2, row_ids=m.row_ids)
     assert np.array_equal(e1.coords, e2.coords)
     assert e2.to_tsv() == e1.to_tsv()
+    # the stored coordinates read back exactly
+    path = tmp_path / "embedding.tsv"
+    path.write_text(e1.to_tsv(header="x"), encoding="utf-8")
+    back = EmbeddedMap.from_tsv(path)
+    assert back.row_ids == e1.row_ids and np.array_equal(back.coords, e1.coords)
 
 
 # three axes --------------------------------------------------------------------

@@ -15,6 +15,7 @@ from semmap.surfaces import (
     KrigSurface,
     SurfaceError,
     _CONTOUR_CELLS,
+    _EDGE_CHUNK,
     _NODE_CHUNK,
     _chains,
     _contours,
@@ -908,25 +909,48 @@ def star_polygon(rng, n, centre, quantum=None):
     return poly
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_batched_contains_matches_scalar_oracle(seed):
-    rng = np.random.default_rng(seed)
-    sets = [
-        contour(multisaddle_surface(), (0.29, 0.5, 0.7)[seed]),
-        contour(on_level_surface(), 0.5),
-        # many edges in one polygon, spanning several edge blocks
-        [star_polygon(rng, 300, (0.0, 0.0))],
-        [star_polygon(rng, 40, (0.0, 0.0), quantum=0.25),
-         star_polygon(rng, 40, (1.5, 0.5), quantum=0.25)],
+# star polygons as (vertex count, snapping quantum or None, centre): the
+# sets the seeded version of the containment property checked
+SEEDED_STARS = [[(300, None, (0.0, 0.0))],
+                [(40, 0.25, (0.0, 0.0)), (40, 0.25, (1.5, 0.5))]]
+
+
+def test_batched_contains_matches_scalar_oracle():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    star = st.tuples(
+        # within one edge block, or spanning two
+        st.one_of(st.integers(3, _EDGE_CHUNK), st.integers(_EDGE_CHUNK + 1, 2 * _EDGE_CHUNK)),
+        st.sampled_from([None, 0.25, 0.05]),
+        st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+    )
+    point = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+
+    # the contour sets cost most of the oracle's time, so only some drawn
+    # cases take them
+    @hyp.settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(0, 2 ** 32 - 1), st.booleans(),
+               st.lists(st.lists(star, min_size=1, max_size=2), min_size=1, max_size=2),
+               st.lists(point, max_size=20))
+    @hyp.example(0, True, SEEDED_STARS, [])
+    @hyp.example(1, True, SEEDED_STARS, [])
+    @hyp.example(2, True, SEEDED_STARS, [])
+    def check(seed, contoured, star_sets, extra):
+        rng = np.random.default_rng(seed)
+        sets = [contour(multisaddle_surface(), (0.29, 0.5, 0.7)[seed % 3]),
+                contour(on_level_surface(), 0.5)] if contoured else []
+        sets += [[star_polygon(rng, n, centre, quantum) for n, quantum, centre in stars]
+                 for stars in star_sets]
         # nested rectangles: a hole under even-odd counting
-        [np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 3.0], [0.0, 3.0]]),
-         np.array([[1.0, 1.0], [3.0, 1.0], [3.0, 2.0], [1.0, 2.0]])],
-    ]
-    for polys in sets:
-        pts = probe_points(polys, rng)
-        want = [contains_oracle(polys, p) for p in pts]
-        assert contains(polys, pts).tolist() == want
-        assert [contains(polys, p) for p in pts[::17]] == want[::17]
+        sets.append([np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 3.0], [0.0, 3.0]]),
+                     np.array([[1.0, 1.0], [3.0, 1.0], [3.0, 2.0], [1.0, 2.0]])])
+        for polys in sets:
+            pts = np.concatenate([probe_points(polys, rng), np.reshape(extra, (-1, 2))])
+            want = [contains_oracle(polys, p) for p in pts]
+            assert contains(polys, pts).tolist() == want
+            assert [contains(polys, p) for p in pts[::17]] == want[::17]
+
+    check()
 
 
 # null heat ---------------------------------------------------------------------
