@@ -2,11 +2,13 @@
 
 A position-independent lexical model (IBM Model 1, estimated by EM from
 uniform initialization) is trained in both directions for each
-pivot/target pair over every shared verse. Argmax links are built only
-over the verses that hold a pivot occurrence, the only links a row can
-use; they are intersected into a one-to-one table and pivot tokens
-without a surviving link become NULL. Rare aligned types can be
-reassigned to NULL corpus-wide.
+pivot/target pair over every shared verse. Each pivot occurrence then
+gets one mutual-best check: the forward model's best target token for
+it, kept only when the reverse model's best pivot token for that target
+token is the occurrence itself. This is the intersection of the two
+argmax alignments, which is one-to-one, read where the usage matrix
+reads it; an occurrence without a link becomes NULL. Rare aligned types
+can be reassigned to NULL corpus-wide.
 
 Each pair's verses are coded once as integer arrays (``Bitext``). EM
 and the argmax work on the flattened (verse, token, token) cells with
@@ -34,8 +36,6 @@ __all__ = [
     "PivotParallel",
     "train_em",
     "argmax_links",
-    "symmetrize",
-    "extract_parallels",
     "reassign_nulls",
     "evaluate_alignment",
     "align_pair",
@@ -65,22 +65,9 @@ class _Side(NamedTuple):
         index = {form: k for k, form in enumerate(types)}
         codes = np.array([index[tok] for toks in verses for tok in toks], dtype=np.int32)
         lengths = np.array([len(toks) for toks in verses], dtype=np.int32)
-        return cls(types, codes, lengths, _starts(lengths))
-
-    def rows(self, verses: np.ndarray) -> "_Side":
-        """The verses at the ascending indices ``verses``, with the same
-        ``types``, so every code and its form order are kept."""
-        lengths = self.lengths[verses]
-        starts = _starts(lengths)
-        take = np.repeat(self.starts[verses] - starts, lengths) + np.arange(lengths.sum())
-        return _Side(self.types, self.codes[take], lengths, starts)
-
-
-def _starts(lengths: np.ndarray) -> np.ndarray:
-    """Each verse's first token in the concatenation of verses of ``lengths``."""
-    starts = np.zeros(len(lengths), dtype=np.int32)
-    np.cumsum(lengths[:-1], out=starts[1:])
-    return starts
+        starts = np.zeros(len(lengths), dtype=np.int32)
+        np.cumsum(lengths[:-1], out=starts[1:])
+        return cls(types, codes, lengths, starts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,26 +100,22 @@ class Bitext:
         """The same verses with source and target exchanged (no recoding)."""
         return Bitext(self.ids, self.target, self.source)
 
-    def rows(self, verses) -> "Bitext":
-        """The verses at the ascending indices ``verses`` (no recoding)."""
-        verses = np.asarray(verses, dtype=np.int64)
-        return Bitext([self.ids[k] for k in verses.tolist()],
-                      self.source.rows(verses), self.target.rows(verses))
 
+def _cells(outer: _Side, inner: _Side, tokens: np.ndarray):
+    """Every (outer token, inner token) pair of a verse, for the outer
+    tokens at the indices ``tokens`` (into ``codes``), in their order.
 
-def _cells(outer: _Side, inner: _Side):
-    """Every (outer token, inner token) pair of a verse, verse by verse.
-
-    Returns the outer and the inner token index (into ``codes``) of each
-    cell, the outer position varying slowest within a verse, and per
-    outer token its number of cells and its first cell. A verse with an
-    empty side has no cells.
+    Returns the outer and the inner token index of each cell, the outer
+    token varying slowest and the inner one in verse order, and per
+    entry of ``tokens`` its number of cells and its first cell. A token
+    whose verse has an empty inner side has no cells.
     """
-    run = np.repeat(inner.lengths, outer.lengths)
-    outer_idx = np.repeat(np.arange(len(outer.codes), dtype=np.int32), run)
+    verse = np.repeat(np.arange(len(outer.lengths), dtype=np.int32), outer.lengths)[tokens]
+    run = inner.lengths[verse]
+    outer_idx = np.repeat(tokens, run)
     first = np.zeros(len(run), dtype=np.int64)
     np.cumsum(run[:-1], out=first[1:])
-    shift = np.repeat(np.repeat(inner.starts, outer.lengths) - first, run)
+    shift = np.repeat(inner.starts[verse] - first, run)
     inner_idx = (np.arange(len(outer_idx), dtype=np.int64) + shift).astype(np.int32)
     return outer_idx, inner_idx, run, first
 
@@ -188,7 +171,9 @@ def train_em(bitext, iterations: int = 5) -> TranslationModel:
         raise AlignError("iterations must be >= 1")
     src, tgt = bitext.source, bitext.target
     width = len(tgt.types)
-    tgt_idx, src_idx, run, _ = _cells(tgt, src)
+    # each target token's first cell is not needed here; not holding it keeps
+    # 8 bytes a token out of the EM loop's peak memory
+    tgt_idx, src_idx, run = _cells(tgt, src, np.arange(len(tgt.codes), dtype=np.int32))[:3]
     s = src.codes[src_idx]
     keys, pair = np.unique(s.astype(np.int64) * width + tgt.codes[tgt_idx],
                            return_inverse=True)
@@ -224,94 +209,34 @@ def train_em(bitext, iterations: int = 5) -> TranslationModel:
     return TranslationModel(src.types, tgt.types, keys, t, iterations, loglik_trace)
 
 
-def _recode(types: list[str], model_types: list[str]) -> np.ndarray:
-    """Each of ``types`` as its code in ``model_types``, -1 when absent."""
-    index = {form: k for k, form in enumerate(model_types)}
-    return np.array([index.get(form, -1) for form in types], dtype=np.int32)
+def argmax_links(model: TranslationModel, source: _Side, target: _Side,
+                 tokens) -> np.ndarray:
+    """Each of the source tokens ``tokens`` linked to its best target token.
 
-
-def argmax_links(model: TranslationModel, verse_pairs,
-                 direction: str) -> dict[str, set[tuple[int, int]]]:
-    """Per-verse argmax links, always expressed as (pivot_index, target_index).
-
-    ``verse_pairs`` is a ``Bitext`` or a mapping from verse id to (pivot
-    tokens, target tokens). Direction 'fwd' assigns each pivot token its
-    best target token under a pivot->target model; 'rev' assigns each
-    target token its best pivot token under a target->pivot model. The
-    best token has the highest probability, then the lexicographically
-    smaller form, then the lower index; a token whose every probability
-    is 0 gets no link.
+    ``source`` and ``target`` are the sides of the bitext ``model`` was
+    trained on, and ``tokens`` indexes ``source.codes`` (in any order,
+    repeats allowed). Returns, per entry of ``tokens``, the index into
+    ``target.codes`` of the token of its verse with the highest
+    probability, then the lexicographically smaller form, then the lower
+    index; -1 when every probability is 0 or the target verse is empty.
     """
-    if direction not in ("fwd", "rev"):
-        raise AlignError("direction must be 'fwd' or 'rev'")
-    bitext = Bitext.of(verse_pairs)
-    src, tgt = bitext.source, bitext.target
-    if direction == "rev":
-        src, tgt = tgt, src
-    src_idx, tgt_idx, run, first = _cells(src, tgt)
-    s = _recode(src.types, model.source_types)[src.codes[src_idx]]
-    f = _recode(tgt.types, model.target_types)[tgt.codes[tgt_idx]]
-    keys = s.astype(np.int64) * len(model.target_types) + f
-    at = np.searchsorted(model.pairs, keys)
-    # p(f | s) per cell: 0 unless both forms are in the model and the
-    # pair is in its table
-    known = (s >= 0) & (f >= 0) & (at < len(model.pairs))
-    known[known] = model.pairs[at[known]] == keys[known]
-    p = np.zeros(len(keys))
-    p[known] = model.probs[at[known]]
-    # a source token's cells are contiguous; keep the highest p, then the
+    tokens = np.asarray(tokens, dtype=np.int32)
+    src_idx, tgt_idx, run, first = _cells(source, target, tokens)
+    f = target.codes[tgt_idx]
+    # every cell's pair co-occurs in a training verse, so it is in the table
+    keys = source.codes[src_idx].astype(np.int64) * len(target.types) + f
+    p = model.probs[np.searchsorted(model.pairs, keys)]
+    # a token's cells are contiguous; keep the highest p, then the
     # smaller form (codes follow the form order), then the lower index
-    tokens = np.flatnonzero(run)
-    best = np.maximum.reduceat(p, first[tokens])
-    tie = p == np.repeat(best, run[tokens])
-    rank = np.where(tie, f * np.int64(len(tgt.codes)) + tgt_idx, np.iinfo(np.int64).max)
-    rank = np.minimum.reduceat(rank, first[tokens])
+    has = np.flatnonzero(run)
+    best = np.maximum.reduceat(p, first[has])
+    tie = p == np.repeat(best, run[has])
+    rank = np.where(tie, f * np.int64(len(target.codes)) + tgt_idx, np.iinfo(np.int64).max)
+    rank = np.minimum.reduceat(rank, first[has])
     linked = best > 0.0
-    src_idx, tgt_idx = tokens[linked], rank[linked] % len(tgt.codes)
-    verse = np.repeat(np.arange(len(bitext.ids), dtype=np.int32), src.lengths)[src_idx]
-    i = (src_idx - src.starts[verse]).tolist()
-    j = (tgt_idx - tgt.starts[verse]).tolist()
-    links = zip(i, j) if direction == "fwd" else zip(j, i)
-    out: dict = {vid: set() for vid in bitext.ids}
-    for v, link in zip(verse.tolist(), links):
-        out[bitext.ids[v]].add(link)
-    return out
-
-
-def symmetrize(fwd: dict[str, set[tuple[int, int]]],
-               rev: dict[str, set[tuple[int, int]]]) -> dict[str, set[tuple[int, int]]]:
-    """Intersect forward and reverse argmax links; one-to-one by construction.
-
-    Returns per-verse links (pivot_index, target_index).
-    """
-    if set(fwd.keys()) != set(rev.keys()):
-        missing = set(fwd.keys()) ^ set(rev.keys())
-        raise AlignError(f"asymmetric input: verses {sorted(missing)[:5]} ...")
-    return {vid: fwd[vid] & rev[vid] for vid in fwd}
-
-
-def extract_parallels(table: dict[str, set[tuple[int, int]]],
-                      pivot_tokens: dict[str, list[str]],
-                      target_tokens: dict[str, list[str]],
-                      pivot_types: set[str]) -> list[PivotParallel]:
-    """Resolve each pivot-type occurrence to its aligned form or NULL.
-
-    One row per occurrence of any type in ``pivot_types`` within the
-    verses covered by the ``symmetrize`` links, ordered by verse id then
-    token index.
-    """
-    rows: list[PivotParallel] = []
-    for vid in sorted(table):
-        toks = pivot_tokens.get(vid, [])
-        tgt = target_tokens.get(vid, [])
-        linked = dict(table[vid])
-        for i, tok in enumerate(toks):
-            if tok not in pivot_types:
-                continue
-            j = linked.get(i)
-            form = tgt[j] if j is not None and j < len(tgt) else None
-            rows.append(PivotParallel(vid, i, form))
-    return rows
+    links = np.full(len(tokens), -1, dtype=np.int64)
+    links[has[linked]] = rank[linked] % len(target.codes)
+    return links
 
 
 def reassign_nulls(parallels: list[PivotParallel], min_count: int = 3) -> list[PivotParallel]:
@@ -349,13 +274,15 @@ def align_pair(pivot_verses: dict[str, list[str]],
                pivot_types: set[str],
                iterations: int = 5,
                min_count: int = 3) -> list[PivotParallel]:
-    """Full per-pair run: train both directions, symmetrize, extract, clean.
+    """Full per-pair run: train both directions, link each occurrence, clean.
 
-    Only verses present on both sides are used. Both models train on
-    every shared verse; links are built only over the shared verses that
-    hold a pivot occurrence, since no other link reaches a row. Pivot
-    occurrences in verses missing from the target side are reported as
-    NULL rows so the usage matrix keeps a cell for every row.
+    Both models train on every verse present on both sides. An occurrence
+    of a type in ``pivot_types`` in such a verse takes the forward
+    model's best target token, kept only when the reverse model's best
+    pivot token for it is the occurrence again. Pivot occurrences in
+    verses missing from the target side are reported as NULL rows so the
+    usage matrix keeps a cell for every row. Rows are ordered by verse id
+    then token index.
     """
     common = sorted(set(pivot_verses) & set(target_verses))
     if not common:
@@ -364,14 +291,19 @@ def align_pair(pivot_verses: dict[str, list[str]],
     bitext = Bitext.of({v: (pivot_verses[v], target_verses[v]) for v in common})
     fwd_model = train_em(bitext, iterations=iterations)
     rev_model = train_em(bitext.swapped(), iterations=iterations)
-    held = bitext.rows([k for k, v in enumerate(common)
-                        if not pivot_types.isdisjoint(pivot_verses[v])])
-    fwd = argmax_links(fwd_model, held, "fwd")
-    rev = argmax_links(rev_model, held, "rev")
-    # a pivot verse the target lacks has no links, so its rows are NULL
-    table = dict.fromkeys(set(pivot_verses) - set(target_verses), frozenset())
-    table.update(symmetrize(fwd, rev))
-    parallels = extract_parallels(table, pivot_verses, target_verses, pivot_types)
+    src, tgt = bitext.source, bitext.target
+    occurrences = np.flatnonzero(np.isin(
+        src.codes, [k for k, form in enumerate(src.types) if form in pivot_types]))
+    best = argmax_links(fwd_model, src, tgt, occurrences)
+    hit = np.flatnonzero(best >= 0)
+    mutual = hit[argmax_links(rev_model, tgt, src, best[hit]) == occurrences[hit]]
+    code = np.full(len(occurrences), -1)
+    code[mutual] = tgt.codes[best[mutual]]
+    # the shared verses' occurrences, in the (verse, index) order of the rows
+    forms = iter([tgt.types[c] if c >= 0 else None for c in code.tolist()])
+    parallels = [PivotParallel(vid, i, next(forms) if vid in target_verses else None)
+                 for vid in sorted(pivot_verses)
+                 for i, tok in enumerate(pivot_verses[vid]) if tok in pivot_types]
     return reassign_nulls(parallels, min_count=min_count)
 
 

@@ -245,13 +245,17 @@ def run(config: PipelineConfig) -> Path:
     if config.core_k > len(occurrences):
         raise ConfigError(f"core_k={config.core_k} exceeds the {len(occurrences)} "
                           f"occurrences of the pivot tokens")
-    # nothing lands in out_dir until the corpus has loaded, holds the pivot,
-    # names every anchor and has core_k occurrences
-    art.write("config.json", config.to_json())
     all_target_verses = set()
     targets = sorted(iso for iso in manifest.doculects if iso != config.pivot_iso)
     for iso in targets:
-        all_target_verses.update(manifest.doculects[iso].verses)
+        verses = manifest.doculects[iso].verses
+        if pivot.verses.keys().isdisjoint(verses):
+            raise cp.CorpusError(f"{iso} shares no verse with the pivot {config.pivot_iso}")
+        all_target_verses.update(verses)
+    # nothing lands in out_dir until the corpus has loaded, holds the pivot,
+    # names every anchor, has core_k occurrences and shares verses with
+    # every target
+    art.write("config.json", config.to_json())
     dropped_verses = len(all_target_verses - set(pivot.verses))
 
     rows = [("iso", "name", "family", "macroarea", "year", "coverage")]

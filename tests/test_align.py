@@ -1,6 +1,7 @@
 import math
 import random
 from collections import defaultdict
+from itertools import accumulate
 
 import pytest
 
@@ -12,10 +13,8 @@ from semmap.align import (
     argmax_links,
     dump_parallels,
     evaluate_alignment,
-    extract_parallels,
     load_parallels,
     reassign_nulls,
-    symmetrize,
     train_em,
 )
 from semmap.corpus import load_corpus, normalize
@@ -26,7 +25,9 @@ from synth import build_corpus
 # The scalar EM and argmax that ``train_em`` and ``argmax_links`` replace,
 # kept as the reference: same arithmetic in the same order, so tables and
 # links must come out exactly equal. The oracle EM skips verses with an
-# empty side when it builds the co-occurrences, as the E-step does.
+# empty side when it builds the co-occurrences, as the E-step does. The
+# oracle ``align_pair`` builds both directions' per-verse link sets,
+# intersects them and reads every pivot occurrence off the intersection.
 
 def train_em_oracle(bitext, iterations=5):
     cooc = defaultdict(set)
@@ -79,6 +80,20 @@ def best_index_oracle(t, source, targets):
     return best_j
 
 
+def token_links_oracle(t, pairs, tokens):
+    """``best_index_oracle`` for the source tokens at the indices ``tokens``
+    of the concatenated source sides of ``pairs``, each as an index into
+    the concatenated target sides, or -1."""
+    where = [(v, i) for v, (src, _) in enumerate(pairs) for i in range(len(src))]
+    target_start = list(accumulate((len(tgt) for _, tgt in pairs), initial=0))
+    out = []
+    for k in tokens:
+        v, i = where[k]
+        j = best_index_oracle(t, pairs[v][0][i], pairs[v][1])
+        out.append(-1 if j is None else target_start[v] + j)
+    return out
+
+
 def argmax_links_oracle(t, verse_pairs, direction):
     out = {}
     for vid, (pivot_toks, target_toks) in verse_pairs.items():
@@ -97,14 +112,29 @@ def argmax_links_oracle(t, verse_pairs, direction):
     return out
 
 
+def symmetrize_oracle(fwd, rev):
+    return {vid: fwd[vid] & rev[vid] for vid in fwd}
+
+
+def extract_parallels_oracle(table, pivot_verses, target_verses, pivot_types):
+    rows = []
+    for vid in sorted(table):
+        linked = dict(table[vid])
+        for i, tok in enumerate(pivot_verses[vid]):
+            if tok in pivot_types:
+                j = linked.get(i)
+                rows.append(PivotParallel(vid, i, None if j is None else target_verses[vid][j]))
+    return rows
+
+
 def align_pair_oracle(pivot_verses, target_verses, pivot_types, iterations=5, min_count=3):
     common = sorted(set(pivot_verses) & set(target_verses))
     pairs = {v: (pivot_verses[v], target_verses[v]) for v in common}
     fwd_t, _ = train_em_oracle(list(pairs.values()), iterations)
     rev_t, _ = train_em_oracle([(t, s) for s, t in pairs.values()], iterations)
-    table = symmetrize(argmax_links_oracle(fwd_t, pairs, "fwd"),
-                       argmax_links_oracle(rev_t, pairs, "rev"))
-    rows = extract_parallels(table, pivot_verses, target_verses, pivot_types)
+    table = symmetrize_oracle(argmax_links_oracle(fwd_t, pairs, "fwd"),
+                              argmax_links_oracle(rev_t, pairs, "rev"))
+    rows = extract_parallels_oracle(table, pivot_verses, target_verses, pivot_types)
     for vid in sorted(set(pivot_verses) - set(common)):
         rows += [PivotParallel(vid, i, None)
                  for i, tok in enumerate(pivot_verses[vid]) if tok in pivot_types]
@@ -222,60 +252,53 @@ def test_em_after_probabilities_underflow_matches_dict_oracle():
     assert model.loglik == pytest.approx(loglik, rel=1e-12)
 
 
-@pytest.mark.parametrize("verses", [[], [0], [1, 2, 5], list(range(12))])
-def test_bitext_rows_equal_coding_the_verses_afresh(verses):
-    pairs = list(random_bitext(4, n_verses=12).values())
-    assert any(not src or not tgt for src, tgt in pairs)
-    sub = Bitext.of(pairs).rows(verses)
-    fresh = Bitext.of({k: pairs[k] for k in verses})
-    assert sub.ids == fresh.ids == verses
-    for got, want in ((sub.source, fresh.source), (sub.target, fresh.target)):
-        assert [got.types[c] for c in got.codes] == [want.types[c] for c in want.codes]
-        assert got.lengths.tolist() == want.lengths.tolist()
-        assert got.starts.tolist() == want.starts.tolist()
-
-
 # argmax links -------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("vocab", [6, 20])
 @pytest.mark.parametrize("direction", ["fwd", "rev"])
 def test_argmax_links_match_dict_oracle(seed, vocab, direction):
-    pairs = random_bitext(seed, vocab=vocab)
-    bitext = list(pairs.values())
+    pairs = list(random_bitext(seed, vocab=vocab).values())
+    bitext = Bitext.of(pairs)
     if direction == "rev":
-        bitext = [(t, s) for s, t in bitext]
+        pairs = [(t, s) for s, t in pairs]
+        bitext = bitext.swapped()
     model = train_em(bitext, iterations=3)
-    want = argmax_links_oracle(train_em_oracle(bitext, iterations=3)[0], pairs, direction)
-    assert argmax_links(model, pairs, direction) == want
-    assert argmax_links(model, Bitext.of(pairs), direction) == want
+    t = train_em_oracle(pairs, iterations=3)[0]
+    # every token; every third token plus the first two of a verse; that
+    # subset backwards with a token repeated
+    start = sum(len(src) for src, _ in pairs[:next(
+        v for v, (src, tgt) in enumerate(pairs) if len(src) >= 2 and tgt)])
+    subset = sorted(set(range(0, len(bitext.source.codes), 3)) | {start, start + 1})
+    for tokens in (range(len(bitext.source.codes)), subset, subset[::-1] + subset[:1]):
+        got = argmax_links(model, bitext.source, bitext.target, list(tokens))
+        assert got.tolist() == token_links_oracle(t, pairs, tokens)
 
 
 def test_argmax_tie_smaller_form_wins():
     # "y" and "x" always co-occur with "a", so p(x|a) == p(y|a) exactly
-    pairs = {"v1": (["a"], ["y", "x"]), "v2": (["a", "b"], ["x", "y", "c"])}
-    model = train_em(list(pairs.values()), iterations=4)
+    pairs = [(["a"], ["y", "x"]), (["a", "b"], ["x", "y", "c"])]
+    bitext = Bitext.of(pairs)
+    model = train_em(bitext, iterations=4)
     assert model.prob("a", "x") == model.prob("a", "y")
-    links = argmax_links(model, pairs, "fwd")
-    assert (0, 1) in links["v1"] and (0, 0) in links["v2"]
-    assert links == argmax_links_oracle(model.t, pairs, "fwd")
+    links = argmax_links(model, bitext.source, bitext.target, [0, 1, 2]).tolist()
+    # "x" at index 1 of the first verse, "x" at index 0 of the second
+    assert links[:2] == [1, 2]
+    assert links == token_links_oracle(model.t, pairs, [0, 1, 2])
 
 
 def test_argmax_tie_same_form_lower_index_wins():
-    pairs = {"v1": (["a", "b"], ["x", "y", "x"]), "v2": (["x", "x"], ["a"])}
-    fwd = train_em(list(pairs.values()), iterations=3)
-    rev = train_em([(t, s) for s, t in pairs.values()], iterations=3)
-    assert (0, 0) in argmax_links(fwd, pairs, "fwd")["v1"]
-    assert argmax_links(rev, pairs, "rev")["v2"] == {(0, 0)}
-    assert argmax_links(fwd, pairs, "fwd") == argmax_links_oracle(fwd.t, pairs, "fwd")
-    assert argmax_links(rev, pairs, "rev") == argmax_links_oracle(rev.t, pairs, "rev")
-
-
-def test_argmax_forms_unknown_to_the_model_get_no_link():
-    model = train_em([(["a"], ["x", "y"]), (["b"], ["y"])], iterations=1)
-    links = argmax_links(model, {"v1": (["a", "q"], ["r", "x"]), "v2": ([], []),
-                                 "v3": (["b"], ["r"])}, "fwd")
-    assert links == {"v1": {(0, 1)}, "v2": set(), "v3": set()}
+    pairs = [(["a", "b"], ["x", "y", "x"]), (["x", "x"], ["a"])]
+    bitext = Bitext.of(pairs)
+    fwd = train_em(bitext, iterations=3)
+    rev = train_em(bitext.swapped(), iterations=3)
+    fwd_links = argmax_links(fwd, bitext.source, bitext.target, [0, 1, 2, 3]).tolist()
+    rev_links = argmax_links(rev, bitext.target, bitext.source, [0, 1, 2, 3]).tolist()
+    # forward, "a" takes the first "x"; back, the second verse's "a" takes
+    # the first "x" of its verse
+    assert fwd_links[0] == 0 and rev_links[3] == 2
+    assert fwd_links == token_links_oracle(fwd.t, pairs, [0, 1, 2, 3])
+    assert rev_links == token_links_oracle(rev.t, [(t, s) for s, t in pairs], [0, 1, 2, 3])
 
 
 def test_align_pair_matches_oracle_on_synthetic_corpus(tmp_path):
@@ -333,58 +356,60 @@ def test_align_pair_without_pivot_in_shared_verses():
     assert align_pair_oracle(pivot, target, {"when"}, min_count=1) == want
 
 
-# symmetrize -------------------------------------------------------------------
+@pytest.mark.parametrize("seed", range(4))
+def test_align_pair_two_pivot_types_sharing_a_forward_best_match_oracle(seed):
+    pairs = random_bitext(seed, vocab=4)
+    pivot = {v: src for v, (src, _) in pairs.items()}
+    target = {v: tgt for v, (_, tgt) in pairs.items()}
+    types = {"s0", "s1"}
+    fwd = argmax_links_oracle(train_em_oracle(list(pairs.values()))[0], pairs, "fwd")
+    # some verse has two occurrences whose forward best is one target token
+    assert any(len(js) > len(set(js)) for js in (
+        [j for i, j in fwd[v] if pivot[v][i] in types] for v in pairs))
+    assert align_pair(pivot, target, types, min_count=1) == \
+        align_pair_oracle(pivot, target, types, min_count=1)
 
-def test_symmetrize_intersection():
-    fwd = {"v1": {(0, 0), (1, 2)}}
-    rev = {"v1": {(0, 0)}}
-    table = symmetrize(fwd, rev)
-    assert table["v1"] == {(0, 0)}
+
+def test_align_pair_links_only_the_occurrence_the_reverse_model_points_back_to():
+    # both pivot occurrences of v1 take "kogda" forward, the one target
+    # token there; the reverse model points "kogda" back at "when"
+    pivot = {"v1": ["as", "when"], "v2": ["when"], "v3": ["when", "b"], "v4": ["as"]}
+    target = {"v1": ["kogda"], "v2": ["kogda"], "v3": ["kogda", "y"], "v4": ["kak"]}
+    rows = align_pair(pivot, target, {"when", "as"}, min_count=1)
+    assert rows == align_pair_oracle(pivot, target, {"when", "as"}, min_count=1)
+    assert rows[:2] == [PivotParallel("v1", 0, None), PivotParallel("v1", 1, "kogda")]
 
 
-def test_symmetrize_identity():
-    fwd = {"v1": {(0, 0), (1, 1)}}
-    table = symmetrize(fwd, dict(fwd))
-    assert table["v1"] == {(0, 0), (1, 1)}
+def every_type_as_pivot(bitext, iterations):
+    """align_pair over a bitext with every source type as a pivot type."""
+    pivot = {f"v{i:04d}": src for i, (src, _) in enumerate(bitext)}
+    target = {f"v{i:04d}": tgt for i, (_, tgt) in enumerate(bitext)}
+    types = {tok for src, _ in bitext for tok in src}
+    return pivot, target, align_pair(pivot, target, types, iterations=iterations, min_count=1)
 
 
-def test_symmetrize_result_is_subset_and_one_to_one():
+def test_align_pair_links_are_one_to_one_per_verse():
     bitext, _ = planted_bitext(n_pairs=60, seed=9)
-    pairs = {f"v{i}": pair for i, pair in enumerate(bitext)}
-    fwd_model = train_em(bitext, iterations=4)
-    rev_model = train_em([(t, s) for s, t in bitext], iterations=4)
-    fwd = argmax_links(fwd_model, pairs, "fwd")
-    rev = argmax_links(rev_model, pairs, "rev")
-    table = symmetrize(fwd, rev)
-    for vid, links in table.items():
-        assert links <= fwd[vid] and links <= rev[vid]
-        pivots = [i for i, _ in links]
-        targets = [j for _, j in links]
-        assert len(pivots) == len(set(pivots))
-        assert len(targets) == len(set(targets))
-
-
-def test_symmetrize_asymmetric_verses_error():
-    with pytest.raises(AlignError, match="asymmetric"):
-        symmetrize({"v1": set()}, {"v2": set()})
+    _, target, rows = every_type_as_pivot(bitext, iterations=4)
+    assert len(rows) == sum(len(src) for src, _ in bitext)
+    linked = defaultdict(list)
+    for p in rows:
+        if p.form is not None:
+            linked[p.verse_id].append(p.form)
+    assert linked
+    # a planted verse holds each target form once, so a form stands for
+    # one target token
+    for vid, forms in linked.items():
+        assert len(forms) == len(set(forms))
+        assert set(forms) <= set(target[vid])
 
 
 def test_planted_links_survive_symmetrization():
     bitext, mapping = planted_bitext(n_pairs=300, seed=21)
-    pairs = {f"v{i}": pair for i, pair in enumerate(bitext)}
-    fwd_model = train_em(bitext, iterations=5)
-    rev_model = train_em([(t, s) for s, t in bitext], iterations=5)
-    table = symmetrize(argmax_links(fwd_model, pairs, "fwd"),
-                       argmax_links(rev_model, pairs, "rev"))
-    total = hits = 0
-    for vid, (src, tgt) in pairs.items():
-        linked = dict(table[vid])
-        for i, s in enumerate(src):
-            total += 1
-            j = linked.get(i)
-            if j is not None and tgt[j] == mapping[s]:
-                hits += 1
-    assert hits / total >= 0.95
+    pivot, _, rows = every_type_as_pivot(bitext, iterations=5)
+    hits = sum(p.form == mapping[pivot[p.verse_id][p.pivot_index]] for p in rows)
+    assert len(rows) == sum(len(src) for src, _ in bitext)
+    assert hits / len(rows) >= 0.95
 
 
 # reassign_nulls ----------------------------------------------------------------
@@ -478,10 +503,9 @@ def test_parallels_roundtrip(tmp_path):
     assert load_parallels(path) == rows
 
 
-def test_extract_parallels_covers_all_occurrences():
+def test_align_pair_covers_all_occurrences():
     pivot = {"v1": ["when", "he", "when"], "v2": ["x"]}
     target = {"v1": ["a", "b"], "v2": ["y"]}
-    table = symmetrize({"v1": {(0, 0)}, "v2": set()},
-                       {"v1": {(0, 0)}, "v2": set()})
-    rows = extract_parallels(table, pivot, target, {"when"})
-    assert rows == [PivotParallel("v1", 0, "a"), PivotParallel("v1", 2, None)]
+    rows = align_pair(pivot, target, {"when"}, min_count=1)
+    assert [(p.verse_id, p.pivot_index) for p in rows] == [("v1", 0), ("v1", 2)]
+    assert rows == align_pair_oracle(pivot, target, {"when"}, min_count=1)

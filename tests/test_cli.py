@@ -439,6 +439,22 @@ def test_run_group_anchor_naming_no_row_is_config_error_before_work(tmp_path, ca
     assert not out.exists()
 
 
+def test_run_target_sharing_no_verse_with_pivot_is_data_error_before_work(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    _, anchors, _ = build_corpus(corpus, n_verses=30, seed=3)
+    (corpus / "zzz.txt").write_text("LUK:9:1\tzzword\n", encoding="utf-8")
+    with open(corpus / "meta.tsv", "a", encoding="utf-8") as meta:
+        meta.write("zzz\tSynthetic zzz\tPlanted\tNowhere\t2000\n")
+    out = tmp_path / "out"
+    code = main(["run", "--corpus-dir", str(corpus), "--metadata", str(corpus / "meta.tsv"),
+                 "--out-dir", str(out), "--gmm-ks", "3", "--grid", "20", "--core-k", "5",
+                 "--group-anchors", json.dumps(anchors)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "zzz" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["two", "0", "-1"])
 def test_run_bad_thread_count_is_config_error_before_work(tmp_path, capsys, monkeypatch,
                                                           threads):

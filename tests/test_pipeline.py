@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -205,3 +206,18 @@ def test_benchmark_hooks_find_every_function_they_wrap():
         [sys.executable, "-c", "import spans; spans.install(spans.Tracer())"],
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_trace_reaches_alignment():
+    # a wrapped alignment function that the pipeline no longer calls
+    # would leave its span empty: the trace must still time it
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "run.py"), "--workload", "longcorpus",
+         "--seed", "1", "--seconds", "1", "--trace", "1", "--smoke"],
+        cwd=root, capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    for name in ("align.train_em_s", "align.argmax_links_s", "align.verse_pairs"):
+        assert result["metrics"][name]["value"] > 0, name

@@ -113,6 +113,27 @@ def test_fisher_matches_enumeration_all_small_tables():
                     assert got == pytest.approx(want, abs=1e-12), (a, b, c, d)
 
 
+def test_fisher_property_matches_enumeration():
+    hyp = pytest.importorskip("hypothesis")
+    cell = hyp.strategies.integers(0, 60)
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(hyp.strategies.tuples(cell, cell, cell, cell))
+    @hyp.example((26, 4, 21, 9))
+    @hyp.example((5, 5, 5, 5))
+    @hyp.example((9, 2, 3, 8))
+    @hyp.example((0, 0, 3, 4))
+    def check(table):
+        a, b, c, d = table
+        res = fisher_exact(a, b, c, d)
+        if min(a + b, c + d, a + c, b + d) == 0:
+            assert res.degenerate and res.p_value == 1.0
+        else:
+            assert res.p_value == pytest.approx(fisher_two_sided_oracle(a, b, c, d), abs=1e-12)
+
+    check()
+
+
 def test_fisher_zero_margin_degenerate():
     res = fisher_exact(0, 0, 3, 4)
     assert res.degenerate and res.p_value == 1.0
@@ -153,6 +174,28 @@ def test_binomial_matches_enumeration(k, n, p0):
     got = binomial_test(k, n, p0).p_value
     want = binomial_two_sided_oracle(k, n, p0)
     assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_binomial_property_matches_enumeration():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    p0 = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    case = st.integers(0, 120).flatmap(
+        lambda n: st.tuples(st.integers(0, n), st.just(n), p0))
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(case)
+    @hyp.example((0, 5, 0.5))
+    @hyp.example((3, 7, 0.25))
+    @hyp.example((7, 11, 0.6))
+    @hyp.example((4, 9, 0.5))
+    @hyp.example((50, 100, 0.5))
+    def check(case):
+        k, n, p0 = case
+        want = binomial_two_sided_oracle(k, n, p0)
+        assert binomial_test(k, n, p0).p_value == pytest.approx(want, abs=1e-9)
+
+    check()
 
 
 def test_binomial_one_sided():
