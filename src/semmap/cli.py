@@ -149,10 +149,9 @@ def _cmd_map(args) -> int:
             f"those of {args.matrix} ({len(matrix.row_ids)} rows); "
             "use the embedding and matrix of one `semmap run`")
     points = emb.coords[:, :2]
-    labels = matrix.column(args.iso)
-    surfs = sf.fit_surfaces(points, {args.iso: labels}, **settings)[args.iso]
-    svg_text = svgmod.render_map(points, labels, {m: s.contours for m, s in surfs.items()},
-                                 title=args.iso)
+    surfs = sf.fit_surfaces(points, {args.iso: matrix.coded(args.iso)}, **settings)[args.iso]
+    svg_text = svgmod.render_map(points, matrix.column(args.iso),
+                                 {m: s.contours for m, s in surfs.items()}, title=args.iso)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     _emit(svg_text, args.out)
     return EXIT_OK

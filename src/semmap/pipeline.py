@@ -274,19 +274,23 @@ def run(config: PipelineConfig) -> Path:
             iterations=config.iterations, min_count=config.min_count,
         )
 
-    parallels: dict[str, list[al.PivotParallel]] = {}
+    # each doculect's column is coded, and its alignment written, as it
+    # returns; no alignment outlives its column
+    coded: dict[str, tuple] = {}
+
+    def keep(iso: str, parallels: list[al.PivotParallel]) -> None:
+        art.write(f"alignments/{iso}.tsv", al.dump_parallels(parallels, header))
+        coded[iso] = pv.code_parallels(parallels, occurrences)
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for iso, rows in zip(targets, pool.map(align_one, targets)):
-            parallels[iso] = rows
+        for iso, parallels in zip(targets, pool.map(align_one, targets)):
+            keep(iso, parallels)
     # the pivot realizes each occurrence with the pivot token itself
-    parallels[config.pivot_iso] = [
-        al.PivotParallel(vid, i, pivot_tokens[vid][i]) for vid, i in occurrences
-    ]
-    for iso in sorted(parallels):
-        art.write(f"alignments/{iso}.tsv", al.dump_parallels(parallels[iso], header))
+    keep(config.pivot_iso,
+         [al.PivotParallel(vid, i, pivot_tokens[vid][i]) for vid, i in occurrences])
 
     # usage matrix, distances, embedding ---------------------------------
-    matrix = pv.build_matrix(parallels, occurrences)
+    matrix = pv.build_matrix(coded, occurrences)
     art.write("matrix.tsv", matrix.to_tsv(header))
     dist = pv.hamming(matrix)
     emb = pv.classical_mds(dist, 2, row_ids=matrix.row_ids)
@@ -344,7 +348,7 @@ def run(config: PipelineConfig) -> Path:
     art.write("core_points.tsv", tsv.format_rows(rows, header))
 
     # per-doculect surfaces, dictionaries, classification -----------------
-    columns = {iso: matrix.column(iso) for iso in sorted(matrix.columns)}
+    columns = {iso: matrix.coded(iso) for iso in matrix.columns}
     surf_by_iso = sf.fit_surfaces(points, columns, grid=config.grid,
                                   levels=config.levels, rho=config.rho,
                                   nugget_frac=config.nugget_frac)
@@ -353,7 +357,7 @@ def run(config: PipelineConfig) -> Path:
     score_rows = [("iso", "cluster", "means", "tp", "fp", "fn",
                    "precision", "recall", "f1", "best")]
     best_by_cluster: dict[int, dict[str, str]] = {}
-    for iso, labels in columns.items():
+    for iso, column in columns.items():
         surfs = surf_by_iso[iso]
         for m in sorted(surfs):
             name = _safe_name(m)
@@ -371,7 +375,7 @@ def run(config: PipelineConfig) -> Path:
 
         for g in GROUPS:
             cl = cluster_of_group[g]
-            scores, best = ty.score_means(model.assignments, labels, cl)
+            scores, best = ty.score_means(model.assignments, column, cl)
             for s in scores:
                 score_rows.append((iso, cl, s.means, s.tp, s.fp, s.fn,
                                    f"{s.precision:.6f}", f"{s.recall:.6f}", f"{s.f1:.6f}",
@@ -379,7 +383,7 @@ def run(config: PipelineConfig) -> Path:
             best_by_cluster.setdefault(cl, {})[iso] = best.means
 
         svg_text = svgmod.render_map(
-            points, labels, {m: s.contours for m, s in surfs.items()},
+            points, matrix.column(iso), {m: s.contours for m, s in surfs.items()},
             title=f"{iso} ({manifest.doculects[iso].family})",
             comment=header,
         )

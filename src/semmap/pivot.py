@@ -1,4 +1,14 @@
-"""Usage-point matrix for the pivot token, Hamming distances, classical MDS."""
+"""Usage-point matrix for the pivot token, Hamming distances, classical MDS.
+
+The usage matrix is held coded: one (n, D) ``int32`` array whose cell
+(i, j) indexes the sorted distinct labels of column j. ``code_labels`` is
+the one place string labels become codes, for ``build_matrix``,
+``ParallelUsageMatrix.from_rows``/``from_tsv`` and ``surfaces``; codes
+follow ``sorted(set(labels))``, so every consumer that reads them (Hamming
+distances, surface indicators, means scores, NULL counts) sees the label
+order string comparison would give. ``NULL_MARKER`` is a label like any
+other.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +23,8 @@ __all__ = [
     "PivotError",
     "ParallelUsageMatrix",
     "EmbeddedMap",
+    "code_labels",
+    "code_parallels",
     "build_matrix",
     "hamming",
     "classical_mds",
@@ -27,38 +39,114 @@ def row_id(verse_id: str, pivot_index: int) -> str:
     return f"{verse_id}#{pivot_index}"
 
 
+def code_labels(labels) -> tuple[np.ndarray, list[str]]:
+    """One column of labels as ``int32`` codes into its sorted distinct labels.
+
+    Returns (codes, labels): ``labels`` is ``sorted(set(labels))`` and
+    ``codes[i]`` the index of the i-th label in it.
+    """
+    names = sorted(set(labels))
+    index = {name: code for code, name in enumerate(names)}
+    return np.array([index[label] for label in labels], dtype=np.int32), names
+
+
+def code_parallels(parallels: list[PivotParallel],
+                   pivot_occurrences: list[tuple[str, int]]) -> tuple[np.ndarray, list[str]]:
+    """One doculect's column, coded: its form at each pivot occurrence.
+
+    A ``None`` form or an occurrence missing from ``parallels`` becomes
+    ``NULL_MARKER``, the NULL label from here on.
+    """
+    form = {(p.verse_id, p.pivot_index): p.form for p in parallels}
+    return code_labels([NULL_MARKER if (f := form.get(occ)) is None else f
+                        for occ in pivot_occurrences])
+
+
 @dataclass
 class ParallelUsageMatrix:
     """Rows are pivot-token occurrences, columns doculects, cells forms.
 
-    ``NULL_MARKER`` cells mark NULL alignments. Every row has a cell for
-    every column.
+    ``codes[i, j]`` indexes ``labels[j]``, the sorted distinct forms of
+    column j, each used by some row; ``NULL_MARKER`` marks NULL
+    alignments.
     """
     row_ids: list[str]
     columns: list[str]
-    cells: list[list[str]]
+    codes: np.ndarray             # (len(row_ids), len(columns)) int32
+    labels: list[list[str]]
 
     def __post_init__(self):
+        self.codes = np.asarray(self.codes, dtype=np.int32)
         if len(set(self.row_ids)) != len(self.row_ids):
             raise PivotError("duplicate row ids in usage matrix")
-        for rid, row in zip(self.row_ids, self.cells):
-            if len(row) != len(self.columns):
-                raise PivotError(f"row {rid} has {len(row)} cells, want {len(self.columns)}")
+        if len(set(self.columns)) != len(self.columns):
+            raise PivotError("duplicate doculect columns in usage matrix")
+        if self.codes.shape != (len(self.row_ids), len(self.columns)) \
+                or len(self.labels) != len(self.columns):
+            raise PivotError(f"codes of shape {self.codes.shape} and {len(self.labels)} label "
+                             f"lists for {len(self.row_ids)} rows and {len(self.columns)} columns")
+        if self.codes.size and self.codes.min() < 0:
+            raise PivotError("negative code in usage matrix")
+        for iso, col, labs in zip(self.columns, self.codes.T, self.labels):
+            used = np.bincount(col, minlength=len(labs))
+            if len(used) != len(labs) or not used.all() or labs != sorted(set(labs)):
+                raise PivotError(f"column {iso!r}: codes must index its sorted distinct "
+                                 "labels, each of them used")
+
+    @classmethod
+    def from_rows(cls, row_ids: list[str], columns: list[str], rows) -> "ParallelUsageMatrix":
+        """The matrix of string labels given row by row, one per column."""
+        rows = list(rows)
+        if len(rows) != len(row_ids):
+            raise PivotError(f"{len(rows)} rows for {len(row_ids)} row ids")
+        for rid, row in zip(row_ids, rows):
+            if len(row) != len(columns):
+                raise PivotError(f"row {rid} has {len(row)} cells, want {len(columns)}")
+        return _stack(row_ids, columns, [code_labels(col) for col in
+                                         list(zip(*rows)) or [()] * len(columns)])
 
     @property
     def n_rows(self) -> int:
         return len(self.row_ids)
 
-    def column(self, iso: str) -> list[str]:
+    def _index(self, iso: str) -> int:
         if iso not in self.columns:
             raise PivotError(f"doculect {iso!r} is not a column of the usage matrix")
-        j = self.columns.index(iso)
-        return [row[j] for row in self.cells]
+        return self.columns.index(iso)
+
+    def coded(self, iso: str) -> tuple[np.ndarray, list[str]]:
+        """A doculect's column as (codes, sorted labels), as ``code_labels`` gives it."""
+        j = self._index(iso)
+        return self.codes[:, j], self.labels[j]
+
+    def column(self, iso: str) -> list[str]:
+        codes, labels = self.coded(iso)
+        return [labels[c] for c in codes.tolist()]
+
+    def rows(self) -> list[list[str]]:
+        """The labels, row by row."""
+        cells = np.empty(self.codes.shape, dtype=object)
+        for j, labels in enumerate(self.labels):
+            cells[:, j] = np.array(labels, dtype=object)[self.codes[:, j]]
+        return cells.tolist()
+
+    def codes_of(self, wanted: dict[str, str]) -> np.ndarray:
+        """Per column, the code of the label ``wanted`` gives for its doculect.
+
+        -1, which no cell holds, where ``wanted`` names no label for the
+        column or one the column never uses.
+        """
+        out = np.full(len(self.columns), -1, dtype=np.int32)
+        for iso, label in wanted.items():
+            j = self._index(iso)
+            if label in self.labels[j]:
+                out[j] = self.labels[j].index(label)
+        return out
 
     def to_tsv(self, header: str | None = None) -> str:
         return tsv.format_rows(
             [["row_id", *self.columns]]
-            + [[rid, *row] for rid, row in zip(self.row_ids, self.cells)],
+            + [[rid, *row] for rid, row in zip(self.row_ids, self.rows())],
             header,
         )
 
@@ -67,28 +155,34 @@ class ParallelUsageMatrix:
         rows = tsv.read_rows(path, rest=str)
         if not rows:
             raise PivotError(f"{path}: empty matrix file")
-        return cls(row_ids=[r[0] for r in rows[1:]], columns=rows[0][1:],
-                   cells=[r[1:] for r in rows[1:]])
+        if rows[0][0] != "row_id":
+            raise PivotError(f"{path}: the first row must name the columns, "
+                             f"row_id and one per doculect; it starts with {rows[0][0]!r}")
+        try:
+            return cls.from_rows([r[0] for r in rows[1:]], rows[0][1:],
+                                 [r[1:] for r in rows[1:]])
+        except PivotError as exc:
+            raise PivotError(f"{path}: {exc}") from exc
 
 
-def build_matrix(parallels_by_doculect: dict[str, list[PivotParallel]],
+def _stack(row_ids: list[str], columns: list[str],
+           coded: list[tuple[np.ndarray, list[str]]]) -> ParallelUsageMatrix:
+    codes = np.empty((len(row_ids), len(columns)), dtype=np.int32)
+    for j, (col, _) in enumerate(coded):
+        codes[:, j] = col
+    return ParallelUsageMatrix(row_ids=row_ids, columns=columns, codes=codes,
+                               labels=[labels for _, labels in coded])
+
+
+def build_matrix(columns: dict[str, tuple[np.ndarray, list[str]]],
                  pivot_occurrences: list[tuple[str, int]]) -> ParallelUsageMatrix:
-    """Assemble the usage matrix; a ``None`` form or an occurrence missing
-    from a dump becomes ``NULL_MARKER``, the NULL label from here on."""
+    """Assemble the usage matrix from each doculect's coded column
+    (``code_parallels``), one row per pivot occurrence, doculects sorted."""
     rids = [row_id(v, i) for v, i in pivot_occurrences]
     if len(set(rids)) != len(rids):
         raise PivotError("duplicate row ids in pivot occurrence list")
-    columns = sorted(parallels_by_doculect.keys())
-    lookup = {
-        iso: {(p.verse_id, p.pivot_index): NULL_MARKER if p.form is None else p.form
-              for p in rows}
-        for iso, rows in parallels_by_doculect.items()
-    }
-    cells = [
-        [lookup[iso].get(occ, NULL_MARKER) for iso in columns]
-        for occ in pivot_occurrences
-    ]
-    return ParallelUsageMatrix(row_ids=rids, columns=columns, cells=cells)
+    isos = sorted(columns)
+    return _stack(rids, isos, [columns[iso] for iso in isos])
 
 
 def hamming(matrix: ParallelUsageMatrix) -> np.ndarray:
@@ -97,17 +191,14 @@ def hamming(matrix: ParallelUsageMatrix) -> np.ndarray:
     Returns the symmetric (n, n) ``uint16`` matrix; Hamming distances are
     bounded by the column count, so 16-bit cells suffice. NULL is an
     ordinary value: NULL vs NULL is equal, NULL vs form is different.
-    Rows are compared through per-column integer codes, one row strip at
-    a time; strips are independent, so any block schedule over them
-    yields bit-identical results.
+    Rows are compared through the matrix codes, one row strip at a time;
+    strips are independent, so any block schedule over them yields
+    bit-identical results.
     """
     n = matrix.n_rows
     if n == 0:
         raise PivotError("empty usage matrix")
-    # column by column: one string array of the whole matrix is ~100 MB at ~1,400 doculects
-    codes = np.empty((n, len(matrix.columns)), dtype=np.int32)
-    for j, iso in enumerate(matrix.columns):
-        codes[:, j] = np.unique(matrix.column(iso), return_inverse=True)[1]
+    codes = matrix.codes
     out = np.zeros((n, n), dtype=np.uint16)
     for i in range(n - 1):
         diff = (codes[i + 1:] != codes[i]).sum(axis=1)

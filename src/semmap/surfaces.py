@@ -20,6 +20,7 @@ import numpy as np
 
 from . import tsv
 from .align import NULL_MARKER
+from .pivot import code_labels
 
 __all__ = [
     "SurfaceError",
@@ -92,7 +93,8 @@ def fit_surface(points, labels, target_means: str, grid: int = 200,
     rho defaults to the median pairwise distance between the labeled
     points. Predictions are clamped to [0, 1].
     """
-    surfs = fit_surfaces(points, {"": labels}, grid, levels, rho, nugget_frac)[""]
+    surfs = fit_surfaces(points, {"": code_labels(labels)}, grid, levels, rho,
+                         nugget_frac)[""]
     if target_means not in surfs:
         raise SurfaceError(f"target means {target_means!r} never occurs")
     return surfs[target_means]
@@ -104,12 +106,13 @@ def fit_surfaces(points, columns, grid: int = 200,
                  nugget_frac: float = 0.05) -> dict[str, dict[str, KrigSurface]]:
     """One surface per means attested in each column, over one kriging system.
 
-    ``columns`` maps a key (a doculect's iso) to one label per point.
-    The system is solved once, against the indicators of every column's
-    means in sorted order; returns ``{key: {means: surface}}``. Too few
-    or coincident points, labels that do not cover every point, or a
-    system no jitter makes solvable raise ``SurfaceError`` for the whole
-    call.
+    ``columns`` maps a key (a doculect's iso) to a coded column, one code
+    per point and its sorted labels, as ``pivot.code_labels`` or
+    ``ParallelUsageMatrix.coded`` give it. The system is solved once,
+    against the indicators of every column's means in label order;
+    returns ``{key: {means: surface}}``. Too few or coincident points,
+    codes that do not cover every point, or a system no jitter makes
+    solvable raise ``SurfaceError`` for the whole call.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -117,11 +120,15 @@ def fit_surfaces(points, columns, grid: int = 200,
     n = pts.shape[0]
     if n < 5:
         raise SurfaceError(f"need at least 5 labeled points, got {n}")
-    if any(len(col) != n for col in columns.values()):
+    if any(len(codes) != n for codes, _ in columns.values()):
         raise SurfaceError(f"labels must cover every point, one label for each of {n}")
-    fields = [(key, m) for key, col in columns.items() for m in sorted(set(col))]
-    z = np.array([[1.0 if lab == m else 0.0 for lab in columns[key]]
-                  for key, m in fields]).reshape(len(fields), n)
+    fields = [(key, m) for key, (_, labels) in columns.items() for m in labels]
+    z = np.empty((len(fields), n))
+    row = 0
+    for codes, labels in columns.values():
+        # the column's indicators, one row per label
+        z[row:row + len(labels)] = np.arange(len(labels))[:, None] == codes
+        row += len(labels)
     x0, y0 = pts.min(axis=0)
     x1, y1 = pts.max(axis=0)
     spanx = (x1 - x0) or 1.0
@@ -552,4 +559,5 @@ def contains(polygons: list[np.ndarray], point):
 
 def null_heat(matrix) -> list[int]:
     """Per usage point, how many doculects realize it with NULL."""
-    return [row.count(NULL_MARKER) for row in matrix.cells]
+    null = matrix.codes_of(dict.fromkeys(matrix.columns, NULL_MARKER))
+    return np.count_nonzero(matrix.codes == null, axis=1).tolist()

@@ -267,33 +267,36 @@ def classification_to_tsv(dictionaries, header: str | None = None) -> str:
     return tsv.format_rows(rows, header)
 
 
-def score_means(assignments, labels, cluster: int) -> tuple[list[MeansScore], MeansScore]:
+def score_means(assignments, column, cluster: int) -> tuple[list[MeansScore], MeansScore]:
     """Precision/recall/F1 of every means attested inside a cluster.
 
-    For one doculect: tp counts the means' usage points inside the
-    cluster, fp its points outside, fn the other means' points inside.
-    Returns all scores plus the best one (max F1, lexicographic means
-    label on ties). NULL is the label ``NULL_MARKER``, scored like any
-    other means.
+    For one doculect, whose ``column`` is coded as (codes, sorted labels)
+    (``ParallelUsageMatrix.coded``): tp counts the means' usage points
+    inside the cluster, fp its points outside, fn the other means' points
+    inside. Returns all scores in label order plus the best one (max F1,
+    lexicographic means label on ties). NULL is the label
+    ``NULL_MARKER``, scored like any other means.
     """
+    codes, labels = column
     assignments = np.asarray(assignments)
-    if len(labels) != assignments.shape[0]:
+    if len(codes) != assignments.shape[0]:
         raise TypologyError("labels must cover every embedded point")
     inside = assignments == cluster
     if not inside.any():
         raise TypologyError(f"cluster {cluster} is empty")
     cluster_size = int(inside.sum())
-    attested = sorted({lab for lab, inc in zip(labels, inside) if inc})
+    # per means: its points, and its points inside the cluster
+    total = np.bincount(codes, minlength=len(labels))
+    inner = np.bincount(codes[inside], minlength=len(labels))
     scores: list[MeansScore] = []
-    for m in attested:
-        is_m = np.array([lab == m for lab in labels])
-        tp = int((is_m & inside).sum())
-        fp = int((is_m & ~inside).sum())
+    for m in np.flatnonzero(inner).tolist():
+        tp = int(inner[m])
+        fp = int(total[m]) - tp
         fn = cluster_size - tp
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        scores.append(MeansScore(m, int(cluster), tp, fp, fn, precision, recall, f1))
+        scores.append(MeansScore(labels[m], int(cluster), tp, fp, fn, precision, recall, f1))
     best = min(scores, key=lambda s: (-s.f1, s.means))
     return scores, best
 
@@ -305,17 +308,8 @@ def prototypicality(cluster: int, best_per_doculect: dict[str, str],
     Returns (row_id, score) pairs ranked by descending score, row id
     breaking ties.
     """
-    assignments = np.asarray(assignments)
-    scores: list[tuple[str, int]] = []
-    col_of = {iso: j for j, iso in enumerate(matrix.columns)}
-    for i, rid in enumerate(matrix.row_ids):
-        if assignments[i] != cluster:
-            continue
-        row = matrix.cells[i]
-        s = 0
-        for iso, best in best_per_doculect.items():
-            if row[col_of[iso]] == best:
-                s += 1
-        scores.append((rid, s))
+    rows = np.flatnonzero(np.asarray(assignments) == cluster)
+    hits = np.count_nonzero(matrix.codes[rows] == matrix.codes_of(best_per_doculect), axis=1)
+    scores = [(matrix.row_ids[i], s) for i, s in zip(rows.tolist(), hits.tolist())]
     scores.sort(key=lambda t: (-t[1], t[0]))
     return scores

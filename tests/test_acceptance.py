@@ -174,15 +174,13 @@ def test_criterion_04_hamming_mds():
 
         rng = random.Random(40)
         forms = ["a", "b", "c", NULL_MARKER]
-        matrix = ParallelUsageMatrix(
-            row_ids=[f"r{i}" for i in range(50)],
-            columns=[f"L{j}" for j in range(20)],
-            cells=[[rng.choice(forms) for _ in range(20)] for _ in range(50)],
-        )
+        cells = [[rng.choice(forms) for _ in range(20)] for _ in range(50)]
+        matrix = ParallelUsageMatrix.from_rows(
+            [f"r{i}" for i in range(50)], [f"L{j}" for j in range(20)], cells)
         dense = hamming(matrix)
         for i in range(50):
             for j in range(50):
-                want = sum(1 for a, b in zip(matrix.cells[i], matrix.cells[j]) if a != b)
+                want = sum(1 for a, b in zip(cells[i], cells[j]) if a != b)
                 assert dense[i, j] == want
         pts = np.random.default_rng(41).normal(size=(100, 2))
         dm = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))

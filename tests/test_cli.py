@@ -510,6 +510,26 @@ def test_map_bad_embedding_is_data_error(tmp_path, capsys, text, reason):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("".join(f"r{i}\t{'uv'[i % 2]}\n" for i in range(6)), "the first row must name"),
+    ("row_id\txyz\txyz\n" + "".join(f"r{i}\t{'uv'[i % 2]}\tu\n" for i in range(6)),
+     "duplicate doculect columns"),
+], ids=["no_header_row", "repeated_column"])
+def test_map_malformed_matrix_is_data_error(tmp_path, capsys, text, reason):
+    emb = tmp_path / "embedding.tsv"
+    emb.write_text("".join(f"r{i}\t{0.1 * i}\t{(0.3 * i) % 1.0}\n" for i in range(6)),
+                   encoding="utf-8")
+    mat = tmp_path / "matrix.tsv"
+    mat.write_text(text, encoding="utf-8")
+    out = tmp_path / "map.svg"
+    assert main(["map", "--embedding", str(emb), "--matrix", str(mat),
+                 "--iso", "xyz", "--out", str(out), "--grid", "20"]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(mat) in err and reason in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("coords, reason", [
     ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)], "at least 5"),
     ([(0.5, 0.5)] * 6, "coincide"),

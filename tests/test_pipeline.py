@@ -110,7 +110,7 @@ def test_matrix_and_embedding_parse_back(synth_run):
 def test_heat_layer_counts_nulls(synth_run):
     m = ParallelUsageMatrix.from_tsv(synth_run["out"] / "matrix.tsv")
     heat = {r["row_id"]: int(r["null_count"]) for r in read_tsv(synth_run["out"] / "heat.tsv")}
-    for rid, row in zip(m.row_ids, m.cells):
+    for rid, row in zip(m.row_ids, m.rows()):
         assert heat[rid] == sum(1 for c in row if c == NULL_MARKER)
     # the NULL-realizing scheme makes BL rows strictly warmer on average
     bl = [heat[rid] for rid in m.row_ids if 200 <= int(rid.split(":")[2].split("#")[0])]

@@ -10,16 +10,18 @@ from semmap.pivot import (
     PivotError,
     build_matrix,
     classical_mds,
+    code_labels,
+    code_parallels,
     hamming,
 )
 
 
 def fixture_matrix():
     """Two usage points across six doculects; rows differ in three cells."""
-    return ParallelUsageMatrix(
+    return ParallelUsageMatrix.from_rows(
         row_ids=["MAT:1:1#0", "MAT:1:2#0"],
         columns=["eng", "mri", "por", "fin", "kaz", "kor"],
-        cells=[
+        rows=[
             ["when", "no", "quando", "kun", "qasan", "ttaee"],
             ["when", "ka", "quando", "jolloin", "keiin", "ttaee"],
         ],
@@ -28,10 +30,10 @@ def fixture_matrix():
 
 def random_matrix(n=50, m=20, seed=4, forms=("a", "b", "c", NULL_MARKER)):
     rng = random.Random(seed)
-    return ParallelUsageMatrix(
+    return ParallelUsageMatrix.from_rows(
         row_ids=[f"r{i}" for i in range(n)],
         columns=[f"L{j}" for j in range(m)],
-        cells=[[rng.choice(forms) for _ in range(m)] for _ in range(n)],
+        rows=[[rng.choice(forms) for _ in range(m)] for _ in range(n)],
     )
 
 
@@ -46,10 +48,10 @@ def matrices(st):
     @st.composite
     def matrix(draw):
         n, m = draw(st.integers(1, 12)), draw(st.integers(0, 6))
-        return ParallelUsageMatrix(
+        return ParallelUsageMatrix.from_rows(
             row_ids=[f"r{i}" for i in range(n)],
             columns=[f"L{j}" for j in range(m)],
-            cells=draw(st.lists(st.lists(forms, min_size=m, max_size=m),
+            rows=draw(st.lists(st.lists(forms, min_size=m, max_size=m),
                                 min_size=n, max_size=n)),
         )
 
@@ -58,11 +60,12 @@ def matrices(st):
 
 def naive_hamming(matrix):
     n = matrix.n_rows
+    cells = matrix.rows()
     out = np.zeros((n, n), dtype=int)
     for i in range(n):
         for j in range(n):
             out[i, j] = sum(
-                1 for a, b in zip(matrix.cells[i], matrix.cells[j]) if a != b
+                1 for a, b in zip(cells[i], cells[j]) if a != b
             )
     return out
 
@@ -75,37 +78,100 @@ def test_build_matrix_from_parallels():
         "fin": [PivotParallel("v1", 0, "kun")],
     }
     occ = [("v1", 0), ("v2", 1)]
-    m = build_matrix(par, occ)
+    m = build_matrix({iso: code_parallels(rows, occ) for iso, rows in par.items()}, occ)
     assert m.columns == ["deu", "fin"]
-    assert m.cells == [["als", "kun"], [NULL_MARKER, NULL_MARKER]]
+    assert m.rows() == [["als", "kun"], [NULL_MARKER, NULL_MARKER]]
 
 
 def test_build_matrix_full_null_column():
     par = {"deu": [PivotParallel("v1", 0, "als")], "xxx": []}
-    m = build_matrix(par, [("v1", 0)])
+    occ = [("v1", 0)]
+    m = build_matrix({iso: code_parallels(rows, occ) for iso, rows in par.items()}, occ)
     assert m.column("xxx") == [NULL_MARKER]
 
 
 def test_build_matrix_duplicate_rows_error():
+    occ = [("v1", 0), ("v1", 0)]
     with pytest.raises(PivotError):
-        build_matrix({"deu": []}, [("v1", 0), ("v1", 0)])
+        build_matrix({"deu": code_parallels([], occ)}, occ)
+
+
+def stored_matrices(st):
+    """Hypothesis strategy: usage matrices of any text a matrix file can hold.
+
+    Labels and column names are free text without tabs or line breaks,
+    NULL and non-ASCII forms included; row ids, which open a line, do not
+    start with ``#`` either (a ``#`` line is a comment).
+    """
+    # lone surrogates are not text UTF-8 can encode
+    text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+                   max_size=6)
+    forms = st.one_of(st.just(NULL_MARKER), st.sampled_from(["wenn", "когда", "ketika"]),
+                      text)
+    ids = text.filter(lambda t: t and not t.startswith("#"))
+
+    @st.composite
+    def matrix(draw):
+        n, m = draw(st.integers(0, 8)), draw(st.integers(0, 5))
+        row_ids = draw(st.lists(ids, min_size=n, max_size=n, unique=True))
+        columns = draw(st.lists(text, min_size=m, max_size=m, unique=True))
+        rows = draw(st.lists(st.lists(forms, min_size=m, max_size=m), min_size=n, max_size=n))
+        return ParallelUsageMatrix.from_rows(row_ids, columns, rows)
+
+    return matrix()
 
 
 def test_matrix_tsv_roundtrip(tmp_path):
     hyp = pytest.importorskip("hypothesis")
     p = tmp_path / "m.tsv"
 
-    @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @hyp.given(matrices(hyp.strategies))
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(stored_matrices(hyp.strategies))
     @hyp.example(random_matrix(n=12, m=5))
+    @hyp.example(fixture_matrix())
     def roundtrip(m):
-        p.write_text(m.to_tsv(header="x"), encoding="utf-8")
+        text = m.to_tsv(header="semmap config=x")
+        p.write_text(text, encoding="utf-8")
         again = ParallelUsageMatrix.from_tsv(p)
         assert again.row_ids == m.row_ids
         assert again.columns == m.columns
-        assert again.cells == m.cells
+        assert np.array_equal(again.codes, m.codes) and again.codes.dtype == np.int32
+        assert again.labels == m.labels
+        assert again.rows() == m.rows()
+        assert again.to_tsv(header="semmap config=x") == text
 
     roundtrip()
+
+
+def test_code_labels_follows_sorted_set_order():
+    codes, labels = code_labels(["b", NULL_MARKER, "ä", "b", "a"])
+    assert labels == sorted({"b", NULL_MARKER, "ä", "a"})
+    assert [labels[c] for c in codes] == ["b", NULL_MARKER, "ä", "b", "a"]
+    assert codes.dtype == np.int32
+
+
+def test_matrix_file_without_header_row_is_rejected(tmp_path):
+    p = tmp_path / "matrix.tsv"
+    p.write_text("# semmap config=x\nMAT:1:1#0\twhen\tals\nMAT:1:2#0\twhen\tNULL\n",
+                 encoding="utf-8")
+    with pytest.raises(PivotError, match=str(p)):
+        ParallelUsageMatrix.from_tsv(p)
+
+
+def test_matrix_file_with_repeated_column_is_rejected(tmp_path):
+    p = tmp_path / "matrix.tsv"
+    p.write_text("row_id\taaa\taaa\nMAT:1:1#0\tx\ty\n", encoding="utf-8")
+    with pytest.raises(PivotError, match=str(p)):
+        ParallelUsageMatrix.from_tsv(p)
+
+
+def test_matrix_rejects_codes_that_do_not_index_their_labels():
+    with pytest.raises(PivotError):
+        ParallelUsageMatrix(["r0", "r1"], ["L0"], np.array([[0], [2]]), [["a", "b"]])
+    with pytest.raises(PivotError):
+        ParallelUsageMatrix(["r0", "r1"], ["L0"], np.array([[1], [0]]), [["b", "a"]])
+    with pytest.raises(PivotError):
+        ParallelUsageMatrix(["r0", "r1"], ["L0"], np.array([[0], [0]]), [["a", "b"]])
 
 
 # hamming ----------------------------------------------------------------------
@@ -116,9 +182,9 @@ def test_hamming_paper_sample_rows_distance_three():
 
 
 def test_hamming_identical_rows():
-    m = ParallelUsageMatrix(
+    m = ParallelUsageMatrix.from_rows(
         row_ids=["a", "b"], columns=["x", "y"],
-        cells=[["w", NULL_MARKER], ["w", NULL_MARKER]],
+        rows=[["w", NULL_MARKER], ["w", NULL_MARKER]],
     )
     assert hamming(m)[0, 1] == 0
 
@@ -138,10 +204,10 @@ def test_hamming_equals_naive_recount():
 def test_hamming_column_permutation_invariant():
     m = random_matrix(n=20, m=8, seed=9)
     perm = [3, 1, 7, 0, 2, 6, 4, 5]
-    mp = ParallelUsageMatrix(
+    mp = ParallelUsageMatrix.from_rows(
         row_ids=list(m.row_ids),
         columns=[m.columns[j] for j in perm],
-        cells=[[row[j] for j in perm] for row in m.cells],
+        rows=[[row[j] for j in perm] for row in m.rows()],
     )
     assert np.array_equal(hamming(m), hamming(mp))
 

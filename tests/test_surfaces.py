@@ -9,7 +9,7 @@ import pytest
 import semmap
 import semmap.surfaces as surfaces_module
 from semmap.align import NULL_MARKER
-from semmap.pivot import ParallelUsageMatrix
+from semmap.pivot import ParallelUsageMatrix, code_labels
 from semmap.surfaces import (
     DEFAULT_LEVELS,
     KrigSurface,
@@ -30,6 +30,11 @@ from semmap.surfaces import (
     null_heat,
 )
 from semmap.tsv import format_rows
+
+
+def coded(columns):
+    """String label columns coded as ``fit_surfaces`` takes them."""
+    return {key: code_labels(labels) for key, labels in columns.items()}
 
 
 def bump_surface(grid=200, box=3.0):
@@ -197,7 +202,7 @@ def test_fit_surfaces_equals_one_off_fits():
         "xx": ["a" if p[0] < 0 else "b" for p in pts],
         "yy": ["c" if p[1] < 0 else NULL_MARKER for p in pts],
     }
-    surfs = fit_surfaces(pts, columns, grid=30)
+    surfs = fit_surfaces(pts, coded(columns), grid=30)
     assert {k: sorted(v) for k, v in surfs.items()} == {"xx": ["a", "b"], "yy": [NULL_MARKER, "c"]}
     for key, labels in columns.items():
         for means, surf in surfs[key].items():
@@ -219,7 +224,7 @@ def test_fit_surfaces_agrees_with_primal_weights():
     }
     grid = 60
     assert grid * grid > 3 * _NODE_CHUNK
-    surfs = fit_surfaces(pts, columns, grid=grid)
+    surfs = fit_surfaces(pts, coded(columns), grid=grid)
     xx = surfs["xx"]["a"]
     gx, gy = np.meshgrid(xx.xs, xx.ys)
     nodes = np.column_stack([gx.ravel(), gy.ravel()])
@@ -240,7 +245,7 @@ def test_fit_surfaces_agrees_with_primal_weights():
 def test_fit_surfaces_raises_once_for_the_whole_call(points, labels):
     good = ["a", "b"] * (len(points) // 2)
     with pytest.raises(SurfaceError):
-        fit_surfaces(points, {"ok": good, "bad": labels}, grid=10)
+        fit_surfaces(points, coded({"ok": good, "bad": labels}), grid=10)
 
 
 def test_second_jitter_rung_gives_finite_surfaces(monkeypatch):
@@ -261,7 +266,8 @@ def test_second_jitter_rung_gives_finite_surfaces(monkeypatch):
         return out
 
     monkeypatch.setattr(np.linalg, "solve", spy)
-    surfs = fit_surfaces(pts, {"x": ["a", "b", "a", "b", "b"] * 2}, grid=20, nugget_frac=0.0)
+    surfs = fit_surfaces(pts, coded({"x": ["a", "b", "a", "b", "b"] * 2}), grid=20,
+                         nugget_frac=0.0)
     assert outcomes == ["singular", "solved"]
     for surf in surfs["x"].values():
         assert np.all(np.isfinite(surf.prob))
@@ -756,7 +762,7 @@ def test_fit_surfaces_contours_equal_one_contour_call_per_level():
     pts = rng.normal(size=(60, 2))
     columns = {"xx": [["a", "b", "c"][i % 3] for i in range(60)],
                "yy": ["d" if p[0] < 0.3 else NULL_MARKER for p in pts]}
-    surfs = fit_surfaces(pts, columns, grid=50)
+    surfs = fit_surfaces(pts, coded(columns), grid=50)
     assert 5 * len(DEFAULT_LEVELS) * 52 * 52 > _CONTOUR_CELLS
     for key in columns:
         for surf in surfs[key].values():
@@ -794,9 +800,11 @@ def test_fit_surfaces_and_k_selection_leave_numpy_ma_unimported():
         "import sys\n"
         "import numpy as np\n"
         "from semmap.mixture import select_k\n"
+        "from semmap.pivot import code_labels\n"
         "from semmap.surfaces import fit_surfaces\n"
         "pts = np.random.default_rng(0).normal(size=(40, 2))\n"
-        "fit_surfaces(pts, {'x': ['a' if p[0] < 0 else 'b' for p in pts]}, grid=30)\n"
+        "labels = code_labels(['a' if p[0] < 0 else 'b' for p in pts])\n"
+        "fit_surfaces(pts, {'x': labels}, grid=30)\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported by fit_surfaces'\n"
         "select_k(pts, (2, 3), seed=0)\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported by select_k'\n"
@@ -968,10 +976,10 @@ def test_batched_contains_property_matches_scalar_oracle():
 # null heat ---------------------------------------------------------------------
 
 def test_null_heat_counts():
-    m = ParallelUsageMatrix(
+    m = ParallelUsageMatrix.from_rows(
         row_ids=["r1", "r2"],
         columns=[f"L{i}" for i in range(10)],
-        cells=[[NULL_MARKER] * 10, ["w"] * 10],
+        rows=[[NULL_MARKER] * 10, ["w"] * 10],
     )
     assert null_heat(m) == [10, 0]
 
@@ -981,10 +989,10 @@ def test_null_heat_equals_brute_force_on_random_matrix():
 
     rng = random.Random(5)
     cells = [[rng.choice(["x", NULL_MARKER]) for _ in range(7)] for _ in range(40)]
-    m = ParallelUsageMatrix(
+    m = ParallelUsageMatrix.from_rows(
         row_ids=[f"r{i}" for i in range(40)],
         columns=[f"L{j}" for j in range(7)],
-        cells=cells,
+        rows=cells,
     )
     got = null_heat(m)
     assert got == [sum(1 for c in row if c == NULL_MARKER) for row in cells]

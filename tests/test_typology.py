@@ -15,7 +15,7 @@ from semmap.typology import (
     prototypicality,
     score_means,
 )
-from semmap.pivot import ParallelUsageMatrix
+from semmap.pivot import ParallelUsageMatrix, code_labels
 
 
 def rect(x0, y0, x1, y1):
@@ -265,7 +265,7 @@ def test_template_table_is_unambiguous():
 def test_score_perfect_means():
     assignments = np.array([0] * 10 + [1] * 30)
     labels = ["kai"] * 10 + ["other"] * 30
-    scores, best = score_means(assignments, labels, 0)
+    scores, best = score_means(assignments, code_labels(labels), 0)
     kai = next(s for s in scores if s.means == "kai")
     assert (kai.precision, kai.recall, kai.f1) == (1.0, 1.0, 1.0)
     assert best.means == "kai"
@@ -275,7 +275,7 @@ def test_score_whole_map_means():
     # one means everywhere, cluster is 10% of the points
     assignments = np.array([0] * 10 + [1] * 90)
     labels = ["when"] * 100
-    scores, best = score_means(assignments, labels, 0)
+    scores, best = score_means(assignments, code_labels(labels), 0)
     assert best.means == "when"
     assert best.recall == 1.0
     assert best.precision == pytest.approx(0.1)
@@ -285,7 +285,7 @@ def test_score_matches_brute_force_recount():
     rng = random.Random(3)
     assignments = np.array([rng.randint(0, 2) for _ in range(200)])
     labels = [rng.choice(["a", "b", "c", NULL_MARKER]) for _ in range(200)]
-    scores, _ = score_means(assignments, labels, 1)
+    scores, _ = score_means(assignments, code_labels(labels), 1)
     for s in scores:
         tp = sum(1 for lab, a in zip(labels, assignments) if lab == s.means and a == 1)
         fp = sum(1 for lab, a in zip(labels, assignments) if lab == s.means and a != 1)
@@ -297,23 +297,23 @@ def test_score_matches_brute_force_recount():
 
 def test_score_empty_cluster_errors():
     with pytest.raises(TypologyError):
-        score_means(np.zeros(5, dtype=int), ["a"] * 5, 3)
+        score_means(np.zeros(5, dtype=int), code_labels(["a"] * 5), 3)
 
 
 def test_score_best_tie_lexicographic():
     assignments = np.array([0, 0, 1, 1])
     labels = ["b", "a", "x", "y"]
-    _, best = score_means(assignments, labels, 0)
+    _, best = score_means(assignments, code_labels(labels), 0)
     assert best.means == "a"
 
 
 # prototypicality -------------------------------------------------------------------
 
 def proto_matrix():
-    return ParallelUsageMatrix(
+    return ParallelUsageMatrix.from_rows(
         row_ids=["r0", "r1", "r2"],
         columns=["d1", "d2", "d3"],
-        cells=[
+        rows=[
             ["wenn", "jegda", "quando"],
             ["wenn", "jegda", "mentre"],
             [NULL_MARKER, NULL_MARKER, NULL_MARKER],
@@ -338,10 +338,10 @@ def test_prototypicality_matches_brute_force():
     rng = random.Random(11)
     forms = ["u", "v", NULL_MARKER]
     cells = [[rng.choice(forms) for _ in range(5)] for _ in range(40)]
-    matrix = ParallelUsageMatrix(
+    matrix = ParallelUsageMatrix.from_rows(
         row_ids=[f"r{i:02d}" for i in range(40)],
         columns=[f"d{j}" for j in range(5)],
-        cells=cells,
+        rows=cells,
     )
     assignments = np.array([rng.randint(0, 1) for _ in range(40)])
     best = {f"d{j}": rng.choice(["u", "v", NULL_MARKER]) for j in range(5)}
