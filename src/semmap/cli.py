@@ -1,15 +1,14 @@
 """Command-line interface.
 
-``semmap run`` executes the whole pipeline from a JSON config (flags
-override individual fields); the subcommands run single stages over
-stored intermediates. Exit codes: 0 ok, 2 config error, 3 data error,
-4 numerical failure.
+``semmap run`` executes the whole pipeline from a JSON config; its flags
+say only where data lives and override the config's paths. The
+subcommands run single stages over stored intermediates. Exit codes:
+0 ok, 2 config error, 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -36,21 +35,12 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-# scalar PipelineConfig fields mirrored as --kebab-case run flags
-_RUN_SCALARS = {
-    "corpus_dir": str, "metadata": str, "out_dir": str, "pivot_iso": str,
-    "iterations": int, "min_count": int, "grid": int, "nugget_frac": float,
-    "rho": float, "dictionary_level": float, "gmm_seed": int, "core_k": int,
-    "alpha": float,
-}
-
-
-def _split(text: str, typ) -> tuple:
-    """A comma-separated flag value as a tuple of ``typ``."""
+def _levels(text: str) -> tuple[float, ...]:
+    """A comma-separated ``--levels`` value."""
     try:
-        return tuple(typ(v) for v in text.split(","))
+        return tuple(float(v) for v in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad list {text!r}: {exc}") from exc
+        raise ConfigError(f"bad --levels {text!r}: {exc}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -63,31 +53,16 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_run(args) -> int:
+    # every analysis setting comes from the config file, or is PipelineConfig's default
     if args.config:
         config = PipelineConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
+    elif args.corpus_dir and args.out_dir:
+        config = PipelineConfig(args.corpus_dir, None, args.out_dir)
     else:
-        if not (args.corpus_dir and args.out_dir):
-            raise ConfigError("either --config or --corpus-dir/--out-dir are required")
-        config = PipelineConfig(
-            corpus_dir=args.corpus_dir, metadata=args.metadata,
-            out_dir=args.out_dir,
-        )
-    for name in _RUN_SCALARS:
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(config, name, val)
-    if args.pivot_tokens:
-        config.pivot_tokens = _split(args.pivot_tokens, str)
-    if args.levels:
-        config.levels = _split(args.levels, float)
-    if args.gmm_ks:
-        config.gmm_ks = _split(args.gmm_ks, int)
-    if args.cluster_groups:
-        config.cluster_groups = json.loads(args.cluster_groups)
-    if args.group_anchors:
-        config.group_anchors = json.loads(args.group_anchors)
-    if args.no_dump_grids:
-        config.dump_grids = False
+        raise ConfigError("either --config or --corpus-dir/--out-dir are required")
+    for name in ("corpus_dir", "metadata", "out_dir"):
+        if getattr(args, name) is not None:
+            setattr(config, name, getattr(args, name))
     manifest = run(config)
     print(manifest)
     return EXIT_OK
@@ -109,34 +84,28 @@ def _require(path: str, stage: str) -> Path:
     return p
 
 
-# the run's config fields that `map` draws its surfaces with
-_MAP_FIELDS = ("grid", "levels", "rho", "nugget_frac")
-
-
 def _map_settings(args) -> dict:
     """Grid, levels, rho and nugget_frac for ``map``.
 
     They come from the config.json beside ``--embedding`` (the run's),
-    or are PipelineConfig's defaults where there is none; ``--grid`` and
-    ``--levels`` override.
+    read by ``run``'s rules, or are PipelineConfig's defaults where there
+    is none; ``--grid`` and ``--levels`` override.
     """
-    settings = {f.name: f.default for f in dataclasses.fields(PipelineConfig)
-                if f.name in _MAP_FIELDS}
     path = Path(args.embedding).with_name("config.json")
     if path.is_file():
-        stored = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(stored, dict):
-            raise ConfigError(f"{path} is not a JSON object")
-        if not isinstance(stored.get("levels", []), list):
-            raise ConfigError(f"levels in {path} must be a JSON list, got {stored['levels']!r}")
-        settings.update((k, stored[k]) for k in _MAP_FIELDS if k in stored)
-    if args.grid is not None:
-        settings["grid"] = args.grid
-    settings["levels"] = (_split(args.levels, float) if args.levels is not None
-                          else tuple(settings["levels"]))
-    check_grid_levels(settings["grid"], settings["levels"])
-    check_kriging(settings["rho"], settings["nugget_frac"])
-    return settings
+        try:
+            config = PipelineConfig.from_json(path.read_text(encoding="utf-8"))
+        except (ConfigError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    else:
+        # map reads no corpus and writes no run, so the paths stay empty
+        config = PipelineConfig("", None, "")
+    grid = config.grid if args.grid is None else args.grid
+    levels = config.levels if args.levels is None else _levels(args.levels)
+    check_grid_levels(grid, levels)
+    check_kriging(config.rho, config.nugget_frac)
+    return {"grid": grid, "levels": levels, "rho": config.rho,
+            "nugget_frac": config.nugget_frac}
 
 
 def _cmd_map(args) -> int:
@@ -226,15 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="run the full pipeline")
-    p.add_argument("--config", help="JSON pipeline config")
-    for name, typ in _RUN_SCALARS.items():
-        p.add_argument(f"--{name.replace('_', '-')}", type=typ, dest=name)
-    p.add_argument("--pivot-tokens", help="comma-separated pivot tokens")
-    p.add_argument("--levels", help="comma-separated contour levels, descending")
-    p.add_argument("--gmm-ks", help="comma-separated candidate component counts")
-    p.add_argument("--cluster-groups", help="JSON map of group to cluster id")
-    p.add_argument("--group-anchors", help="JSON map of group to usage-point row id")
-    p.add_argument("--no-dump-grids", action="store_true")
+    p.add_argument("--config", help="JSON pipeline config: every analysis setting")
+    p.add_argument("--corpus-dir", help="corpus directory (overrides the config's)")
+    p.add_argument("--metadata", help="metadata TSV (overrides the config's)")
+    p.add_argument("--out-dir", help="output directory (overrides the config's)")
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("align-eval", help="score an alignment dump against gold")

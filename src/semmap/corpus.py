@@ -3,7 +3,8 @@
 A corpus directory holds one file per translation, named
 ``<iso>[-variant].txt``, with one verse per line as
 ``BOOK:CHAPTER:VERSE<TAB>text``. Language metadata arrives as a TSV with
-columns ``iso  name  family  macroarea  year``.
+columns ``iso  name  family  macroarea  year``; a row whose first column
+is a file's stem (``deu-1912``) describes that file ahead of its iso's row.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ class Doculect:
     macroarea: str = "unknown"
     year: int | None = None
     verses: dict[str, str] = field(default_factory=dict)
+    stem: str = ""   # the file name without .txt, which tells variants apart
 
     def __post_init__(self):
         if not self.iso:
@@ -93,8 +95,9 @@ def select_translation(candidates: list[Doculect]) -> Doculect:
 
     Widest verse coverage wins; candidates within COVERAGE_TIE_GAP verses
     of the best are treated as equal coverage and the most recent of them
-    is picked. An unknown year sorts oldest. The result is independent of
-    the input order.
+    is picked. An unknown year sorts oldest; remaining ties go to the
+    greater coverage, then name, then file stem. For candidates with
+    distinct stems the result is independent of the input order.
     """
     if not candidates:
         raise CorpusError("no translations")
@@ -103,7 +106,7 @@ def select_translation(candidates: list[Doculect]) -> Doculect:
     # total order so that permuting the input can never change the winner
     def key(c: Doculect):
         year = c.year if c.year is not None else -1
-        return (year, c.coverage, c.name)
+        return (year, c.coverage, c.name, c.stem)
     return max(pool, key=key)
 
 
@@ -142,11 +145,15 @@ def load_doculect_file(path: str | Path, iso: str | None = None,
         macroarea=meta.get("macroarea", "unknown"),
         year=meta.get("year"),
         verses=verses,
+        stem=stem,
     )
 
 
 def load_metadata(path: str | Path) -> dict[str, dict]:
-    """Read the iso/name/family/macroarea/year TSV into a dict keyed by iso."""
+    """Read the iso/name/family/macroarea/year TSV into a dict keyed by its first column.
+
+    That column is an iso code, or the stem of one corpus file.
+    """
     meta: dict[str, dict] = {}
     for ln, line in _data_lines(path):
         parts = line.split("\t")
@@ -172,15 +179,16 @@ def load_corpus(corpus_dir: str | Path, metadata_path: str | Path | None,
                 pivot_iso: str) -> CorpusManifest:
     """Load every translation, then keep one per iso code.
 
-    Yearless variants may share an iso; ``select_translation`` decides
-    which survives. The pivot must be present after selection.
+    Variants may share an iso; ``select_translation`` decides which
+    survives. Each file takes the metadata row of its stem, else that of
+    its iso. The pivot must be present after selection.
     """
     corpus_dir = Path(corpus_dir)
     meta = load_metadata(metadata_path) if metadata_path else {}
     by_iso: dict[str, list[Doculect]] = {}
     for path in sorted(corpus_dir.glob("*.txt")):
         iso = path.stem.split("-", 1)[0]
-        doc = load_doculect_file(path, iso=iso, meta=meta.get(iso))
+        doc = load_doculect_file(path, iso=iso, meta=meta.get(path.stem, meta.get(iso)))
         by_iso.setdefault(iso, []).append(doc)
     if not by_iso:
         raise CorpusError(f"no .txt corpus files under {corpus_dir}")

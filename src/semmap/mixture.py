@@ -21,6 +21,7 @@ __all__ = [
     "CorePointSet",
     "SelectionReport",
     "kmeans_init",
+    "k_bounds",
     "fit_gmm",
     "select_k",
     "silhouette_score",
@@ -135,6 +136,17 @@ def _log_gauss_all(pts: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.n
     return -0.5 * (2 * math.log(2 * math.pi) + np.log(det)[None, :] + maha)
 
 
+def k_bounds(n: int, several: bool) -> tuple[int, int]:
+    """The least and greatest K a mixture of ``n`` points may have.
+
+    One K (``fit_gmm``) needs 3K points. Several candidates
+    (``select_k``) each lie in [2, max(2, n // 3)]: K = 1 has no
+    silhouette, and a K = 2 that the points are too few for fails in the
+    selection.
+    """
+    return (2, max(2, n // 3)) if several else (1, n // 3)
+
+
 def fit_gmm(points, k: int, seed: int = 0) -> GmmModel:
     """Full-covariance EM from a k-means initialization of (n, 2) points.
 
@@ -145,7 +157,7 @@ def fit_gmm(points, k: int, seed: int = 0) -> GmmModel:
     """
     pts = _plane(points)
     n = pts.shape[0]
-    if n < 3 * k:
+    if k > k_bounds(n, several=False)[1]:
         raise MixtureError(f"need at least 3k points, got n={n} k={k}")
 
     centers = kmeans_init(pts, k, seed=seed)
@@ -262,9 +274,10 @@ def select_k(points, candidates, seed: int = 0) -> SelectionReport:
     candidates = list(candidates)
     if not candidates:
         raise MixtureError("no candidate component counts")
+    least, most = k_bounds(n, several=True)
     for k in candidates:
-        if not 2 <= k <= max(2, n // 3):
-            raise MixtureError(f"candidate K={k} outside [2, n/3]")
+        if not least <= k <= most:
+            raise MixtureError(f"candidate K={k} outside [{least}, {most}]")
     rows: list[dict] = []
     models: dict[int, GmmModel] = {}
     for k in candidates:

@@ -93,7 +93,7 @@ class PipelineConfig:
     alpha: float = 0.01
     cluster_groups: dict = field(default_factory=lambda: {"TL": 3, "ML": 2, "BL": 4})
     group_anchors: dict = field(default_factory=dict)
-    dump_grids: bool = True
+    dump_grids: bool = False
 
     def validate(self) -> None:
         for name in ("corpus_dir", "out_dir"):
@@ -117,8 +117,10 @@ class PipelineConfig:
             _check_integer(name, getattr(self, name))
         if not self.gmm_ks:
             raise ConfigError("gmm_ks must name at least one K")
+        # the least K does not depend on the number of points
+        least, _ = mx.k_bounds(0, several=len(self.gmm_ks) > 1)
         for k in self.gmm_ks:
-            _check_integer("every K in gmm_ks", k)
+            _check_integer("every K in gmm_ks", k, least)
         # numpy seeds its generators with non-negative integers only
         _check_integer("gmm_seed", self.gmm_seed, least=0)
         if not (_finite(self.alpha) and 0.0 < self.alpha < 1.0):
@@ -150,7 +152,7 @@ class PipelineConfig:
     def from_json(cls, text: str) -> "PipelineConfig":
         d = json.loads(text)
         if not isinstance(d, dict):
-            raise ConfigError("a config must be a JSON object")
+            raise ConfigError("the config is not a JSON object")
         for key in _LIST_FIELDS:
             if key in d:
                 if not isinstance(d[key], list):
@@ -245,6 +247,10 @@ def run(config: PipelineConfig) -> Path:
     if config.core_k > len(occurrences):
         raise ConfigError(f"core_k={config.core_k} exceeds the {len(occurrences)} "
                           f"occurrences of the pivot tokens")
+    least, most = mx.k_bounds(len(occurrences), several=len(config.gmm_ks) > 1)
+    if not all(least <= k <= most for k in config.gmm_ks):
+        raise ConfigError(f"gmm_ks={list(config.gmm_ks)} must lie in [{least}, {most}] for "
+                          f"the {len(occurrences)} occurrences of the pivot tokens")
     all_target_verses = set()
     targets = sorted(iso for iso in manifest.doculects if iso != config.pivot_iso)
     for iso in targets:
@@ -253,8 +259,8 @@ def run(config: PipelineConfig) -> Path:
             raise cp.CorpusError(f"{iso} shares no verse with the pivot {config.pivot_iso}")
         all_target_verses.update(verses)
     # nothing lands in out_dir until the corpus has loaded, holds the pivot,
-    # names every anchor, has core_k occurrences and shares verses with
-    # every target
+    # names every anchor, has core_k occurrences and enough for every K,
+    # and shares verses with every target
     art.write("config.json", config.to_json())
     dropped_verses = len(all_target_verses - set(pivot.verses))
 

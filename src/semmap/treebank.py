@@ -210,8 +210,10 @@ def _parse_columns(text: str) -> list[Sentence]:
             sentences.append(_sentence(sent_id if sent_id is not None else str(auto_id), cur))
         cur, sent_id = [], None
 
-    for ln, line in enumerate(text.splitlines(), 1):
-        line = line.rstrip("\n")
+    # rows end at "\n" (or "\r\n") only: str.splitlines would also split a
+    # field at characters such as U+0085 or U+2028
+    for ln, line in enumerate(text.split("\n"), 1):
+        line = line.removesuffix("\r")
         if not line.strip():
             flush()
             continue
@@ -230,7 +232,7 @@ def _parse_columns(text: str) -> list[Sentence]:
                 pos=cols[3],
                 morph=_parse_morph(cols[4]),
                 head=int(cols[5]),
-                relation=cols[6].lower(),
+                relation="" if cols[6] == "_" else cols[6].lower(),
                 slashes=_parse_slashes(cols[7]),
                 empty=cols[8] == "empty",
             )
@@ -280,7 +282,7 @@ def _parse_xml(text: str) -> list[Sentence]:
 def parse_treebank(source: str | Path) -> list[Sentence]:
     """Parse a treebank document from a path or a literal string."""
     if isinstance(source, Path) or (
-        isinstance(source, str) and "\n" not in source and Path(source).exists()
+        isinstance(source, str) and "\n" not in source and Path(source).is_file()
     ):
         try:
             text = Path(source).read_text(encoding="utf-8")

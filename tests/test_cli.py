@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -6,9 +7,15 @@ import pytest
 from fixture_treebank import FIXTURE
 from synth import build_corpus
 
-from semmap.cli import main
+from semmap.cli import build_parser, main
 from semmap.pipeline import PipelineConfig
 from semmap.surfaces import contains, fit_surface
+
+
+def write_config(path, **fields) -> str:
+    """Write the run config ``fields`` as JSON to ``path``; return the path as a string."""
+    path.write_text(json.dumps(fields), encoding="utf-8")
+    return str(path)
 
 
 def test_parser_requires_subcommand(capsys):
@@ -36,15 +43,24 @@ def test_run_bad_json_is_config_error(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 2
 
 
+def test_run_takes_only_the_path_options():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {s for a in sub.choices["run"]._actions for s in a.option_strings}
+    assert options - {"-h", "--help"} == {"--config", "--corpus-dir", "--metadata", "--out-dir"}
+
+
 @pytest.mark.parametrize("flags", [
-    ["--grid", "1"], ["--grid", "0"], ["--levels", "1.5,0.29"], ["--levels", "0.35,0.35,0.29"],
+    {"grid": 1}, {"grid": 0}, {"levels": [1.5, 0.29]}, {"levels": [0.35, 0.35, 0.29]},
 ])
 def test_run_bad_grid_or_levels_is_config_error_before_work(tmp_path, capsys, flags):
     corpus = tmp_path / "corpus"
     build_corpus(corpus, n_verses=30, seed=3)
     out = tmp_path / "out"
-    code = main(["run", "--corpus-dir", str(corpus), "--metadata", str(corpus / "meta.tsv"),
-                 "--out-dir", str(out), "--dictionary-level", "0.29", *flags])
+    cfg = write_config(tmp_path / "c.json", corpus_dir=str(corpus),
+                       metadata=str(corpus / "meta.tsv"), out_dir=str(out),
+                       dictionary_level=0.29, **flags)
+    code = main(["run", "--config", cfg])
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
@@ -259,13 +275,17 @@ def test_map_draws_what_run_drew(tmp_path, capsys):
 
 @pytest.mark.parametrize("stored, reason", [
     ("[1, 2]", "is not a JSON object"),
-    ('{"rho": -1.0}', "rho must be"),
-    ('{"nugget_frac": "x"}', "nugget_frac must be"),
-    ('{"levels": 0.29}', "must be a JSON list"),
-    ('{"grid": 1}', "grid must be"),
+    ({"rho": -1.0}, "rho must be"),
+    ({"nugget_frac": "x"}, "nugget_frac must be"),
+    ({"levels": 0.29}, "must be a JSON list"),
+    ({"grid": 1}, "grid must be"),
 ], ids=["not_object", "negative_rho", "string_nugget", "scalar_levels", "grid_one"])
 def test_map_bad_run_config_is_config_error(tmp_path, capsys, stored, reason):
     _, _, emb, mat = null_diluted_fixture(tmp_path)
+    if isinstance(stored, dict):
+        # a complete run config with one bad value
+        stored = json.dumps({**json.loads(PipelineConfig("corpus", None, "out").to_json()),
+                             **stored})
     (tmp_path / "config.json").write_text(stored, encoding="utf-8")
     out = tmp_path / "map.svg"
     assert main(["map", "--embedding", str(emb), "--matrix", str(mat),
@@ -340,21 +360,30 @@ def test_run_target_verse_without_tokens_aligns_to_null(tmp_path, capsys):
     assert lines[0].startswith("MAT:1:0\t")
     aaa.write_text("MAT:1:0\t\u2014\n" + "".join(lines[1:]), encoding="utf-8")
     out = tmp_path / "out"
-    code = main(["run", "--corpus-dir", str(corpus), "--metadata", str(corpus / "meta.tsv"),
-                 "--out-dir", str(out), "--gmm-ks", "3", "--grid", "20", "--core-k", "5",
-                 "--group-anchors", json.dumps(anchors), "--no-dump-grids"])
+    cfg = write_config(tmp_path / "c.json", corpus_dir=str(corpus),
+                       metadata=str(corpus / "meta.tsv"), out_dir=str(out), gmm_ks=[3],
+                       grid=20, core_k=5, group_anchors=anchors)
+    code = main(["run", "--config", cfg])
     assert code == 0, capsys.readouterr().err
     rows = (out / "alignments" / "aaa.tsv").read_text(encoding="utf-8").splitlines()
     assert f"MAT:1:0\t{positions['MAT:1:0'] + 1}\tNULL" in rows
 
 
-@pytest.mark.parametrize("flags", [["--gmm-ks", "x"], ["--gmm-ks", "3,4.5"]])
-def test_run_unparsable_list_flag_is_config_error(tmp_path, capsys, flags):
-    out = tmp_path / "out"
-    code = main(["run", "--corpus-dir", str(tmp_path), "--out-dir", str(out), *flags])
-    assert code == 2
-    assert "config error" in capsys.readouterr().err
-    assert not out.exists()
+def test_grid_dumps_only_when_the_config_asks(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    _, anchors, _ = build_corpus(corpus, n_verses=30, seed=3)
+    fields = dict(corpus_dir=str(corpus), metadata=str(corpus / "meta.tsv"), gmm_ks=[3],
+                  grid=20, core_k=5, group_anchors=anchors)
+    for name, dump in [("default", {}), ("dump", {"dump_grids": True})]:
+        out = tmp_path / name
+        cfg = write_config(tmp_path / f"{name}.json", out_dir=str(out), **fields, **dump)
+        assert main(["run", "--config", cfg]) == 0, capsys.readouterr().err
+        surfaces = {kind: sorted(p.name.removesuffix(f".{kind}.tsv")
+                                 for p in (out / "surfaces").glob(f"*.{kind}.tsv"))
+                    for kind in ("grid", "contours")}
+        assert surfaces["contours"]
+        # one grid per surface, beside its contours, only with "dump_grids": true
+        assert surfaces["grid"] == (surfaces["contours"] if dump else []), name
 
 
 @pytest.mark.parametrize("field, value", [
@@ -387,6 +416,10 @@ def test_run_config_scalar_for_list_is_config_error(tmp_path, capsys, field, val
     ("corpus_dir", 5), ("out_dir", 5),
     # more core points than the 30 pivot occurrences
     ("core_k", 1000),
+    ("gmm_ks", ["x"]), ("gmm_ks", [3, 4.5]),
+    # K = 1 has no silhouette among several candidates, and more than a
+    # third of the 30 pivot occurrences is too many for any K
+    ("gmm_ks", [1, 3]), ("gmm_ks", [3, 11]), ("gmm_ks", [11]),
 ])
 def test_run_config_out_of_range_is_config_error_before_work(tmp_path, capsys, field, value):
     corpus = tmp_path / "corpus"
@@ -429,9 +462,10 @@ def test_run_group_anchor_naming_no_row_is_config_error_before_work(tmp_path, ca
     corpus = tmp_path / "corpus"
     _, anchors, _ = build_corpus(corpus, n_verses=30, seed=3)
     out = tmp_path / "out"
-    code = main(["run", "--corpus-dir", str(corpus), "--metadata", str(corpus / "meta.tsv"),
-                 "--out-dir", str(out), "--gmm-ks", "3", "--grid", "20", "--core-k", "5",
-                 "--group-anchors", json.dumps({**anchors, "TL": "MAT:9:99#0"})])
+    cfg = write_config(tmp_path / "c.json", corpus_dir=str(corpus),
+                       metadata=str(corpus / "meta.tsv"), out_dir=str(out), gmm_ks=[3],
+                       grid=20, core_k=5, group_anchors={**anchors, "TL": "MAT:9:99#0"})
+    code = main(["run", "--config", cfg])
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and "'MAT:9:99#0' is not a row id" in err
@@ -446,9 +480,10 @@ def test_run_target_sharing_no_verse_with_pivot_is_data_error_before_work(tmp_pa
     with open(corpus / "meta.tsv", "a", encoding="utf-8") as meta:
         meta.write("zzz\tSynthetic zzz\tPlanted\tNowhere\t2000\n")
     out = tmp_path / "out"
-    code = main(["run", "--corpus-dir", str(corpus), "--metadata", str(corpus / "meta.tsv"),
-                 "--out-dir", str(out), "--gmm-ks", "3", "--grid", "20", "--core-k", "5",
-                 "--group-anchors", json.dumps(anchors)])
+    cfg = write_config(tmp_path / "c.json", corpus_dir=str(corpus),
+                       metadata=str(corpus / "meta.tsv"), out_dir=str(out), gmm_ks=[3],
+                       grid=20, core_k=5, group_anchors=anchors)
+    code = main(["run", "--config", cfg])
     assert code == 3
     err = capsys.readouterr().err
     assert "data error" in err and "zzz" in err and "Traceback" not in err

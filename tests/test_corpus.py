@@ -131,6 +131,12 @@ def test_select_order_invariant():
     assert len(winners) == 1
 
 
+def test_select_equal_name_year_and_coverage_breaks_tie_on_stem():
+    a = Doculect(iso="deu", name="German", year=1912, verses={"MAT:1:1": "w"}, stem="deu-a")
+    b = Doculect(iso="deu", name="German", year=1912, verses={"MAT:1:1": "w"}, stem="deu-b")
+    assert select_translation([a, b]) is select_translation([b, a]) is b
+
+
 # loading ----------------------------------------------------------------------
 
 def test_load_corpus_selects_one_per_iso(tmp_path):
@@ -148,6 +154,20 @@ def test_load_corpus_selects_one_per_iso(tmp_path):
     assert manifest.doculects["deu"].coverage == 3
     assert manifest.pivot.iso == "eng"
     assert manifest.doculects["eng"].family == "Indo-European"
+
+
+@pytest.mark.parametrize("newer", ["deu-a", "deu-b"])
+def test_load_corpus_metadata_row_of_a_file_stem_picks_recency(tmp_path, newer):
+    (tmp_path / "eng.txt").write_text("MAT:1:1\tWhen he came.\n", encoding="utf-8")
+    for stem in ("deu-a", "deu-b"):
+        (tmp_path / f"{stem}.txt").write_text("MAT:1:1\tAls er kam.\n", encoding="utf-8")
+    meta = tmp_path / "meta.tsv"
+    meta.write_text("deu\tGerman\tIndo-European\tEurasia\t1912\n"
+                    f"{newer}\tGerman {newer}\tIndo-European\tEurasia\t2001\n",
+                    encoding="utf-8")
+    deu = load_corpus(tmp_path, meta, pivot_iso="eng").doculects["deu"]
+    # equal coverage: the file whose own row names the later year wins
+    assert (deu.stem, deu.name, deu.year) == (newer, f"German {newer}", 2001)
 
 
 def test_load_doculect_rejects_duplicate_verse(tmp_path):

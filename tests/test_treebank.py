@@ -6,6 +6,8 @@ from fixture_treebank import EXPECTED, FIXTURE
 from semmap.treebank import (
     Construction,
     EditRules,
+    Sentence,
+    TbToken,
     TreebankError,
     constructions_to_tsv,
     emit_columns,
@@ -40,6 +42,58 @@ def test_roundtrip_columns(sentences):
         assert s1.order == s2.order
         for tid in s1.order:
             assert s1.tokens[tid] == s2.tokens[tid]
+
+
+def test_roundtrip_columns_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    # Drawn sentences hold only what the column format can carry. It
+    # cannot carry: a tab or a line break in any field; a form, lemma or
+    # relation "_", which reads as empty; "|" in a morph key or value, or
+    # "=" in a morph key; "," in a slash label; an upper-case relation or
+    # slash label, since both are read lower-cased; a sentence id with
+    # surrounding whitespace, since it is read stripped; a sentence with
+    # no tokens, which leaves no row.
+    field = st.text(st.characters(exclude_characters="\t\n\r"), max_size=5)
+    lexical = field.filter(lambda v: v != "_")
+    relation = lexical.filter(lambda v: v == v.lower())
+    morph_value = field.filter(lambda v: "|" not in v)
+    morph = st.dictionaries(morph_value.filter(lambda v: "=" not in v), morph_value,
+                            max_size=3)
+    slash_label = field.filter(lambda v: v == v.lower() and "," not in v)
+    sentence_id = field.filter(lambda v: v == v.strip())
+
+    @st.composite
+    def sentence(draw):
+        ids = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6, unique=True))
+        tokens = []
+        for i, tid in enumerate(ids):
+            empty = draw(st.booleans())
+            tokens.append(TbToken(
+                id=tid, form="" if empty else draw(lexical), lemma=draw(lexical),
+                pos=draw(field), morph=draw(morph),
+                # a head among the tokens drawn before keeps the tree acyclic
+                head=draw(st.sampled_from([0, *ids[:i]])), relation=draw(relation),
+                slashes=draw(st.lists(st.tuples(st.sampled_from(ids), slash_label),
+                                      max_size=2)),
+                empty=empty))
+        order = draw(st.permutations(ids))
+        by_id = {t.id: t for t in tokens}
+        return Sentence(id=draw(sentence_id), tokens={tid: by_id[tid] for tid in order},
+                        order=order)
+
+    @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.lists(sentence(), max_size=3))
+    def check(sentences):
+        again = parse_treebank(emit_columns(sentences))
+        assert len(again) == len(sentences)
+        for s1, s2 in zip(sentences, again):
+            assert (s1.id, s1.order) == (s2.id, s2.order)
+            for tid in s1.order:
+                assert s1.tokens[tid] == s2.tokens[tid]
+
+    check()
 
 
 XML_SENTENCE = """
