@@ -127,11 +127,20 @@ def _cmd_map(args) -> int:
 
 
 def _dictionary(cell: str) -> tuple[str, ty.AreaDictionary]:
-    """A stored dictionary cell: its JSON text and the dictionary it encodes."""
+    """A stored dictionary cell: its JSON text and the dictionary it encodes.
+
+    The cell is a JSON object from groups of ``typology.GROUPS`` to lists
+    of means labels; a group it leaves out has no labels.
+    """
     groups = json.loads(cell)
     if not isinstance(groups, dict):
         raise ValueError(f"dictionary {cell!r} is not a JSON object")
-    return cell, ty.AreaDictionary(groups={g: list(v) for g, v in groups.items()})
+    for g, labels in groups.items():
+        if g not in ty.GROUPS:
+            raise ValueError(f"dictionary {cell!r}: {g!r} is not one of {', '.join(ty.GROUPS)}")
+        if not isinstance(labels, list) or not all(isinstance(m, str) for m in labels):
+            raise ValueError(f"dictionary {cell!r}: {g} is not a list of strings")
+    return cell, ty.AreaDictionary(groups=groups)
 
 
 def _cmd_classify(args) -> int:

@@ -9,7 +9,9 @@ indicators, and each node's value is its covariances to the points times
 the solved coefficients, with no per-node weights. Contours at fixed
 probability levels become closed polygons used for containment tests;
 ``fit_surfaces`` draws them for a batch of (surface, level) fields at
-once, every chain found as a cycle of one permutation.
+once. Each iso-segment starts and ends on a lattice edge, and a segment
+is followed by the one segment starting on the edge it ends on, so every
+chain of every field is a cycle of one permutation.
 """
 
 from __future__ import annotations
@@ -239,9 +241,11 @@ def contour(surface: KrigSurface, level: float) -> list[np.ndarray]:
     Marching squares runs over the grid extended by one below-level ring,
     so every iso-line closes; segments that leave the map are clamped to
     the bounding box, which closes boundary-clipped regions along the
-    boundary. Vertices on the level are treated as inside. Polygons
-    follow the order of their first segment, cells being visited in
-    row-major order.
+    boundary. Lattice nodes on the level are treated as inside: they lie
+    on the polygons' boundary, which ``contains`` counts as inside, and a
+    polygon may run out to such a node and back along a zero-area spike.
+    Polygons follow the order of their first segment, cells being
+    visited in row-major order.
     """
     return _contours(surface.xs, surface.ys, surface.prob[None], (level,))[0][0]
 
@@ -253,7 +257,8 @@ def _contours(xs: np.ndarray, ys: np.ndarray, probs: np.ndarray,
     ``probs`` holds fields over the lattice ``xs`` by ``ys``, shape
     (fields, len(ys), len(xs)); returns per field one polygon list per
     level. The (field, level) pairs are contoured field-major, as many
-    at a time as fit in ``_CONTOUR_CELLS`` padded cells (at least one).
+    at a time as fit in ``_CONTOUR_CELLS`` padded cells (at least one);
+    each batch's segments are chained by their lattice edges alone.
     """
     for level in levels:
         if not 0.0 < level < 1.0:
@@ -266,7 +271,7 @@ def _contours(xs: np.ndarray, ys: np.ndarray, probs: np.ndarray,
     for first in range(0, pairs, per):
         which = np.arange(first, min(first + per, pairs))
         pts, edges, stack = _segments(xs, ys, probs[which // len(lv)], lv[which % len(lv)])
-        seq, lens, _ = _chains(pts, edges, stack, len(which))
+        seq, lens = _chains(edges, stack)
         polys += _polygons(np.clip(pts, lo, hi), seq, lens, stack, len(which))
     return [polys[i * len(lv):(i + 1) * len(lv)] for i in range(len(probs))]
 
@@ -320,69 +325,28 @@ def _segments(xs: np.ndarray, ys: np.ndarray, probs: np.ndarray,
     return pts, 2 * np.minimum(a, b) + (ax == bx), stack
 
 
-def _chains(pts: np.ndarray, edges: np.ndarray, stack: np.ndarray,
-            n_stacks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every stack's closed segment chains, and its number of open ones.
+def _chains(edges: np.ndarray, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every closed segment chain of a stack of fields.
 
-    Takes ``_segments``' output. Two points of a stack meet when they lie
-    on the same lattice edge, or when both coordinates round, half to
-    even, to the same multiple of span * 1e-9, span being the stack's
-    largest absolute coordinate (at least 1). Where every meeting point
-    (node) of a stack starts one segment and ends one, "next segment" is
-    a permutation and the chains are its cycles: pointer jumping labels
-    each cycle by its smallest segment and counts every segment's steps
-    to it, which rank the segments along the cycle (Wyllie 1979). Other
-    stacks, which a lattice value exactly on the level makes, take
-    ``_assemble``, whose closed chains join the permutation as cycles.
-    Chains of fewer than three segments are dropped.
+    Takes ``_segments``' lattice edges and stacks. Segments meet where one
+    ends on the lattice edge another starts on: with the padded
+    below-level ring, every crossed lattice edge starts exactly one
+    segment and ends exactly one, even where a lattice value lies on the
+    level, so "next segment" is a permutation and the chains are its
+    cycles. Pointer jumping labels each cycle by its smallest segment and
+    counts every segment's steps to it, which rank the segments along the
+    cycle (Wyllie 1979). A cycle encloses at least one lattice node, so it
+    has at least four segments.
 
     Returns the segments of every chain, chain after chain in order of
-    their first segment, the chain lengths, and per stack the number of
-    chains no segment continues (the padded ring makes that impossible).
+    their first segment, and the chain lengths.
     """
     m = len(stack)
-    n_open = np.zeros(n_stacks, dtype=np.intp)
-    if m == 0:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), n_open
-    bounds = np.searchsorted(stack, np.arange(n_stacks + 1))
-    filled = np.flatnonzero(np.diff(bounds))
-    big = np.abs(pts).max(axis=1)
-    span = np.ones(n_stacks)
-    span[filled] = np.maximum(np.maximum.reduceat(np.maximum(big[:m], big[m:]),
-                                                  bounds[filled]), 1.0)
-    both = np.concatenate([stack, stack])
-    # |coordinate / scale| is at most ~1e9 < 2**31, so both keys pack into one int64
-    keys = np.rint(pts / (span * 1e-9)[both][:, None]).astype(np.int64)
-    packed = keys[:, 0] * (1 << 32) + keys[:, 1]
-    # the two cells sharing a lattice edge interpolate its crossing from
-    # opposite corners, and the last bit they differ in can round to another
-    # key; every point on an edge takes the key of the edge's first point.
-    # Edges come sorted by stack, so nodes are numbered stack after stack.
-    _, first, copy = np.unique(edges, return_index=True, return_inverse=True)
-    by_key = np.lexsort((packed[first], both[first]))
-    key, of = packed[first][by_key], both[first][by_key]
-    fresh = np.concatenate([[True], (key[1:] != key[:-1]) | (of[1:] != of[:-1])])
-    node = np.empty(len(first), dtype=np.intp)
-    node[by_key] = np.cumsum(fresh) - 1
-    node = node[copy]
-    src, dst = node[:m], node[m:]
-    n_nodes = int(node.max()) + 1
-    bad = (np.bincount(src, minlength=n_nodes) != 1) | (np.bincount(dst, minlength=n_nodes) != 1)
-    regular = np.ones(n_stacks, dtype=bool)
-    regular[of[fresh][bad]] = False
-
     ids = np.arange(m)
-    follows = np.zeros(n_nodes, dtype=np.intp)
-    follows[src] = ids
-    # other stacks: each chain of ``_assemble``, which starts at its
-    # smallest segment, is a cycle, and every other segment stands alone
-    nxt = np.where(regular[stack], follows[dst], ids)
-    for s in np.flatnonzero(~regular).tolist():
-        lo, hi = bounds[s], bounds[s + 1]
-        base = min(src[lo:hi].min(), dst[lo:hi].min())
-        chains, n_open[s] = _assemble(src[lo:hi] - base, dst[lo:hi] - base)
-        for chain in chains:
-            nxt[lo + np.array(chain)] = lo + np.roll(chain, -1)
+    # lattice edges are numbered apart per stack, below 2 * stacks * cells
+    follows = np.zeros(int(edges.max(initial=0)) + 1, dtype=np.intp)
+    follows[edges[:m]] = ids
+    nxt = follows[edges[m:]]
     # after round r, ``label`` is the smallest segment among the 2**r from
     # each segment on, ``ahead`` the steps to it, and ``jump`` the segment
     # 2**r on; once a round changes no label, every window holds its
@@ -400,58 +364,14 @@ def _chains(pts: np.ndarray, edges: np.ndarray, stack: np.ndarray,
     # the position along the cycle from its smallest segment
     rank = (size[label] - ahead) % size[label]
 
-    heads = np.flatnonzero((label == ids) & (size >= 3))
+    heads = np.flatnonzero(label == ids)
     lens = size[heads]
     # every chain's offset in ``seq``, at its first segment
     at = np.zeros(m, dtype=np.intp)
     at[heads] = np.cumsum(lens) - lens
-    seq = np.empty(int(lens.sum()), dtype=np.intp)
-    on_cycle = np.flatnonzero(size[label] >= 3)
-    seq[at[label[on_cycle]] + rank[on_cycle]] = on_cycle
-    return seq, lens, n_open
-
-
-def _assemble(src: np.ndarray, dst: np.ndarray) -> tuple[list[list[int]], int]:
-    """Segment-index chains that close, and the number of chains that do not.
-
-    ``src`` and ``dst`` give each segment's start and end node, numbered
-    from 0. Each unused segment in turn starts a chain, which takes the
-    first unused segment starting where it ends until it returns to its
-    start. A chain no segment continues is open and dropped; closed
-    chains of fewer than three segments are dropped too.
-    """
-    m = src.shape[0]
-    n_nodes = int(max(src.max(), dst.max())) + 1
-    # segments grouped by start node, in segment order within a node
-    order = np.argsort(src, kind="stable")
-    bounds = np.searchsorted(src[order], np.arange(n_nodes + 1))
-    src, dst, order = src.tolist(), dst.tolist(), order.tolist()
-    # per node, the position in ``order`` before which every segment is used
-    head, stop = bounds[:-1].tolist(), bounds[1:].tolist()
-    used = [False] * m
-    chains, n_open = [], 0
-    for i in range(m):
-        if used[i]:
-            continue
-        used[i] = True
-        chain = [i]
-        at = dst[i]
-        while at != src[i]:
-            h = head[at]
-            while h < stop[at] and used[order[h]]:
-                h += 1
-            head[at] = h
-            if h == stop[at]:
-                break
-            j = order[h]
-            used[j] = True
-            chain.append(j)
-            at = dst[j]
-        if at != src[i]:
-            n_open += 1
-        elif len(chain) >= 3:
-            chains.append(chain)
-    return chains, n_open
+    seq = np.empty(m, dtype=np.intp)
+    seq[at[label] + rank] = ids
+    return seq, lens
 
 
 def _polygons(pts: np.ndarray, seq: np.ndarray, lens: np.ndarray, stack: np.ndarray,

@@ -218,8 +218,9 @@ def _parse_columns(text: str) -> list[Sentence]:
             flush()
             continue
         if line.startswith("#"):
-            if "sent_id" in line and "=" in line:
-                sent_id = line.split("=", 1)[1].strip()
+            key, eq, value = line[1:].partition("=")
+            if eq and key.strip() == "sent_id":
+                sent_id = value.strip()
             continue
         cols = line.split("\t")
         if len(cols) != 10:

@@ -600,6 +600,15 @@ MALFORMED = {
     "dictionary_one_field": (
         {"d.tsv": 'iso\tdictionary\naa\t{"TL": ["x"]}\nbb\n'},
         ["classify", "--dictionaries", "@d.tsv"], "d.tsv:3"),
+    "dictionary_string_for_list": (
+        {"d.tsv": 'iso\tdictionary\naa\t{"TL": "kogda", "ML": ["kogda"], "BL": ["kogda"]}\n'},
+        ["classify", "--dictionaries", "@d.tsv"], "d.tsv:2"),
+    "dictionary_unknown_group": (
+        {"d.tsv": 'iso\tdictionary\naa\t{"TL": ["x"]}\nbb\t{"TL": ["x"], "BX": ["x"]}\n'},
+        ["classify", "--dictionaries", "@d.tsv"], "d.tsv:3"),
+    "dictionary_label_not_string": (
+        {"d.tsv": 'iso\tdictionary\naa\t{"TL": ["x"], "ML": [1], "BL": ["x"]}\n'},
+        ["classify", "--dictionaries", "@d.tsv"], "d.tsv:2"),
     "embedding_not_float": (
         {"e.tsv": "r0\t1.0\t2.0\nr1\t1.5\tx\n", "m.tsv": "row_id\txyz\nr0\ta\nr1\tb\n"},
         ["map", "--embedding", "@e.tsv", "--matrix", "@m.tsv", "--iso", "xyz",

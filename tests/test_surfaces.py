@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import semmap
-import semmap.surfaces as surfaces_module
 from semmap.align import NULL_MARKER
 from semmap.pivot import ParallelUsageMatrix, code_labels
 from semmap.surfaces import (
@@ -349,6 +348,27 @@ def test_contour_area_conserved_on_noisy_multisaddle_field():
         assert covered * cell == pytest.approx(want, rel=0.08), level
 
 
+def test_contour_nodes_off_the_level_inside_iff_above_it():
+    # the drawn-field raster property: at every lattice node whose value
+    # is not the level, the polygons contain the node exactly when its
+    # value is above the level
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(stack_cases(hyp.strategies, 2, 16))
+    def check(case):
+        xs, ys, probs, levels = field_stack(*case)
+        gx, gy = np.meshgrid(xs, ys)
+        nodes = np.column_stack([gx.ravel(), gy.ravel()])
+        for prob, polys in zip(probs, _contours(xs, ys, probs, levels)):
+            for level, p in zip(levels, polys):
+                off = prob.ravel() != level
+                got = contains(p, nodes[off])
+                assert np.array_equal(got, prob.ravel()[off] > level), (case, level)
+
+    check()
+
+
 def test_contour_two_islands():
     polys = contour(two_islands_surface(), 0.5)
     assert len(polys) == 2
@@ -404,7 +424,7 @@ def test_contains_single_point_is_bool_and_batch_is_array():
 
 # scalar reference oracles ------------------------------------------------------
 # The per-edge containment loop, and the per-cell marching-squares loop with
-# its per-point chain assembly and compare-to-last-kept de-duplication, that
+# its chain assembly by lattice edge and compare-to-last-kept de-duplication, that
 # the batched versions replaced. Both compute the same floats in the same
 # order, so results must agree exactly.
 
@@ -498,28 +518,10 @@ def contour_oracle(surface, level):
     return clipped
 
 
-def key_oracle(p, scale):
-    return (round(p[0] / scale), round(p[1] / scale))
-
-
 def assemble_oracle(segments, edges):
-    # points on one lattice edge take the key of its first point, the
-    # segments' starts being visited before their ends
-    if not segments:
-        return []
-    span = max(
-        max(abs(p[0]) for s in segments for p in s),
-        max(abs(p[1]) for s in segments for p in s),
-        1.0,
-    )
-    scale = span * 1e-9
-    key_of: dict = {}
-    for k in (0, 1):
-        for seg, on in zip(segments, edges):
-            key_of.setdefault(on[k], key_oracle(seg[k], scale))
-    start_of: dict = {}
-    for i, on in enumerate(edges):
-        start_of.setdefault(key_of[on[0]], []).append(i)
+    # a chain goes on with the one segment that starts on the lattice edge
+    # its last segment ends on, until it is back on its first edge
+    start_on = {on[0]: i for i, on in enumerate(edges)}
     used = [False] * len(segments)
     polys = []
     for i, seg in enumerate(segments):
@@ -527,20 +529,14 @@ def assemble_oracle(segments, edges):
             continue
         chain = [seg[0], seg[1]]
         used[i] = True
-        first, last = key_of[edges[i][0]], key_of[edges[i][1]]
-        while last != first:
-            nxt = None
-            for cand in start_of.get(last, []):
-                if not used[cand]:
-                    nxt = cand
-                    break
-            if nxt is None:
-                break  # open chain; dropped
+        last = edges[i][1]
+        while last != edges[i][0]:
+            nxt = start_on[last]
+            assert not used[nxt]
             used[nxt] = True
             chain.append(segments[nxt][1])
-            last = key_of[edges[nxt][1]]
-        if last == first and len(chain) > 3:
-            polys.append(chain[:-1])
+            last = edges[nxt][1]
+        polys.append(chain[:-1])
     return polys
 
 
@@ -597,6 +593,16 @@ def test_contour_saddles_match_scalar_oracle(name):
     assert_same_polygons(got, contour_oracle(surf, 0.5))
 
 
+def test_contour_keeps_on_level_node_inside():
+    # the node at (1, 0) is on the level and only reached by the boundary
+    # running along the bottom row; it stays on the polygon's boundary
+    surf = grid_surface([[0.75, 0.5, 0.5], [0.25] * 3, [0.25] * 3])
+    polys = contour(surf, 0.5)
+    assert contains(polys, (1.0, 0.0))
+    assert contains(polys, (0.5, 0.0))
+    assert_same_polygons(polys, contour_oracle(surf, 0.5))
+
+
 @pytest.mark.parametrize("field, levels", [
     (multisaddle_surface, (0.29, 0.5, 0.7)),
     (two_islands_surface, (0.5,)),
@@ -638,18 +644,19 @@ CLOSURE_FIELDS = [
 
 def test_every_contour_chain_closes():
     # 432 fields, each one stack of its three levels; quantized ones put
-    # crossings on exact halves of the assembly's rounding step, where the
-    # two cells sharing a lattice edge can round its crossing apart
+    # lattice values on the level, where crossings of several lattice
+    # edges coincide at one node
     rng = np.random.default_rng(29)
     levels = np.array(CLOSURE_LEVELS)
     for _ in range(12):
         for kind, scale, offset in CLOSURE_FIELDS:
             surf = random_field(rng, kind, scale, offset)
             pts, edges, stack = _segments(surf.xs, surf.ys, np.stack([surf.prob] * 3), levels)
-            seq, lens, n_open = _chains(pts, edges, stack, 3)
-            assert n_open.tolist() == [0, 0, 0], (kind, scale, offset)
-            # a closed chain never reuses a segment, nor leaves its stack
-            assert len(set(seq.tolist())) == len(seq)
+            seq, lens = _chains(edges, stack)
+            # the chains hold every segment exactly once, each chain at
+            # least four, and no chain leaves its stack
+            assert sorted(seq.tolist()) == list(range(len(stack))), (kind, scale, offset)
+            assert (lens >= 4).all()
             heads = seq[np.cumsum(lens) - lens]
             assert np.array_equal(stack[seq], np.repeat(stack[heads], lens))
 
@@ -739,22 +746,6 @@ def test_batched_contours_spanning_several_batches_match_scalar_oracle():
         assert_batch_matches_oracle(*field_stack(seed, kinds, ny, nx, scale, levels))
 
     check()
-
-
-def test_only_stacks_with_on_level_values_take_the_loop(monkeypatch):
-    calls = []
-    loop = surfaces_module._assemble
-
-    def spy(src, dst):
-        calls.append(len(src))
-        return loop(src, dst)
-
-    monkeypatch.setattr(surfaces_module, "_assemble", spy)
-    xs, ys, probs, levels = field_stack(3, ["uniform", "on-level", "bump"], 20, 20, 1.0,
-                                        (0.5, 0.35))
-    assert_batch_matches_oracle(xs, ys, probs, levels)
-    # the on-level field at 0.5 only; at 0.35 no lattice value is on the level
-    assert len(calls) == 1
 
 
 def test_fit_surfaces_contours_equal_one_contour_call_per_level():

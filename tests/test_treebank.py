@@ -155,6 +155,22 @@ def test_two_token_minimal_tree():
     assert sents[0].tokens[2].head == 1
 
 
+ROW = "1\tvide\tvideti\tV\t_\t0\tpred\t_\t_\t_\n"
+
+
+@pytest.mark.parametrize("comments, want", [
+    # only a comment whose key is exactly sent_id names the sentence
+    (["# sent_id = s1", "# text = no sent_id here = none"], "s1"),
+    (["# text = see sent_id = x"], "1"),
+    (["# sent_id=s9"], "s9"),
+    (["#sent_id =  s2 "], "s2"),
+    (["# sent_ids = s3"], "1"),
+])
+def test_sentence_id_comes_from_the_sent_id_key_only(comments, want):
+    (sent,) = parse_treebank("\n".join(comments) + "\n" + ROW)
+    assert sent.id == want
+
+
 # extraction against the fixture ------------------------------------------------
 
 def test_fixture_constructions_exact(sentences):
