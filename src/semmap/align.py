@@ -19,7 +19,6 @@ serves all cells: a probability that underflowed to 0 just weighs 0.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -135,16 +134,6 @@ class TranslationModel:
     probs: np.ndarray
     iterations: int
     loglik: list[float]
-
-    @functools.cached_property
-    def t(self) -> dict:
-        """The table as {(source_type, target_type): probability}."""
-        width = len(self.target_types)
-        return {(self.source_types[k // width], self.target_types[k % width]): p
-                for k, p in zip(self.pairs.tolist(), self.probs.tolist())}
-
-    def prob(self, source: str, target: str) -> float:
-        return self.t.get((source, target), 0.0)
 
 
 @dataclass(frozen=True)

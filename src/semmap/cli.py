@@ -257,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (CorpusError, TreebankError, TypologyError, al.AlignError,
-            pv.PivotError, tsv.TsvError, cs.CorpStatsError, FileNotFoundError) as exc:
+            pv.PivotError, tsv.TsvError, cs.CorpStatsError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (sf.SurfaceError, mx.MixtureError, np.linalg.LinAlgError) as exc:

@@ -111,8 +111,18 @@ class PipelineConfig:
             raise ConfigError("levels must be sorted descending")
         if self.dictionary_level not in self.levels:
             raise ConfigError("dictionary_level must be one of the contour levels")
+        if not (isinstance(self.pivot_iso, str) and self.pivot_iso):
+            raise ConfigError(f"pivot_iso must be a non-empty string, got {self.pivot_iso!r}")
         if not self.pivot_tokens:
             raise ConfigError("need at least one pivot token")
+        for token in self.pivot_tokens:
+            if not isinstance(token, str):
+                raise ConfigError(f"pivot_tokens must be strings, got {token!r}")
+            # pivot verses are matched token by token after normalization
+            normal = cp.normalize(token)
+            if normal != [token]:
+                raise ConfigError(f"pivot_tokens: {token!r} normalizes to {normal!r}; "
+                                  "give the normalized form")
         for name in ("iterations", "min_count", "core_k"):
             _check_integer(name, getattr(self, name))
         if not self.gmm_ks:
@@ -132,6 +142,9 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be a JSON object, got {getattr(self, name)!r}")
         if self.group_anchors and set(self.group_anchors) != set(GROUPS):
             raise ConfigError(f"group_anchors must cover {GROUPS}")
+        for g, anchor in self.group_anchors.items():
+            if not isinstance(anchor, str):
+                raise ConfigError(f"group_anchors[{g!r}] must be a row id string, got {anchor!r}")
         if not self.group_anchors:
             if set(self.cluster_groups) != set(GROUPS):
                 raise ConfigError(f"cluster_groups must cover {GROUPS}")

@@ -11,7 +11,8 @@ probability levels become closed polygons used for containment tests;
 ``fit_surfaces`` draws them for a batch of (surface, level) fields at
 once. Each iso-segment starts and ends on a lattice edge, and a segment
 is followed by the one segment starting on the edge it ends on, so every
-chain of every field is a cycle of one permutation.
+chain of every field is a cycle of one permutation; each crossed edge's
+vertex is computed once, and shared by the two segments that meet there.
 """
 
 from __future__ import annotations
@@ -281,13 +282,17 @@ def _segments(xs: np.ndarray, ys: np.ndarray, probs: np.ndarray,
     """Iso-segments of a stack of fields, each at its own level.
 
     ``probs`` is (stacks, len(ys), len(xs)) and ``levels`` (stacks,).
-    Returns, for m segments, the (2m, 2) points (row i is segment i's
-    start, row m + i its end), the (2m,) lattice edges those points lie
-    on, and the (m,) stack of each segment. Case codes, edge crossings
-    and segments are computed for all stacks at once; segments come in
-    stack order, then row-major cell order, the two of a saddle cell in
-    table order. Each stack's lattice edges are numbered apart from every
-    other stack's.
+    Returns, for m segments, the (m, 2) crossings each segment starts at,
+    the (2m,) lattice edges they start on (row i for segment i) and end
+    on (row m + i), and the (m,) stack of each segment. A segment ends
+    on the edge its successor starts on, so every crossing is
+    interpolated once, from its edge's node on or above the level
+    (marching cubes shares each crossed edge's vertex between cells the
+    same way; Lorensen & Cline 1987). Case codes, edge crossings and
+    segments are computed for all stacks at once; segments come in stack
+    order, then row-major cell order, the two of a saddle cell in table
+    order. Each stack's lattice edges are numbered apart from every other
+    stack's.
     """
     gx = np.concatenate([[2 * xs[0] - xs[1]], xs, [2 * xs[-1] - xs[-2]]])
     gy = np.concatenate([[2 * ys[0] - ys[1]], ys, [2 * ys[-1] - ys[-2]]])
@@ -309,20 +314,26 @@ def _segments(xs: np.ndarray, ys: np.ndarray, probs: np.ndarray,
     cell, k = np.nonzero(pairs[:, :, 0] >= 0)
     stack = ib[cell]
     # the cell edge of every segment's start, then of every segment's end;
-    # edge e runs from corner a = e to corner b = e + 1, across the level
+    # edge e runs from corner e to corner e + 1, across the level
     e = pairs[cell, k].T.ravel()
-    cell = np.concatenate([cell, cell])
-    of = ib[cell]
+    at = base[np.concatenate([cell, cell])]
     f = (e + 1) % 4
-    ax, ay = ix[cell] + _CORNER_DX[e], iy[cell] + _CORNER_DY[e]
-    bx, by = ix[cell] + _CORNER_DX[f], iy[cell] + _CORNER_DY[f]
     # both corners as indices into ``flat``
-    a, b = of * cells + ay * w + ax, of * cells + by * w + bx
-    va = flat[a]
-    t = (levels[of] - va) / (flat[b] - va)
-    pts = np.column_stack([gx[ax] + t * (gx[bx] - gx[ax]), gy[ay] + t * (gy[by] - gy[ay])])
+    a = at + _CORNER_DY[e] * w + _CORNER_DX[e]
+    b = at + _CORNER_DY[f] * w + _CORNER_DX[f]
     # a lattice edge is named by its lower node and whether it is vertical
-    return pts, 2 * np.minimum(a, b) + (ax == bx), stack
+    edges = 2 * np.minimum(a, b) + (np.abs(a - b) == w)
+    # each segment's point is the crossing on its start edge, measured from
+    # the edge's node on or above the level: the same floats whichever cell
+    # the edge is reached from, and an on-level node's own coordinates
+    a, b = a[:len(stack)], b[:len(stack)]
+    up = flat[a] >= levels[stack]
+    a, b = np.where(up, a, b), np.where(up, b, a)
+    va = flat[a]
+    t = (levels[stack] - va) / (flat[b] - va)
+    (ay, ax), (by, bx) = np.divmod(a % cells, w), np.divmod(b % cells, w)
+    pts = np.column_stack([gx[ax] + t * (gx[bx] - gx[ax]), gy[ay] + t * (gy[by] - gy[ay])])
+    return pts, edges, stack
 
 
 def _chains(edges: np.ndarray, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -378,18 +389,15 @@ def _polygons(pts: np.ndarray, seq: np.ndarray, lens: np.ndarray, stack: np.ndar
               n_stacks: int) -> list[list[np.ndarray]]:
     """Per stack, the polygons of ``_chains``' chains over the (clamped) ``pts``.
 
-    A chain's polygon is its first segment's start, then the end of every
-    segment but the last, which returns to that start; ``_dedupe`` drops
-    its repeated vertices, and a polygon left with fewer than three is
-    dropped.
+    A chain's polygon is the start crossing of each of its segments, in
+    chain order; ``_dedupe`` drops its repeated vertices, and a polygon
+    left with fewer than three is dropped.
     """
     polys: list[list[np.ndarray]] = [[] for _ in range(n_stacks)]
     if not len(seq):
         return polys
-    m = len(stack)
     first = np.cumsum(lens) - lens
-    verts = pts[m + np.roll(seq, 1)]
-    verts[first] = pts[seq[first]]
+    verts = pts[seq]
     keep = _dedupe(verts, lens)
     ends = np.cumsum(np.add.reduceat(keep.astype(np.intp), first)).tolist()
     verts = verts[keep]
@@ -403,38 +411,25 @@ def _dedupe(verts: np.ndarray, lens) -> np.ndarray:
     """Which vertices the polygons keep once repeated vertices are dropped.
 
     ``verts`` holds the polygons one after another, ``lens`` their vertex
-    counts. A vertex is dropped when both its coordinates lie within
-    span * 1e-12 of the last vertex its polygon kept (span: the polygon's
-    largest absolute coordinate, at least 1), and trailing vertices within
-    that of the polygon's first are dropped. Returns a bool mask.
+    counts. A vertex is dropped when it equals the one before it, and a
+    polygon's last kept vertex when it equals the polygon's first. Contour
+    vertices coincide only exactly (at a lattice node on the level, or
+    where the bounding-box clamp moves several onto one point), so no
+    tolerance is applied; two vertices ~1e-15 apart, around a node within
+    ~1e-12 of the level, both stay, though they print alike. Returns a
+    bool mask.
     """
     lens = np.asarray(lens, dtype=np.intp)
     first = np.cumsum(lens) - lens
-    poly = np.repeat(np.arange(len(lens)), lens)
-    rows = np.arange(len(verts))
-    span = np.maximum(np.maximum.reduceat(np.abs(verts).max(axis=1), first), 1.0)
-    tol = (span * 1e-12)[poly][:, None]
     keep = np.ones(len(verts), dtype=bool)
-    keep[1:] = (np.abs(np.diff(verts, axis=0)) > tol[1:]).any(axis=1)
+    keep[1:] = (verts[1:] != verts[:-1]).any(axis=1)
     keep[first] = True
-    # comparing with the predecessor is comparing with the last kept
-    # vertex unless a run of dropped vertices drifts; such polygons take
-    # the loop
-    last = np.maximum.accumulate(np.where(keep, rows, 0))
-    drift = (np.abs(verts[1:] - verts[last[:-1]]) > tol[1:]).any(axis=1)
-    drift[first[1:] - 1] = True
-    for p in sorted(set(poly[1:][keep[1:] != drift].tolist())):
-        lo, hi = first[p], first[p] + lens[p]
-        kept = [lo]
-        for i in range(lo + 1, hi):
-            if (np.abs(verts[i] - verts[kept[-1]]) > tol[i]).any():
-                kept.append(i)
-        keep[lo:hi] = False
-        keep[kept] = True
-    near = (np.abs(verts - verts[first][poly]) <= tol).all(axis=1)
-    near[first] = False
-    anchor = np.maximum.accumulate(np.where(keep & ~near, rows, 0))
-    return keep & (rows <= anchor[first + lens - 1][poly])
+    # each polygon's last kept vertex starts the run of its last vertex;
+    # it closes the polygon when it equals the first
+    tail = np.maximum.accumulate(np.where(keep, np.arange(len(verts)), 0))[first + lens - 1]
+    closes = (tail > first) & (verts[tail] == verts[first]).all(axis=1)
+    keep[tail[closes]] = False
+    return keep
 
 
 def contains(polygons: list[np.ndarray], point):

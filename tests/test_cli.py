@@ -420,6 +420,12 @@ def test_run_config_scalar_for_list_is_config_error(tmp_path, capsys, field, val
     # K = 1 has no silhouette among several candidates, and more than a
     # third of the 30 pivot occurrences is too many for any K
     ("gmm_ks", [1, 3]), ("gmm_ks", [3, 11]), ("gmm_ks", [11]),
+    ("pivot_iso", ["eng"]), ("pivot_tokens", [["when"]]),
+    ("group_anchors", {"TL": ["x"], "ML": "a", "BL": "b"}),
+    # pivot tokens are matched after normalization, which lowercases and
+    # strips punctuation at token edges
+    ("pivot_tokens", ["When"]), ("pivot_tokens", [1]),
+    ("pivot_iso", 5), ("pivot_tokens", ["when,"]),
 ])
 def test_run_config_out_of_range_is_config_error_before_work(tmp_path, capsys, field, value):
     corpus = tmp_path / "corpus"
@@ -683,6 +689,23 @@ def test_run_non_utf8_corpus_file_is_data_error(tmp_path, capsys, name):
     assert err.startswith("data error: ") and f"{name}: not UTF-8 text" in err
     # nothing is written before the corpus has loaded
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "{d}"],
+    ["map", "--embedding", "{d}", "--matrix", "{d}", "--iso", "eng", "--out", "{d}/m.svg"],
+    ["treebank-extract", "--treebank", "{d}"],
+    ["align-eval", "--alignment", "{d}", "--gold", "{d}"],
+    ["classify", "--dictionaries", "{d}"],
+    ["stats-report", "--constructions", "{d}", "--lemmas", "{d}"],
+], ids=lambda argv: argv[0])
+def test_directory_given_as_input_file_is_data_error(tmp_path, capsys, argv):
+    d = tmp_path / "dir"
+    d.mkdir()
+    assert main([a.format(d=d) for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(d) in err
+    assert "Traceback" not in err
 
 
 def test_stats_report_bad_window_is_config_error_before_reading(tmp_path, capsys):

@@ -177,6 +177,28 @@ def test_load_doculect_rejects_duplicate_verse(tmp_path):
         load_doculect_file(p)
 
 
+def test_doculect_file_round_trips(tmp_path):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    # Drawn verses hold only what a corpus file can carry. It cannot carry:
+    # a tab in a verse id, as the first tab ends the id; a line break (\n or
+    # \r) in an id or a text; an id starting with "#", whose line reads as
+    # a comment; a repeated verse id, which is an error. A text may hold tabs.
+    vid = st.text(st.characters(exclude_characters="\t\n\r"), max_size=8).filter(
+        lambda v: not v.startswith("#"))
+    text = st.text(st.characters(exclude_characters="\n\r"), max_size=20)
+    path = tmp_path / "xyz.txt"
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.lists(st.tuples(vid, text), max_size=12, unique_by=lambda v: v[0]))
+    @hyp.example([("", ""), ("MAT:1:1", "a\tb "), (" #", "#"), ("\x85", "\u2028\x0c")])
+    def roundtrip(verses):
+        path.write_text("".join(f"{v}\t{t}\n" for v, t in verses), encoding="utf-8")
+        assert list(load_doculect_file(path).verses.items()) == verses
+
+    roundtrip()
+
+
 def test_load_corpus_missing_pivot_errors(tmp_path):
     (tmp_path / "deu.txt").write_text("MAT:1:1\tx\n", encoding="utf-8")
     with pytest.raises(CorpusError, match="pivot"):

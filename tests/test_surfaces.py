@@ -424,9 +424,11 @@ def test_contains_single_point_is_bool_and_batch_is_array():
 
 # scalar reference oracles ------------------------------------------------------
 # The per-edge containment loop, and the per-cell marching-squares loop with
-# its chain assembly by lattice edge and compare-to-last-kept de-duplication, that
-# the batched versions replaced. Both compute the same floats in the same
-# order, so results must agree exactly.
+# its chain assembly by lattice edge and exact compare-to-last-kept
+# de-duplication, that the batched versions replaced. The marching-squares
+# loop interpolates each crossing from its lattice edge's node on or above
+# the level, so both ends of a lattice edge's segments get one point. Both
+# compute the same floats in the same order, so results must agree exactly.
 
 def contains_oracle(polygons, point) -> bool:
     px, py = float(point[0]), float(point[1])
@@ -503,6 +505,8 @@ def contour_oracle(surface, level):
                 ends, on = [], []
                 for edge in (e1, e2):
                     i1, i2 = [(0, 1), (1, 2), (2, 3), (3, 0)][edge]
+                    if v[i1] < level:
+                        i1, i2 = i2, i1
                     ends.append(interp(c[i1], c[i2], v[i1], v[i2]))
                     on.append(frozenset((nodes[i1], nodes[i2])))
                 segments.append(tuple(ends))
@@ -542,14 +546,11 @@ def assemble_oracle(segments, edges):
 
 def dedupe_oracle(arr):
     keep = [0]
-    span = max(float(np.abs(arr).max()), 1.0)
-    tol = span * 1e-12
     for i in range(1, arr.shape[0]):
-        if abs(arr[i, 0] - arr[keep[-1], 0]) > tol or abs(arr[i, 1] - arr[keep[-1], 1]) > tol:
+        if arr[i, 0] != arr[keep[-1], 0] or arr[i, 1] != arr[keep[-1], 1]:
             keep.append(i)
     while len(keep) > 1 and (
-        abs(arr[keep[-1], 0] - arr[keep[0], 0]) <= tol
-        and abs(arr[keep[-1], 1] - arr[keep[0], 1]) <= tol
+        arr[keep[-1], 0] == arr[keep[0], 0] and arr[keep[-1], 1] == arr[keep[0], 1]
     ):
         keep.pop()
     return arr[keep]
@@ -601,6 +602,21 @@ def test_contour_keeps_on_level_node_inside():
     assert contains(polys, (1.0, 0.0))
     assert contains(polys, (0.5, 0.0))
     assert_same_polygons(polys, contour_oracle(surf, 0.5))
+
+
+@pytest.mark.parametrize("level", [0.29, 0.5])
+@pytest.mark.parametrize("above", ["next-float", "1e-13"])
+def test_contour_keeps_isolated_maximum_just_above_the_level(level, above):
+    # the centre node alone is above the level, by one float or by 1e-13;
+    # its four crossings lie within 1e-13 of it, yet they are distinct, so
+    # its polygon stays and contains it
+    prob = np.full((5, 5), 0.1)
+    prob[2, 2] = np.nextafter(level, 1.0) if above == "next-float" else level + 1e-13
+    surf = grid_surface(prob)
+    polys = contour(surf, level)
+    assert len(polys) == 1
+    assert contains(polys, (0.5, 0.5))
+    assert_same_polygons(polys, contour_oracle(surf, level))
 
 
 @pytest.mark.parametrize("field, levels", [
@@ -806,19 +822,13 @@ def test_fit_surfaces_and_k_selection_leave_numpy_ma_unimported():
     assert proc.returncode == 0, proc.stderr
 
 
-def drifting_polygon():
-    # vertices 1 and 2 each lie within tol (2e-12 here) of their predecessor,
-    # but vertex 2 is beyond tol of vertex 0, the last one kept
-    return np.array([[0.0, 2.0], [1.5e-12, 2.0], [3e-12, 2.0],
-                     [1.0, 2.0], [1.0, 1.0], [1.0 + 1e-12, 1.0 - 1e-12]])
-
-
 DEDUPE_CASES = {
     "distinct": np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
-    "drifting-run": drifting_polygon(),
-    "drift-in-y": drifting_polygon()[:, ::-1].copy(),
+    # -0.0 equals 0.0, so the last two vertices repeat the first
     "closing-vertex-equals-first": np.array(
-        [[-1.0, -0.0], [0.5, -1.0], [0.5, 0.5], [-1.0, 0.0], [-1.0, 1e-13]]),
+        [[-1.0, -0.0], [0.5, -1.0], [0.5, 0.5], [-1.0, 0.0], [-1.0, 0.0]]),
+    "closing-vertex-next-to-first": np.array(
+        [[-1.0, 0.0], [0.5, -1.0], [0.5, 0.5], [-1.0, np.nextafter(0.0, 1.0)]]),
     "all-duplicate": np.full((5, 2), 0.25),
     "all-near-duplicate": np.array([[3.0, 3.0], [3.0 + 4e-12, 3.0], [3.0, 3.0 - 4e-12]]),
 }
@@ -845,34 +855,29 @@ def test_dedupe_matches_loop(name):
     assert np.array_equal(got, dedupe_oracle(arr))
 
 
-def test_dedupe_drifting_run_needs_the_loop():
-    # vertex 2 is kept, though comparing it with its predecessor alone
-    # would drop it; vertex 5 repeats vertex 4
-    arr = drifting_polygon()
-    assert np.array_equal(dedupe(arr), arr[[0, 2, 3, 4]])
-
-
 def test_dedupe_of_many_polygons_matches_loop_per_polygon():
-    # each polygon has its own span and tolerance; the drifting ones take
-    # the loop while their neighbours do not
+    # each polygon's closing vertices are compared with its own first
+    # vertex, not with a neighbour's
     polys = [DEDUPE_CASES[name] * scale
              for scale in (1.0, 1e-6, 1e6) for name in sorted(DEDUPE_CASES)]
     for got, arr in zip(dedupe_all(polys), polys):
         assert np.array_equal(got, dedupe_oracle(arr))
 
 
-def test_dedupe_matches_loop_on_random_near_duplicate_runs():
+def test_dedupe_matches_loop_on_random_repeated_runs():
     rng = np.random.default_rng(37)
     polys = []
     for _ in range(300):
         n = int(rng.integers(1, 30))
         base = rng.uniform(-3.0, 3.0, size=(n, 2))
-        # repeat vertices into runs, then nudge by a fraction of a tolerance
+        base[rng.uniform(size=base.shape) < 0.3] = 0.0
+        # repeat vertices into runs, some closing on the first vertex, and
+        # give a random sign to every zero, so -0.0 meets 0.0
         arr = np.repeat(base, rng.integers(1, 4, size=n), axis=0)
-        tol = max(float(np.abs(arr).max()), 1.0) * 1e-12
-        arr = arr + rng.choice([0.0, 0.6, -0.6, 1.2], size=arr.shape) * tol
         if rng.uniform() < 0.3:
-            arr = np.concatenate([arr, arr[:1]])
+            arr = np.concatenate([arr, np.repeat(arr[:1], rng.integers(1, 3), axis=0)])
+        zero = arr == 0.0
+        arr[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
         assert np.array_equal(dedupe(arr), dedupe_oracle(arr))
         polys.append(arr)
     for got, arr in zip(dedupe_all(polys), polys):

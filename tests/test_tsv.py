@@ -66,3 +66,31 @@ def test_format_rows_round_trips(tmp_path):
     assert format_rows([]) == ""
     path = write(tmp_path, text)
     assert read_rows(path, str, str) == [["x", "y"], ["a", "1"], ["NULL", "2.500000"]]
+
+
+def test_format_rows_read_rows_round_trip(tmp_path):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    # Drawn rows hold only what the format can carry. It cannot carry: a
+    # tab or a line break (\n or \r) in a field or the header; a row whose
+    # first field starts with "#", which reads as a comment; a row that is
+    # one empty field, which reads as a blank line.
+    field = st.text(st.characters(exclude_characters="\t\n\r"), max_size=6)
+    tables = st.integers(1, 4).flatmap(lambda width: st.lists(
+        st.lists(field, min_size=width, max_size=width).filter(
+            lambda row: row != [""] and not row[0].startswith("#")),
+        max_size=8))
+    header = st.none() | st.text(st.characters(exclude_characters="\n\r"), max_size=8)
+    path = tmp_path / "r.tsv"
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(tables, header)
+    @hyp.example([["", ""], [" #", "\x85"], ["a\u2028", "\x0c"]], "semmap config=x")
+    def roundtrip(rows, head):
+        path.write_text(format_rows(rows, head), encoding="utf-8")
+        width = len(rows[0]) if rows else 1
+        assert read_rows(path, *(str,) * width) == rows
+        if width > 1:
+            assert read_rows(path, str, rest=str) == rows
+
+    roundtrip()
