@@ -119,7 +119,7 @@ def _cmd_map(args) -> int:
             "use the embedding and matrix of one `semmap run`")
     points = emb.coords[:, :2]
     surfs = sf.fit_surfaces(points, {args.iso: matrix.coded(args.iso)}, **settings)[args.iso]
-    svg_text = svgmod.render_map(points, matrix.column(args.iso),
+    svg_text = svgmod.render_map(points, matrix.coded(args.iso),
                                  {m: s.contours for m, s in surfs.items()}, title=args.iso)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     _emit(svg_text, args.out)

@@ -63,8 +63,7 @@ class GmmModel:
 class CorePointSet:
     cluster: int
     centroid: np.ndarray
-    member_ids: list
-    distances: list[float]
+    members: list[int]        # point indices, nearest first
 
 
 def kmeans_init(points, k: int, seed: int = 0) -> np.ndarray:
@@ -315,13 +314,12 @@ def select_k(points, candidates, seed: int = 0) -> SelectionReport:
     )
 
 
-def core_points(points, assignments, cluster: int, k: int = 30,
-                row_ids: list | None = None) -> CorePointSet:
-    """Centroid of a cluster plus its k nearest observations overall.
+def core_points(points, assignments, cluster: int, k: int = 30) -> CorePointSet:
+    """Centroid of a cluster plus the indices of its k nearest points overall.
 
     The centroid is the arithmetic mean of the cluster's hard-assigned
     points; neighbours are searched over all points and distance ties
-    break on the row index.
+    break on the point index.
     """
     pts = np.asarray(points, dtype=float)
     assignments = np.asarray(assignments)
@@ -333,10 +331,5 @@ def core_points(points, assignments, cluster: int, k: int = 30,
         raise MixtureError(f"cluster {cluster} is empty")
     centroid = pts[sel].mean(axis=0)
     hits = BallTree(pts).query(centroid, k)
-    ids = row_ids if row_ids is not None else list(range(n))
-    return CorePointSet(
-        cluster=int(cluster),
-        centroid=centroid,
-        member_ids=[ids[i] for _, i in hits],
-        distances=[d for d, _ in hits],
-    )
+    return CorePointSet(cluster=int(cluster), centroid=centroid,
+                        members=[i for _, i in hits])

@@ -114,7 +114,7 @@ class PipelineConfig:
         if not (isinstance(self.pivot_iso, str) and self.pivot_iso):
             raise ConfigError(f"pivot_iso must be a non-empty string, got {self.pivot_iso!r}")
         if not self.pivot_tokens:
-            raise ConfigError("need at least one pivot token")
+            raise ConfigError("pivot_tokens must name at least one token")
         for token in self.pivot_tokens:
             if not isinstance(token, str):
                 raise ConfigError(f"pivot_tokens must be strings, got {token!r}")
@@ -320,7 +320,7 @@ def run(config: PipelineConfig) -> Path:
     art.write("heat.tsv", tsv.format_rows(
         [("row_id", "null_count"), *zip(matrix.row_ids, heat)], header))
     art.write("svg/heat.svg", svgmod.render_map(
-        points, [al.NULL_MARKER] * len(heat), heat=heat,
+        points, pv.code_labels([al.NULL_MARKER] * len(heat)), heat=heat,
         title="null-construction concentration", comment=header,
     ))
 
@@ -344,9 +344,8 @@ def run(config: PipelineConfig) -> Path:
          *((rid, int(a)) for rid, a in zip(matrix.row_ids, model.assignments))], header))
 
     # cluster -> group mapping
-    row_index = {rid: i for i, rid in enumerate(matrix.row_ids)}
     if config.group_anchors:
-        cluster_of_group = {g: int(model.assignments[row_index[anchor]])
+        cluster_of_group = {g: int(model.assignments[matrix.row_ids.index(anchor)])
                             for g, anchor in config.group_anchors.items()}
     else:
         cluster_of_group = {g: int(c) for g, c in config.cluster_groups.items()}
@@ -355,16 +354,16 @@ def run(config: PipelineConfig) -> Path:
             raise mx.MixtureError(f"group {g}: cluster {c} is empty")
 
     cores = {
-        g: mx.core_points(points, model.assignments, cluster_of_group[g],
-                          k=config.core_k, row_ids=matrix.row_ids)
+        g: mx.core_points(points, model.assignments, cluster_of_group[g], k=config.core_k)
         for g in GROUPS
     }
     rows = [("group", "cluster", "centroid_x", "centroid_y", "member_row_ids")]
     for g in GROUPS:
         cs = cores[g]
         rows.append((g, cs.cluster, f"{cs.centroid[0]:.9f}", f"{cs.centroid[1]:.9f}",
-                     ",".join(str(m) for m in cs.member_ids)))
+                     ",".join(matrix.row_ids[i] for i in cs.members)))
     art.write("core_points.tsv", tsv.format_rows(rows, header))
+    core_coords = {g: points[cores[g].members] for g in GROUPS}
 
     # per-doculect surfaces, dictionaries, classification -----------------
     columns = {iso: matrix.coded(iso) for iso in matrix.columns}
@@ -386,9 +385,7 @@ def run(config: PipelineConfig) -> Path:
 
         areas = {m: s.contours.get(config.dictionary_level, [])
                  for m, s in surfs.items()}
-        core_ids = {g: cores[g].member_ids for g in GROUPS}
-        adict = ty.build_dictionary(core_ids, areas, points, row_index,
-                                    alpha=config.alpha)
+        adict = ty.build_dictionary(core_coords, areas, alpha=config.alpha)
         djson = json.dumps(adict.groups, sort_keys=True, ensure_ascii=False)
         dictionaries.append((iso, djson, adict))
 
@@ -402,7 +399,7 @@ def run(config: PipelineConfig) -> Path:
             best_by_cluster.setdefault(cl, {})[iso] = best.means
 
         svg_text = svgmod.render_map(
-            points, matrix.column(iso), {m: s.contours for m, s in surfs.items()},
+            points, column, {m: s.contours for m, s in surfs.items()},
             title=f"{iso} ({manifest.doculects[iso].family})",
             comment=header,
         )

@@ -119,10 +119,6 @@ class ParallelUsageMatrix:
         j = self._index(iso)
         return self.codes[:, j], self.labels[j]
 
-    def column(self, iso: str) -> list[str]:
-        codes, labels = self.coded(iso)
-        return [labels[c] for c in codes.tolist()]
-
     def rows(self) -> list[list[str]]:
         """The labels, row by row."""
         cells = np.empty(self.codes.shape, dtype=object)

@@ -184,25 +184,18 @@ def _betacf(x: float, a: float, b: float) -> float:
     h = dd
     for m in range(1, max_iter + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        dd = 1.0 + aa * dd
-        if abs(dd) < fpmin:
-            dd = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        dd = 1.0 / dd
-        h *= dd * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        dd = 1.0 + aa * dd
-        if abs(dd) < fpmin:
-            dd = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        dd = 1.0 / dd
-        delta = dd * c
-        h *= delta
+        # one Lentz step for the even coefficient, then one for the odd
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            dd = 1.0 + aa * dd
+            if abs(dd) < fpmin:
+                dd = fpmin
+            c = 1.0 + aa / c
+            if abs(c) < fpmin:
+                c = fpmin
+            dd = 1.0 / dd
+            delta = dd * c
+            h *= delta
         if abs(delta - 1.0) < eps:
             break
     return h

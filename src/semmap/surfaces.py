@@ -59,7 +59,6 @@ class SurfaceError(ValueError):
 
 @dataclass
 class KrigSurface:
-    means_label: str
     xs: np.ndarray
     ys: np.ndarray
     prob: np.ndarray              # shape (len(ys), len(xs)), clamped to [0, 1]
@@ -145,7 +144,7 @@ def fit_surfaces(points, columns, grid: int = 200,
     levels = tuple(levels)
     surfs: dict[str, dict[str, KrigSurface]] = {key: {} for key in columns}
     for (key, m), prob, polys in zip(fields, probs, _contours(xs, ys, probs, levels)):
-        surfs[key][m] = KrigSurface(means_label=m, xs=xs, ys=ys, prob=prob, levels=levels,
+        surfs[key][m] = KrigSurface(xs=xs, ys=ys, prob=prob, levels=levels,
                                     contours=dict(zip(levels, polys)))
     return surfs
 

@@ -53,17 +53,20 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def render_map(points, labels, contours_by_means=None, heat=None,
+def render_map(points, column, contours_by_means=None, heat=None,
                title: str = "", comment: str = "") -> str:
     """Build the SVG document for one doculect's map.
 
-    ``labels`` name NULL by ``NULL_MARKER``; ``contours_by_means`` maps a
-    means label to {level: [polygons]}; ``heat`` (per-point counts)
-    switches the scatter to a warm/cold fill by count.
+    ``column`` is the doculect's (codes, sorted labels), as
+    ``ParallelUsageMatrix.coded`` gives it, with NULL named by
+    ``NULL_MARKER``; the legend lists its labels in order.
+    ``contours_by_means`` maps a means label to {level: [polygons]};
+    ``heat`` (per-point counts) switches the scatter to a warm/cold fill
+    by count.
     """
     pts = np.asarray(points, dtype=float)
     to_px = _scale(pts)
-    means_order = sorted(set(labels))
+    codes, means_order = column
     color_of = {}
     ci = 0
     for m in means_order:
@@ -99,10 +102,11 @@ def render_map(points, labels, contours_by_means=None, heat=None,
                 f'fill="rgb({r},60,{b})"/>'
             )
     else:
-        for (x, y), lab in zip(to_px(pts).tolist(), labels):
+        fills = [color_of[m] for m in means_order]
+        for (x, y), code in zip(to_px(pts).tolist(), codes.tolist()):
             out.append(
                 f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3.0" '
-                f'fill="{color_of[lab]}" fill-opacity="0.75"/>'
+                f'fill="{fills[code]}" fill-opacity="0.75"/>'
             )
 
     if contours_by_means:

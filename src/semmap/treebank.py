@@ -281,18 +281,24 @@ def _parse_xml(text: str) -> list[Sentence]:
 
 
 def parse_treebank(source: str | Path) -> list[Sentence]:
-    """Parse a treebank document from a path or a literal string."""
+    """Parse a treebank document from a path or a literal string.
+
+    The errors of a path source name the file.
+    """
     if isinstance(source, Path) or (
         isinstance(source, str) and "\n" not in source and Path(source).is_file()
     ):
         try:
-            text = Path(source).read_text(encoding="utf-8")
+            return _parse_text(Path(source).read_text(encoding="utf-8"))
         except UnicodeDecodeError as exc:
             raise TreebankError(f"{source}: not UTF-8 text ({exc.reason})") from exc
-    else:
-        text = str(source)
-    stripped = text.lstrip()
-    if stripped.startswith("<"):
+        except TreebankError as exc:
+            raise TreebankError(f"{source}: {exc}") from exc
+    return _parse_text(str(source))
+
+
+def _parse_text(text: str) -> list[Sentence]:
+    if text.lstrip().startswith("<"):
         return _parse_xml(text)
     return _parse_columns(text)
 

@@ -70,15 +70,13 @@ class MeansScore:
     f1: float
 
 
-def build_dictionary(core_sets: dict[str, list], areas: dict[str, list],
-                     points: np.ndarray, row_index: dict,
+def build_dictionary(core_sets: dict[str, np.ndarray], areas: dict[str, list],
                      alpha: float = 0.01) -> AreaDictionary:
     """Map core-point groups to the Kriging areas that matter.
 
-    ``core_sets`` maps each group to its core-point row ids, ``areas``
-    maps means labels (including the NULL marker) to polygon sets at the
-    dictionary probability level, ``row_index`` maps row ids to indices
-    into ``points``.
+    ``core_sets`` maps each group to its core points' (k, 2) coordinates,
+    ``areas`` maps means labels (including the NULL marker) to polygon
+    sets at the dictionary probability level.
 
     Pruning heuristics, applied per group in order: (a) an area unique to
     the group is always kept, and an area shared with other groups
@@ -98,8 +96,7 @@ def build_dictionary(core_sets: dict[str, list], areas: dict[str, list],
 
     counts: dict[str, dict[str, int]] = {g: {} for g in core_sets}
     # every group's core points in one stack, one containment test per area
-    rows = [row_index[rid] for ids in core_sets.values() for rid in ids]
-    stacked = np.asarray(points)[rows]
+    stacked = np.concatenate(list(core_sets.values()))
     for label in sorted(areas):
         polys = areas[label]
         if not polys:

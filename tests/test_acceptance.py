@@ -250,9 +250,7 @@ def line_setup():
         + [[i, 10.0] for i in range(30)]
         + [[i, 20.0] for i in range(30)]
     )
-    ids = [f"r{i}" for i in range(90)]
-    cores = {"TL": ids[:30], "ML": ids[30:60], "BL": ids[60:]}
-    return pts, ids, cores, {rid: i for i, rid in enumerate(ids)}
+    return {"TL": pts[:30], "ML": pts[30:60], "BL": pts[60:]}
 
 
 def test_criterion_07_worked_examples():
@@ -267,14 +265,14 @@ def test_criterion_07_worked_examples():
             groups={"TL": ["ahut"], "ML": ["ahut"], "BL": ["NULL"]}))
         assert res.pattern == "B" and res.null_flags == ["BL"]
         # Manam-shaped containment: NULL dropped everywhere, pattern A
-        pts, ids, cores, idx = line_setup()
+        cores = line_setup()
         areas = {"bong": rect(-1, -1, 30, 21), "NULL": rect(-1, -1, 30, 21)}
-        adict = build_dictionary(cores, areas, pts, idx)
+        adict = build_dictionary(cores, areas)
         assert adict.groups == {"TL": ["bong"], "ML": ["bong"], "BL": ["bong"]}
         assert classify_pattern(adict).pattern == "A"
         # Yucatec-shaped counts: ken significantly richer in ML, pattern B
         areas = {"ken": rect(-1, -1, 30, 11), "ka": rect(-1, 9.5, 7.5, 21)}
-        adict = build_dictionary(cores, areas, pts, idx)
+        adict = build_dictionary(cores, areas)
         assert adict.groups == {"TL": ["ken"], "ML": ["ken"], "BL": ["ka"]}
         assert classify_pattern(adict).pattern == "B"
         assert time.perf_counter() - t0 < 1.0

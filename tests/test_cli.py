@@ -426,6 +426,8 @@ def test_run_config_scalar_for_list_is_config_error(tmp_path, capsys, field, val
     # strips punctuation at token edges
     ("pivot_tokens", ["When"]), ("pivot_tokens", [1]),
     ("pivot_iso", 5), ("pivot_tokens", ["when,"]),
+    ("metadata", "no-such-meta.tsv"), ("dictionary_level", 0.3), ("pivot_tokens", []),
+    ("cluster_groups", {"TL": 0, "ML": 1}),
 ])
 def test_run_config_out_of_range_is_config_error_before_work(tmp_path, capsys, field, value):
     corpus = tmp_path / "corpus"
@@ -461,6 +463,19 @@ def test_run_config_boolean_for_number_is_config_error_before_work(tmp_path, cap
     assert main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and field in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_run_pivot_token_absent_from_pivot_is_data_error_before_work(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    build_corpus(corpus, n_verses=30, seed=3)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", corpus_dir=str(corpus),
+                       metadata=str(corpus / "meta.tsv"), out_dir=str(out),
+                       pivot_tokens=["xyzzy"])
+    assert main(["run", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "never occur in eng" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -655,6 +670,16 @@ BAD_TREEBANKS = {
         "sentence x2: bad token '1': "),
     "not_utf8": ("latin.tsv", b"1\tcaf\xe9\tcaf\xe9\tN\t_\t0\tpred\t_\t_\t_\n",
                  "latin.tsv: not UTF-8 text"),
+    "bad_morph_feature": ("morph.tsv", "1\tw\tw\tV\tcase\t0\tpred\t_\t_\t_\n",
+                          "line 1: bad morph feature 'case'"),
+    "bad_slash": ("slash.tsv", "1\tw\tw\tV\t_\t0\tpred\t2\t_\t_\n", "line 1: bad slash '2'"),
+    "duplicate_token_ids": ("dup.tsv", "# sent_id = d1\n1\tw\tw\tV\t_\t0\tpred\t_\t_\t_\n"
+                            "1\tv\tv\tV\t_\t0\tpred\t_\t_\t_\n",
+                            "sentence d1: duplicate token ids"),
+    "nine_columns": ("nine.tsv", "1\tw\tw\tV\t_\t0\tpred\t_\t_\n",
+                     "line 1: expected 10 columns, got 9"),
+    "malformed_xml": ("bad.xml", '<source><sentence id="m1"></source>',
+                      "malformed XML: mismatched tag"),
 }
 
 
@@ -668,7 +693,7 @@ def test_treebank_extract_bad_input_is_data_error(tmp_path, capsys, name, conten
         tb.write_text(content, encoding="utf-8")
     assert main(["treebank-extract", "--treebank", str(tb)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("data error: ") and where in err
+    assert err.startswith("data error: ") and where in err and f"{tb}: " in err
     assert "Traceback" not in err
 
 
@@ -688,6 +713,34 @@ def test_run_non_utf8_corpus_file_is_data_error(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and f"{name}: not UTF-8 text" in err
     # nothing is written before the corpus has loaded
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, line", [
+    ("fra.txt", "MAT:1:1 la fin"),
+    ("meta.tsv", "fra\tfrançais\tIndo-European"),
+    ("meta.tsv", "fra\tfrançais\tIndo-European\tEurasia\t1910s"),
+    (None, None),
+], ids=["verse_without_tab", "three_column_metadata", "year_not_integer", "no_txt_file"])
+def test_run_malformed_corpus_is_data_error(tmp_path, capsys, name, line):
+    corpus = tmp_path / "corpus"
+    build_corpus(corpus, n_verses=30, seed=3)
+    if name is None:
+        for path in corpus.glob("*.txt"):
+            path.unlink()
+        where = f"no .txt corpus files under {corpus}"
+    else:
+        with open(corpus / name, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        # the appended row is the file's last line
+        ln = len((corpus / name).read_text(encoding="utf-8").splitlines())
+        where = f"{corpus / name}:{ln}: "
+    out = tmp_path / "out"
+    code = main(["run", "--corpus-dir", str(corpus), "--metadata", str(corpus / "meta.tsv"),
+                 "--out-dir", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and where in err
     assert not out.exists()
 
 

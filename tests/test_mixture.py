@@ -223,14 +223,14 @@ def test_core_points_isolated_cluster_is_itself():
     pts = np.vstack([near, far])
     assignments = np.array([0] * 50 + [1] * 10)
     cs = core_points(pts, assignments, 1, k=10)
-    assert sorted(cs.member_ids) == list(range(50, 60))
+    assert sorted(cs.members) == list(range(50, 60))
 
 
 def test_core_points_k1_nearest_observation():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.4, 0.0]])
     cs = core_points(pts, np.array([0, 0, 0]), 0, k=1)
     # centroid (0.4667, 0) is closest to the third point
-    assert cs.member_ids == [2]
+    assert cs.members == [2]
 
 
 def test_core_points_balltree_equals_linear_scan():
@@ -240,7 +240,7 @@ def test_core_points_balltree_equals_linear_scan():
     cs = core_points(pts, assignments, 1, k=30)
     centroid = pts[assignments == 1].mean(axis=0)
     want = [i for _, i in brute_knn(pts, centroid, 30)]
-    assert cs.member_ids == want
+    assert cs.members == want
 
 
 def test_core_points_centroid_is_cluster_mean():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -194,6 +195,18 @@ def test_config_validation_errors(tmp_path):
                           group_anchors={"TL": "x"})
     with pytest.raises(ConfigError, match="group_anchors"):
         cfg3.validate()
+
+
+def test_readme_config_example_validates(tmp_path):
+    # the README's config block, with its paths pointed at files that exist
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    fields = json.loads(blocks[0])
+    meta = tmp_path / "meta.tsv"
+    meta.write_text("", encoding="utf-8")
+    fields.update(corpus_dir=str(tmp_path), metadata=str(meta), out_dir=str(tmp_path / "out"))
+    PipelineConfig.from_json(json.dumps(fields)).validate()
 
 
 def test_benchmark_hooks_find_every_function_they_wrap():

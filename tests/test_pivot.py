@@ -87,7 +87,8 @@ def test_build_matrix_full_null_column():
     par = {"deu": [PivotParallel("v1", 0, "als")], "xxx": []}
     occ = [("v1", 0)]
     m = build_matrix({iso: code_parallels(rows, occ) for iso, rows in par.items()}, occ)
-    assert m.column("xxx") == [NULL_MARKER]
+    codes, labels = m.coded("xxx")
+    assert [labels[c] for c in codes] == [NULL_MARKER]
 
 
 def test_build_matrix_duplicate_rows_error():

@@ -41,16 +41,14 @@ def bump_surface(grid=200, box=3.0):
     ys = np.linspace(-box, box, grid)
     gx, gy = np.meshgrid(xs, ys)
     prob = np.exp(-(gx ** 2 + gy ** 2))
-    return KrigSurface(means_label="bump", xs=xs, ys=ys, prob=prob,
-                       levels=DEFAULT_LEVELS)
+    return KrigSurface(xs=xs, ys=ys, prob=prob, levels=DEFAULT_LEVELS)
 
 
 def constant_surface(value, grid=40):
     xs = np.linspace(0.0, 1.0, grid)
     ys = np.linspace(0.0, 1.0, grid)
     prob = np.full((grid, grid), value)
-    return KrigSurface(means_label="const", xs=xs, ys=ys, prob=prob,
-                       levels=DEFAULT_LEVELS)
+    return KrigSurface(xs=xs, ys=ys, prob=prob, levels=DEFAULT_LEVELS)
 
 
 def polygon_area(poly):
@@ -321,7 +319,7 @@ def multisaddle_surface():
     for _ in range(12):
         cx, cy = rng.uniform(0.1, 0.9, 2)
         prob += rng.uniform(0.2, 0.5) * np.exp(-((gx - cx) ** 2 + (gy - cy) ** 2) / 0.02)
-    return KrigSurface("noisy", xs, ys, np.clip(prob, 0, 1), DEFAULT_LEVELS)
+    return KrigSurface(xs, ys, np.clip(prob, 0, 1), DEFAULT_LEVELS)
 
 
 def two_islands_surface():
@@ -329,7 +327,7 @@ def two_islands_surface():
     ys = np.linspace(-2, 2, 120)
     gx, gy = np.meshgrid(xs, ys)
     prob = np.exp(-((gx - 2) ** 2 + gy ** 2)) + np.exp(-((gx + 2) ** 2 + gy ** 2))
-    return KrigSurface("two", xs, ys, np.clip(prob, 0, 1), DEFAULT_LEVELS)
+    return KrigSurface(xs, ys, np.clip(prob, 0, 1), DEFAULT_LEVELS)
 
 
 def test_contour_area_conserved_on_noisy_multisaddle_field():
@@ -560,7 +558,7 @@ def grid_surface(prob):
     prob = np.asarray(prob, dtype=float)
     xs = np.linspace(0.0, 1.0, prob.shape[1])
     ys = np.linspace(0.0, 1.0, prob.shape[0])
-    return KrigSurface("grid", xs, ys, prob, DEFAULT_LEVELS)
+    return KrigSurface(xs, ys, prob, DEFAULT_LEVELS)
 
 
 def on_level_surface():
@@ -645,7 +643,7 @@ def random_field(rng, kind, scale, offset):
     }[kind]
     xs = offset + scale * np.linspace(0.0, 1.0, nx)
     ys = offset / 3 + scale * np.linspace(-0.4, 0.3, ny)
-    return KrigSurface(kind, xs, ys, prob, DEFAULT_LEVELS)
+    return KrigSurface(xs, ys, prob, DEFAULT_LEVELS)
 
 
 # levels hit exactly by the snapped and on-level values, and one between them
@@ -715,7 +713,7 @@ def assert_batch_matches_oracle(xs, ys, probs, levels):
     got = _contours(xs, ys, probs, levels)
     assert len(got) == len(probs)
     for prob, polys in zip(probs, got):
-        surf = KrigSurface("f", xs, ys, prob, levels)
+        surf = KrigSurface(xs, ys, prob, levels)
         assert len(polys) == len(levels)
         for level, p in zip(levels, polys):
             assert_same_polygons(p, contour_oracle(surf, level))
@@ -1024,10 +1022,10 @@ def formatting_surfaces():
                      [0.1234565, 0.9999995, 0.3333333, 2.5e-7, 1e-300, 0.7]] * 2)
     polys = [np.array([[-0.0, 0.0], [-1.5e-7, 2.0000005], [3.1234565, -4.4999995]]),
              np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1e-9, -0.0]])]
-    full = KrigSurface("a", xs, ys, prob, DEFAULT_LEVELS,
+    full = KrigSurface(xs, ys, prob, DEFAULT_LEVELS,
                        contours={0.35: polys[:1], 0.32: [], 0.29: polys})
     # no polygons at any level, and a level missing from the contour map
-    empty = KrigSurface("NULL", xs, ys, prob[::-1], DEFAULT_LEVELS, contours={0.35: []})
+    empty = KrigSurface(xs, ys, prob[::-1], DEFAULT_LEVELS, contours={0.35: []})
     grown = bump_surface(grid=37)
     for level in grown.levels:
         grown.contours[level] = contour(grown, level)

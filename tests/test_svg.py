@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from semmap.align import NULL_MARKER
+from semmap.pivot import code_labels
 from semmap.surfaces import DEFAULT_LEVELS, KrigSurface, contour
 from semmap.svg import HEIGHT, MARGIN, NULL_COLOR, PALETTE, WIDTH, render_map
 
@@ -105,7 +106,7 @@ def map_contours():
     xs = np.linspace(-0.2, 1.2, 30)
     ys = np.linspace(-1.3, 1.3, 30)
     gx, gy = np.meshgrid(xs, ys)
-    surf = KrigSurface("kai", xs, ys, np.exp(-((gx - 0.5) ** 2 + gy ** 2) * 4), DEFAULT_LEVELS)
+    surf = KrigSurface(xs, ys, np.exp(-((gx - 0.5) ** 2 + gy ** 2) * 4), DEFAULT_LEVELS)
     return {
         "kai": {level: contour(surf, level) for level in DEFAULT_LEVELS},
         # negative pixels, and a means not among the labels
@@ -122,7 +123,7 @@ def test_render_map_matches_per_vertex_oracle(with_contours):
     labels = [("kai", "hote", NULL_MARKER, "ote")[i % 4] for i in range(len(pts))]
     contours = map_contours() if with_contours else None
     kwargs = dict(title="deu (Germanic)", comment="run abc seed=13")
-    assert (render_map(pts, labels, contours, **kwargs)
+    assert (render_map(pts, code_labels(labels), contours, **kwargs)
             == render_map_oracle(pts, labels, contours, **kwargs))
 
 
@@ -130,7 +131,7 @@ def test_heat_map_matches_per_vertex_oracle():
     pts = unit_points()
     heat = [(7 * i) % 11 for i in range(len(pts))]
     labels = [NULL_MARKER] * len(pts)
-    assert (render_map(pts, labels, heat=heat, title="nulls")
+    assert (render_map(pts, code_labels(labels), heat=heat, title="nulls")
             == render_map_oracle(pts, labels, heat=heat, title="nulls"))
 
 
@@ -139,7 +140,7 @@ def test_degenerate_extent_matches_per_vertex_oracle():
     pts = np.column_stack([np.full(6, -3.0), np.linspace(-1.0, 1.0, 6)])
     labels = ["a", "b"] * 3
     contours = {"a": {0.29: [np.array([[-3.0005, 0.0], [-2.9995, 0.5], [-3.0, -0.0]])]}}
-    assert render_map(pts, labels, contours) == render_map_oracle(pts, labels, contours)
+    assert render_map(pts, code_labels(labels), contours) == render_map_oracle(pts, labels, contours)
 
 
 def test_markup_in_title_and_labels_is_escaped():
@@ -147,7 +148,7 @@ def test_markup_in_title_and_labels_is_escaped():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     labels = ["x&y", "<c>", NULL_MARKER, "x&y"]
     contours = {"<c>": {0.29: [np.array([[0.1, 0.1], [0.9, 0.1], [0.5, 0.9]])]}}
-    root = ET.fromstring(render_map(pts, labels, contours, title="A & B"))
+    root = ET.fromstring(render_map(pts, code_labels(labels), contours, title="A & B"))
     ns = "{http://www.w3.org/2000/svg}"
     texts = [t.text for t in root.iter(f"{ns}text")]
     assert texts == ["A & B", "<c>", NULL_MARKER, "x&y"]

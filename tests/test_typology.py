@@ -31,12 +31,8 @@ def make_setup(areas, tl_y=0.0, ml_y=10.0, bl_y=20.0):
     pts = np.vstack([
         line_of_points(tl_y), line_of_points(ml_y), line_of_points(bl_y),
     ])
-    row_ids = [f"r{i}" for i in range(90)]
-    core_sets = {
-        "TL": row_ids[0:30], "ML": row_ids[30:60], "BL": row_ids[60:90],
-    }
-    row_index = {rid: i for i, rid in enumerate(row_ids)}
-    return core_sets, areas, pts, row_index
+    core_sets = {"TL": pts[0:30], "ML": pts[30:60], "BL": pts[60:90]}
+    return core_sets, areas
 
 
 # build_dictionary ----------------------------------------------------------------
@@ -47,8 +43,8 @@ def test_dictionary_single_area_per_group():
         "go": rect(-1, -1, 30, 1),
         "yo": rect(-1, 9, 30, 21),
     }
-    core_sets, areas, pts, idx = make_setup(areas)
-    d = build_dictionary(core_sets, areas, pts, idx)
+    core_sets, areas = make_setup(areas)
+    d = build_dictionary(core_sets, areas)
     assert d.groups == {"TL": ["go"], "ML": ["yo"], "BL": ["yo"]}
 
 
@@ -60,8 +56,8 @@ def test_dictionary_unique_plus_shared_non_significant():
         "buc": rect(8.5, -1, 30.5, 11),
         "NULL": rect(-1, 19, 30, 21),
     }
-    core_sets, areas, pts, idx = make_setup(areas)
-    d = build_dictionary(core_sets, areas, pts, idx)
+    core_sets, areas = make_setup(areas)
+    d = build_dictionary(core_sets, areas)
     assert d.counts["TL"] == {"obec": 26, "buc": 21}
     assert d.groups["TL"] == ["buc", "obec"]
     assert d.groups["ML"] == ["buc"]
@@ -74,8 +70,8 @@ def test_dictionary_unique_plus_shared_significantly_fewer_drops():
         "main": rect(-0.5, -1, 27.5, 1),
         "weak": rect(24.5, -1, 30.5, 11),
     }
-    core_sets, areas, pts, idx = make_setup(areas)
-    d = build_dictionary(core_sets, areas, pts, idx)
+    core_sets, areas = make_setup(areas)
+    d = build_dictionary(core_sets, areas)
     assert d.counts["TL"] == {"main": 28, "weak": 5}
     assert d.groups["TL"] == ["main"]
 
@@ -86,8 +82,8 @@ def test_dictionary_no_unique_fisher_richer_wins():
         "ken": rect(-1, -1, 30, 11),
         "ka": rect(-1, 9.5, 7.5, 21),
     }
-    core_sets, areas, pts, idx = make_setup(areas)
-    d = build_dictionary(core_sets, areas, pts, idx)
+    core_sets, areas = make_setup(areas)
+    d = build_dictionary(core_sets, areas)
     assert d.counts["ML"] == {"ken": 30, "ka": 8}
     assert d.groups == {"TL": ["ken"], "ML": ["ken"], "BL": ["ka"]}
 
@@ -97,8 +93,8 @@ def test_dictionary_no_unique_non_significant_keeps_both():
         "ken": rect(-1, -1, 30, 11),
         "ka": rect(-1, 9.5, 26.5, 21),   # 27/30 in ML
     }
-    core_sets, areas, pts, idx = make_setup(areas)
-    d = build_dictionary(core_sets, areas, pts, idx)
+    core_sets, areas = make_setup(areas)
+    d = build_dictionary(core_sets, areas)
     assert d.counts["ML"] == {"ken": 30, "ka": 27}
     assert d.groups["ML"] == ["ka", "ken"]
 
@@ -109,8 +105,8 @@ def test_dictionary_null_dropped_when_lexical_area_present():
         "bong": rect(-1, -1, 30, 21),
         "NULL": rect(-1, -1, 30, 21),
     }
-    core_sets, areas, pts, idx = make_setup(areas)
-    d = build_dictionary(core_sets, areas, pts, idx)
+    core_sets, areas = make_setup(areas)
+    d = build_dictionary(core_sets, areas)
     assert d.groups == {"TL": ["bong"], "ML": ["bong"], "BL": ["bong"]}
 
 
@@ -119,24 +115,32 @@ def test_dictionary_null_kept_when_sole():
         "ahut": rect(-1, -1, 30, 11),
         "NULL": rect(-1, 19, 30, 21),
     }
-    core_sets, areas, pts, idx = make_setup(areas)
-    d = build_dictionary(core_sets, areas, pts, idx)
+    core_sets, areas = make_setup(areas)
+    d = build_dictionary(core_sets, areas)
     assert d.groups == {"TL": ["ahut"], "ML": ["ahut"], "BL": ["NULL"]}
 
 
 def test_dictionary_empty_group_allowed():
     areas = {"w": rect(-1, -1, 30, 11)}
-    core_sets, areas, pts, idx = make_setup(areas)
-    d = build_dictionary(core_sets, areas, pts, idx)
+    core_sets, areas = make_setup(areas)
+    d = build_dictionary(core_sets, areas)
     assert d.groups["BL"] == []
+
+
+def test_dictionary_leaves_out_a_label_without_polygons():
+    areas = {"w": rect(-1, -1, 30, 21), "gone": []}
+    core_sets, areas = make_setup(areas)
+    d = build_dictionary(core_sets, areas)
+    assert all("gone" not in c for c in d.counts.values())
+    assert d.groups == {"TL": ["w"], "ML": ["w"], "BL": ["w"]}
 
 
 def test_dictionary_unequal_core_sets_error():
     areas = {"w": rect(-1, -1, 30, 21)}
-    core_sets, areas, pts, idx = make_setup(areas)
+    core_sets, areas = make_setup(areas)
     core_sets["TL"] = core_sets["TL"][:10]
     with pytest.raises(TypologyError):
-        build_dictionary(core_sets, areas, pts, idx)
+        build_dictionary(core_sets, areas)
 
 
 # classify_pattern ----------------------------------------------------------------
@@ -236,6 +240,13 @@ def test_empty_group_without_template():
 def test_unmatched_multi_template_is_other():
     res = classify_pattern(adict(["x", "y"], ["x", "y"], ["z"]))
     assert res.pattern == "unclassified-other"
+
+
+def test_five_means_have_no_canonical_form_and_are_other():
+    # _canon gives up beyond four distinct means
+    res = classify_pattern(adict(["a", "b"], ["c", "d"], ["e"]))
+    assert res.pattern == "unclassified-other"
+    assert res.subpattern is None
 
 
 def test_relabeling_never_changes_pattern():
