@@ -20,7 +20,6 @@ serves all cells: a probability that underflowed to 0 just weighs 0.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -73,31 +72,24 @@ class _Side(NamedTuple):
 class Bitext:
     """Verse pairs with the types of each side coded as ints.
 
-    ``ids`` names the verses. Codes index each side's sorted types, so
-    comparing two codes compares their forms as ``str <`` does.
+    Codes index each side's sorted types, so comparing two codes
+    compares their forms as ``str <`` does.
     """
-    ids: list
     source: _Side
     target: _Side
 
     @classmethod
     def of(cls, verse_pairs) -> "Bitext":
-        """Code a sequence of (source tokens, target tokens), whose ids
-        are its positions, or a mapping from verse id to such a pair; a
-        ``Bitext`` is returned as it is."""
+        """Code a sequence of (source tokens, target tokens); a ``Bitext``
+        is returned as it is."""
         if isinstance(verse_pairs, Bitext):
             return verse_pairs
-        if isinstance(verse_pairs, Mapping):
-            ids, pairs = list(verse_pairs), list(verse_pairs.values())
-        else:
-            pairs = list(verse_pairs)
-            ids = list(range(len(pairs)))
-        return cls(ids, _Side.encode([p[0] for p in pairs]),
-                   _Side.encode([p[1] for p in pairs]))
+        pairs = list(verse_pairs)
+        return cls(_Side.encode([p[0] for p in pairs]), _Side.encode([p[1] for p in pairs]))
 
     def swapped(self) -> "Bitext":
         """The same verses with source and target exchanged (no recoding)."""
-        return Bitext(self.ids, self.target, self.source)
+        return Bitext(self.target, self.source)
 
 
 def _cells(outer: _Side, inner: _Side, tokens: np.ndarray):
@@ -154,7 +146,7 @@ def train_em(bitext, iterations: int = 5) -> TranslationModel:
     does not depend on how the cells are batched.
     """
     bitext = Bitext.of(bitext)
-    if not bitext.ids:
+    if len(bitext.source.lengths) == 0:
         raise AlignError("empty bitext")
     if iterations < 1:
         raise AlignError("iterations must be >= 1")
@@ -277,7 +269,7 @@ def align_pair(pivot_verses: dict[str, list[str]],
     if not common:
         raise AlignError("no shared verses between pivot and target")
     # both sides are coded once and serve both directions
-    bitext = Bitext.of({v: (pivot_verses[v], target_verses[v]) for v in common})
+    bitext = Bitext.of([(pivot_verses[v], target_verses[v]) for v in common])
     fwd_model = train_em(bitext, iterations=iterations)
     rev_model = train_em(bitext.swapped(), iterations=iterations)
     src, tgt = bitext.source, bitext.target

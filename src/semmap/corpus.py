@@ -13,6 +13,8 @@ import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import tsv
+
 __all__ = [
     "Doculect",
     "CorpusManifest",
@@ -110,18 +112,6 @@ def select_translation(candidates: list[Doculect]) -> Doculect:
     return max(pool, key=key)
 
 
-def _data_lines(path):
-    """(line number, line) for each line of ``path`` that is neither blank nor a ``#`` comment."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for ln, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if line and not line.startswith("#"):
-                    yield ln, line
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-
-
 def load_doculect_file(path: str | Path, iso: str | None = None,
                        meta: dict | None = None) -> Doculect:
     path = Path(path)
@@ -129,7 +119,7 @@ def load_doculect_file(path: str | Path, iso: str | None = None,
     file_iso = stem.split("-", 1)[0]
     iso = iso or file_iso
     verses: dict[str, str] = {}
-    for ln, line in _data_lines(path):
+    for ln, line in tsv.data_lines(path):
         parts = line.split("\t", 1)
         if len(parts) != 2:
             raise CorpusError(f"{path}:{ln}: expected 'verse-id<TAB>text'")
@@ -155,7 +145,7 @@ def load_metadata(path: str | Path) -> dict[str, dict]:
     That column is an iso code, or the stem of one corpus file.
     """
     meta: dict[str, dict] = {}
-    for ln, line in _data_lines(path):
+    for ln, line in tsv.data_lines(path):
         parts = line.split("\t")
         if len(parts) < 4:
             raise CorpusError(f"{path}:{ln}: expected at least 4 columns")

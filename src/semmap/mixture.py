@@ -260,7 +260,7 @@ class SelectionReport:
 
 
 def select_k(points, candidates, seed: int = 0) -> SelectionReport:
-    """Fit every candidate K and pick the BIC argmin.
+    """Fit every candidate K (the candidates must differ) and pick the BIC argmin.
 
     AIC = 2p - 2L and BIC = p ln(n) - 2L with p = (K-1) + 2K + 3K.
     The report keeps the chosen fit and flags whether the AIC argmin and
@@ -277,6 +277,8 @@ def select_k(points, candidates, seed: int = 0) -> SelectionReport:
     for k in candidates:
         if not least <= k <= most:
             raise MixtureError(f"candidate K={k} outside [{least}, {most}]")
+    if len(set(candidates)) != len(candidates):
+        raise MixtureError(f"candidate Ks must differ, got {candidates}")
     rows: list[dict] = []
     models: dict[int, GmmModel] = {}
     for k in candidates:

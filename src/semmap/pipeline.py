@@ -39,6 +39,14 @@ class ConfigError(ValueError):
     pass
 
 
+def _check_distinct(name: str, values) -> None:
+    # a repeated level would draw, and store, each of its polygons twice; a
+    # repeated K fits, and stores, one mixture twice; a repeated pivot token
+    # gives the same analysis under another config hash
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{name} must differ, got {list(values)!r}")
+
+
 def check_grid_levels(grid, levels) -> None:
     """Reject a kriging grid or contour levels no surface can be drawn with."""
     if not isinstance(grid, numbers.Integral) or grid < 2:
@@ -46,9 +54,7 @@ def check_grid_levels(grid, levels) -> None:
     for level in levels:
         if not isinstance(level, numbers.Real) or not 0.0 < level < 1.0:
             raise ConfigError(f"contour levels must lie in (0, 1), got {level!r}")
-    # a repeated level would draw, and store, each of its polygons twice
-    if len(set(levels)) != len(levels):
-        raise ConfigError(f"contour levels must differ, got {list(levels)!r}")
+    _check_distinct("contour levels", levels)
 
 
 # JSON true and false load as bool, a subclass of int: no number knob takes them
@@ -71,6 +77,16 @@ def check_kriging(rho, nugget_frac) -> None:
 def _check_integer(name: str, value, least: int = 1) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def _check_own_clusters(name: str, cluster_of_group: dict) -> None:
+    """Each core-point group needs a cluster of its own: groups sharing
+    one get identical areas in every doculect."""
+    group_of: dict[int, str] = {}
+    for g, c in cluster_of_group.items():
+        if c in group_of:
+            raise ConfigError(f"{name}: groups {group_of[c]} and {g} share cluster {c}")
+        group_of[c] = g
 
 
 @dataclass
@@ -123,6 +139,7 @@ class PipelineConfig:
             if normal != [token]:
                 raise ConfigError(f"pivot_tokens: {token!r} normalizes to {normal!r}; "
                                   "give the normalized form")
+        _check_distinct("pivot_tokens", self.pivot_tokens)
         for name in ("iterations", "min_count", "core_k"):
             _check_integer(name, getattr(self, name))
         if not self.gmm_ks:
@@ -131,6 +148,7 @@ class PipelineConfig:
         least, _ = mx.k_bounds(0, several=len(self.gmm_ks) > 1)
         for k in self.gmm_ks:
             _check_integer("every K in gmm_ks", k, least)
+        _check_distinct("gmm_ks", self.gmm_ks)
         # numpy seeds its generators with non-negative integers only
         _check_integer("gmm_seed", self.gmm_seed, least=0)
         if not (_finite(self.alpha) and 0.0 < self.alpha < 1.0):
@@ -154,6 +172,7 @@ class PipelineConfig:
                 if c >= top:
                     raise ConfigError(
                         f"cluster_groups[{g!r}] must be a cluster in [0, {top}), got {c!r}")
+            _check_own_clusters("cluster_groups", self.cluster_groups)
 
     def to_json(self) -> str:
         d = asdict(self)
@@ -347,6 +366,7 @@ def run(config: PipelineConfig) -> Path:
     if config.group_anchors:
         cluster_of_group = {g: int(model.assignments[matrix.row_ids.index(anchor)])
                             for g, anchor in config.group_anchors.items()}
+        _check_own_clusters("group_anchors", cluster_of_group)
     else:
         cluster_of_group = {g: int(c) for g, c in config.cluster_groups.items()}
     for g, c in cluster_of_group.items():

@@ -431,20 +431,17 @@ def _dedupe(verts: np.ndarray, lens) -> np.ndarray:
     return keep
 
 
-def contains(polygons: list[np.ndarray], point):
+def contains(polygons: list[np.ndarray], points: np.ndarray) -> np.ndarray:
     """Even-odd containment over a polygon set; boundary counts as inside.
 
-    ``point`` is one (x, y) pair, answered with a bool, or an (m, 2)
-    array, answered with an (m,) bool array. A point lies on the
-    boundary when its squared distance to some edge is within
-    (span * 1e-9)^2, span being the largest absolute coordinate of the
-    set (at least 1). Edges are tested in blocks of ``_EDGE_CHUNK``.
+    ``points`` is an (m, 2) array, answered with an (m,) bool array. A
+    point lies on the boundary when its squared distance to some edge is
+    within (span * 1e-9)^2, span being the largest absolute coordinate of
+    the set (at least 1). Edges are tested in blocks of ``_EDGE_CHUNK``.
     """
-    pts = np.asarray(point, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
+    pts = np.asarray(points, dtype=float)
     if not polygons:
-        return False if single else np.zeros(pts.shape[0], dtype=bool)
+        return np.zeros(pts.shape[0], dtype=bool)
     span = max(max(float(np.abs(p).max()) for p in polygons), 1.0)
     eps = span * 1e-9
     polys = [np.asarray(p, dtype=float) for p in polygons]
@@ -467,8 +464,7 @@ def contains(polygons: list[np.ndarray], point):
         cy = np.where(seg2 > 0, y1 + t * dy, y1)
         on_edge |= ((px - cx) ** 2 + (py - cy) ** 2 <= eps * eps).any(axis=1)
         crossings += (((y1 > py) != (y2 > py)) & (x_at > px)).sum(axis=1)
-    inside = on_edge | (crossings % 2 == 1)
-    return bool(inside[0]) if single else inside
+    return on_edge | (crossings % 2 == 1)
 
 
 def null_heat(matrix) -> list[int]:

@@ -281,20 +281,17 @@ def _parse_xml(text: str) -> list[Sentence]:
 
 
 def parse_treebank(source: str | Path) -> list[Sentence]:
-    """Parse a treebank document from a path or a literal string.
-
-    The errors of a path source name the file.
+    """Parse a treebank document: a ``Path`` is read as a file, and its
+    errors name the file; a ``str`` is the document text.
     """
-    if isinstance(source, Path) or (
-        isinstance(source, str) and "\n" not in source and Path(source).is_file()
-    ):
-        try:
-            return _parse_text(Path(source).read_text(encoding="utf-8"))
-        except UnicodeDecodeError as exc:
-            raise TreebankError(f"{source}: not UTF-8 text ({exc.reason})") from exc
-        except TreebankError as exc:
-            raise TreebankError(f"{source}: {exc}") from exc
-    return _parse_text(str(source))
+    if not isinstance(source, Path):
+        return _parse_text(source)
+    try:
+        return _parse_text(source.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise TreebankError(f"{source}: not UTF-8 text ({exc.reason})") from exc
+    except TreebankError as exc:
+        raise TreebankError(f"{source}: {exc}") from exc
 
 
 def _parse_text(text: str) -> list[Sentence]:

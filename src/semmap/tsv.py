@@ -2,17 +2,34 @@
 
 A file is a sequence of rows whose fields are separated by tabs. Lines
 that are blank or start with ``#`` (the run header, comments) carry no
-row. Readers check each row's field count and convert its cells, so a
-malformed file fails with ``TsvError`` naming the file and line.
+row; ``data_lines`` applies that rule for every stored text file, the
+corpus and its metadata included. Readers check each row's field count
+and convert its cells, so a malformed file fails with ``TsvError``
+naming the file and line.
 """
 
 from __future__ import annotations
 
-__all__ = ["TsvError", "read_rows", "format_rows"]
+__all__ = ["TsvError", "data_lines", "read_rows", "format_rows"]
 
 
 class TsvError(ValueError):
     pass
+
+
+def data_lines(path):
+    """(line number, line) for each line of ``path`` that is neither blank nor a ``#`` comment.
+
+    A file that is not UTF-8 raises ``TsvError`` naming it.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for ln, line in enumerate(fh, 1):
+                line = line.rstrip("\n")
+                if line and not line.startswith("#"):
+                    yield ln, line
+    except UnicodeDecodeError as exc:
+        raise TsvError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def read_rows(path, *types, rest=None, header=None) -> list[list]:
@@ -29,30 +46,23 @@ def read_rows(path, *types, rest=None, header=None) -> list[list]:
     rows: list[list] = []
     width = None if rest else len(types)
     convert = types
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for ln, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if not rows and header is not None and fields == list(header):
-                    header = None
-                    continue
-                if width is None:
-                    if len(fields) <= len(types):
-                        raise TsvError(f"{path}:{ln}: expected at least "
-                                       f"{len(types) + 1} fields, got {len(fields)}")
-                    width = len(fields)
-                    convert = types + (rest,) * (width - len(types))
-                if len(fields) != width:
-                    raise TsvError(f"{path}:{ln}: expected {width} fields, got {len(fields)}")
-                try:
-                    rows.append([f(v) for f, v in zip(convert, fields)])
-                except (ValueError, TypeError) as exc:
-                    raise TsvError(f"{path}:{ln}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise TsvError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    for ln, line in data_lines(path):
+        fields = line.split("\t")
+        if not rows and header is not None and fields == list(header):
+            header = None
+            continue
+        if width is None:
+            if len(fields) <= len(types):
+                raise TsvError(f"{path}:{ln}: expected at least "
+                               f"{len(types) + 1} fields, got {len(fields)}")
+            width = len(fields)
+            convert = types + (rest,) * (width - len(types))
+        if len(fields) != width:
+            raise TsvError(f"{path}:{ln}: expected {width} fields, got {len(fields)}")
+        try:
+            rows.append([f(v) for f, v in zip(convert, fields)])
+        except (ValueError, TypeError) as exc:
+            raise TsvError(f"{path}:{ln}: {exc}") from exc
     return rows
 
 

@@ -43,12 +43,13 @@ N_BACKBONE = 6
 N_NOISE = 3
 
 
-def all_schemes() -> dict[str, dict[str, list]]:
+def all_schemes(n_backbone: int = N_BACKBONE,
+                n_noise: int = N_NOISE) -> dict[str, dict[str, list]]:
     out = dict(SCHEMES)
-    for i in range(1, N_BACKBONE + 1):
+    for i in range(1, n_backbone + 1):
         iso = f"k{i:02d}"
         out[iso] = {g: [f"{iso}{g.lower()}"] for g in GROUP_OF_VERSE}
-    for i in range(1, N_NOISE + 1):
+    for i in range(1, n_noise + 1):
         iso = f"n{i:02d}"
         pair = [f"{iso}u", f"{iso}v"]
         out[iso] = {g: pair for g in GROUP_OF_VERSE}
@@ -60,11 +61,14 @@ def verse_group(index: int, n_verses: int) -> str:
 
 
 def build_corpus(out_dir: str | Path, n_verses: int = 300, seed: int = 7,
-                 content_vocab: int = 40, content_len: int = 6):
+                 content_vocab: int = 40, content_len: int = 6,
+                 n_backbone: int = N_BACKBONE, n_noise: int = N_NOISE):
     """Write the corpus directory and metadata; return planted knowledge.
 
-    Returns (expected_patterns, anchors, pivot_positions) where anchors
-    maps each group to a usage-matrix row id deep inside that group.
+    The corpus holds the planted schemes plus ``n_backbone`` backbone and
+    ``n_noise`` noise doculects. Returns (expected_patterns, anchors,
+    pivot_positions) where anchors maps each group to a usage-matrix row
+    id deep inside that group.
     """
     assert n_verses % 3 == 0
     out_dir = Path(out_dir)
@@ -85,7 +89,7 @@ def build_corpus(out_dir: str | Path, n_verses: int = 300, seed: int = 7,
         pivot_lines.append(f"{vid}\t{' '.join(toks)}")
     (out_dir / "eng.txt").write_text("\n".join(pivot_lines) + "\n", encoding="utf-8")
 
-    schemes = all_schemes()
+    schemes = all_schemes(n_backbone, n_noise)
     meta_lines = ["eng\tEnglish\tIndo-European\tEurasia\t1900"]
     for iso, scheme in sorted(schemes.items()):
         lines = []

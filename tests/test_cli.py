@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,17 @@ def test_classify_stored_dictionaries(tmp_path, capsys):
     assert rows["kar"][3] == "BL"
 
 
+def test_classify_dictionary_that_is_no_object_is_data_error(tmp_path, capsys):
+    dicts = tmp_path / "d.tsv"
+    dicts.write_text("iso\tdictionary\ndow\t[1, 2]\n", encoding="utf-8")
+    out = tmp_path / "cls.tsv"
+    assert main(["classify", "--dictionaries", str(dicts), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "Traceback" not in err
+    assert "d.tsv:2: dictionary '[1, 2]' is not a JSON object" in err
+    assert not out.exists()
+
+
 def test_treebank_extract(tmp_path, capsys):
     tb = tmp_path / "fix.tsv"
     tb.write_text(FIXTURE, encoding="utf-8")
@@ -176,6 +188,24 @@ def test_stats_report(tmp_path, capsys):
     assert "conjunct:N\t" in out2.read_text(encoding="utf-8")
 
 
+def test_stats_report_skips_unlemmatized_triggers_and_notes_a_boundary_tie(tmp_path, capsys):
+    # eleven constructions whose triggers have eleven distinct lemmas, so
+    # the 11th ties the 10th; a twelfth trigger has no lemma row
+    cons = tmp_path / "cons.tsv"
+    cons.write_text("sentence_id\tkind\ttrigger_ids\tposition\n" + "".join(
+        f"s{i}\tconjunct\t{i},99\tpre\n" for i in range(12)), encoding="utf-8")
+    lemmas = tmp_path / "lemmas.tsv"
+    lemmas.write_text("".join(f"s{i}\t{i}\tlemma{i:02d}\n" for i in range(11)),
+                      encoding="utf-8")
+    assert main(["stats-report", "--constructions", str(cons),
+                 "--lemmas", str(lemmas), "--window", "4"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "subset\tn\tmattr\tten_mfl\tnotes",
+        "conjunct\t11\t1.000000\t0.909091\t10mfl-boundary-tie",
+        "conjunct:pre\t11\t1.000000\t0.909091\t10mfl-boundary-tie",
+    ]
+
+
 def null_diluted_fixture(tmp_path):
     """Three labeled blobs in a field of scattered NULL observations.
 
@@ -224,8 +254,7 @@ def test_map_subcommand_three_disjoint_families(tmp_path, capsys):
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             for poly in areas[b]:
-                for vertex in poly[:: max(1, len(poly) // 25)]:
-                    assert not contains(areas[a], vertex), (a, b)
+                assert not contains(areas[a], poly[:: max(1, len(poly) // 25)]).any(), (a, b)
 
 
 def polygons_of(svg: str) -> list[str]:
@@ -428,6 +457,7 @@ def test_run_config_scalar_for_list_is_config_error(tmp_path, capsys, field, val
     ("pivot_iso", 5), ("pivot_tokens", ["when,"]),
     ("metadata", "no-such-meta.tsv"), ("dictionary_level", 0.3), ("pivot_tokens", []),
     ("cluster_groups", {"TL": 0, "ML": 1}),
+    ("gmm_ks", [3, 3]), ("pivot_tokens", ["when", "when"]),
 ])
 def test_run_config_out_of_range_is_config_error_before_work(tmp_path, capsys, field, value):
     corpus = tmp_path / "corpus"
@@ -494,6 +524,38 @@ def test_run_group_anchor_naming_no_row_is_config_error_before_work(tmp_path, ca
     assert not out.exists()
 
 
+def test_run_groups_sharing_a_cluster_is_config_error_before_work(tmp_path, capsys):
+    # TL and ML would get identical areas in every doculect
+    corpus = tmp_path / "corpus"
+    build_corpus(corpus, n_verses=30, seed=3)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", corpus_dir=str(corpus),
+                       metadata=str(corpus / "meta.tsv"), out_dir=str(out), gmm_ks=[3],
+                       grid=20, core_k=5, cluster_groups={"TL": 0, "ML": 0, "BL": 1})
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error: cluster_groups: groups TL and ML share cluster 0" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_run_group_anchors_in_one_cluster_is_config_error_before_core_points(tmp_path,
+                                                                             capsys):
+    corpus = tmp_path / "corpus"
+    _, anchors, _ = build_corpus(corpus, n_verses=30, seed=3)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", corpus_dir=str(corpus),
+                       metadata=str(corpus / "meta.tsv"), out_dir=str(out), gmm_ks=[3],
+                       grid=20, core_k=5, group_anchors={**anchors, "ML": anchors["TL"]})
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"config error: group_anchors: groups TL and ML share cluster \d", err)
+    assert "Traceback" not in err
+    # the clusters are known only once the mixture is fitted
+    assert (out / "gmm_assignments.tsv").exists()
+    assert not (out / "core_points.tsv").exists()
+
+
 def test_run_target_sharing_no_verse_with_pivot_is_data_error_before_work(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     _, anchors, _ = build_corpus(corpus, n_verses=30, seed=3)
@@ -551,7 +613,8 @@ def test_map_embedding_of_other_rows_is_data_error(tmp_path, capsys):
     ("".join(f"r{i}\t{0.1 * i}\n" for i in range(6)), "at least two coordinate columns"),
     ("".join(f"r{i}\t{0.1 * i}\t{'nan' if i == 4 else 1.0 - 0.1 * i}\n" for i in range(6)),
      "row 'r4' has a non-finite coordinate"),
-], ids=["one_column", "nan_coordinate"])
+    ("", "empty embedding file"),
+], ids=["one_column", "nan_coordinate", "empty"])
 def test_map_bad_embedding_is_data_error(tmp_path, capsys, text, reason):
     emb = tmp_path / "embedding.tsv"
     emb.write_text(text, encoding="utf-8")
@@ -570,7 +633,8 @@ def test_map_bad_embedding_is_data_error(tmp_path, capsys, text, reason):
     ("".join(f"r{i}\t{'uv'[i % 2]}\n" for i in range(6)), "the first row must name"),
     ("row_id\txyz\txyz\n" + "".join(f"r{i}\t{'uv'[i % 2]}\tu\n" for i in range(6)),
      "duplicate doculect columns"),
-], ids=["no_header_row", "repeated_column"])
+    ("", "empty matrix file"),
+], ids=["no_header_row", "repeated_column", "empty"])
 def test_map_malformed_matrix_is_data_error(tmp_path, capsys, text, reason):
     emb = tmp_path / "embedding.tsv"
     emb.write_text("".join(f"r{i}\t{0.1 * i}\t{(0.3 * i) % 1.0}\n" for i in range(6)),

@@ -198,6 +198,22 @@ def test_select_k_range_validation():
         select_k(pts, [11], seed=0)  # > n/3
 
 
+def test_select_k_repeated_candidate_is_rejected():
+    pts = np.random.default_rng(0).normal(size=(30, 2))
+    with pytest.raises(MixtureError, match="must differ"):
+        select_k(pts, [3, 3, 2], seed=0)
+
+
+def test_select_k_fails_the_ks_two_coincident_sites_cannot_fill():
+    # two sites of six coincident points each: K = 2 fits them, while a
+    # third or fourth component is left with no hard-assigned point
+    pts = np.repeat([[0.0, 0.0], [5.0, 5.0]], 6, axis=0)
+    report = select_k(pts, [2, 3, 4], seed=0)
+    assert [(row["k"], row["failed"]) for row in report.rows] == [
+        (2, False), (3, True), (4, True)]
+    assert report.chosen_k == 2
+
+
 @pytest.mark.parametrize("shape", [(30, 3), (30,)])
 def test_points_off_the_plane_are_rejected(shape):
     pts = np.random.default_rng(0).normal(size=shape)

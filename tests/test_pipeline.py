@@ -10,7 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synth import EXPECTED_NULL_FLAGS, EXPECTED_PATTERNS, EXPECTED_SUBPATTERNS, all_schemes
+from synth import (
+    EXPECTED_NULL_FLAGS,
+    EXPECTED_PATTERNS,
+    EXPECTED_SUBPATTERNS,
+    GROUP_OF_VERSE,
+    SCHEMES,
+    all_schemes,
+    build_corpus,
+    verse_group,
+)
 
 from semmap.align import NULL_MARKER
 from semmap.cli import main
@@ -61,6 +70,23 @@ def test_one_svg_per_doculect_plus_heat(synth_run):
     svgs = sorted(p.name for p in (synth_run["out"] / "svg").glob("*.svg"))
     want = sorted([f"{iso}.svg" for iso in list(all_schemes()) + ["eng"]] + ["heat.svg"])
     assert svgs == want
+
+
+def test_synthetic_corpus_takes_the_148_doculect_shape(tmp_path):
+    # the eight planted schemes, 100 backbone and 40 noise doculects
+    build_corpus(tmp_path, n_verses=60, seed=3, n_backbone=100, n_noise=40)
+    files = {p.name for p in tmp_path.glob("*.txt")}
+    assert len(files) == 149 and "eng.txt" in files
+    assert len((tmp_path / "meta.tsv").read_text(encoding="utf-8").splitlines()) == 149
+    for iso in EXPECTED_PATTERNS:
+        realized = {g: set() for g in GROUP_OF_VERSE}
+        lines = (tmp_path / f"{iso}.txt").read_text(encoding="utf-8").splitlines()
+        for i, line in enumerate(lines):
+            # content words translate to the doculect's w-prefixed forms
+            means = [w for w in line.split("\t")[1].split() if not w.startswith(f"{iso}w")]
+            assert len(means) <= 1, line
+            realized[verse_group(i, 60)].update(means or [None])
+        assert realized == {g: set(SCHEMES[iso][g]) for g in GROUP_OF_VERSE}, iso
 
 
 def test_every_svg_is_well_formed_xml(synth_run):
@@ -168,7 +194,7 @@ def test_pattern_d_areas_contain_exactly_their_own_cores(synth_run):
     own = {"dtl": "TL", "dml": "ML", "dbl": "BL"}
     for means, group in own.items():
         for g, ids in cores.items():
-            inside = sum(1 for rid in ids if contains(areas[means], coords[rid]))
+            inside = int(contains(areas[means], np.array([coords[rid] for rid in ids])).sum())
             if g == group:
                 assert inside == len(ids), (means, g)
             else:
