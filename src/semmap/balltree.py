@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .surfaces import _sq_dists
+
 __all__ = ["BallTree"]
 
 
 class BallTree:
     def __init__(self, points):
         pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] == 0:
+        if pts.ndim != 2 or pts.size == 0:
             raise ValueError("points must be a non-empty 2-d array")
         self.points = pts
 
@@ -29,6 +31,9 @@ class BallTree:
         if k < 1 or k > n:
             raise ValueError(f"k must be in [1, {n}]")
         q = np.asarray(point, dtype=float)
-        d = np.sqrt(((self.points - q) ** 2).sum(axis=1))
+        if q.shape != self.points.shape[1:]:
+            raise ValueError(f"the query must be one point of {self.points.shape[1]} coordinates")
+        d = _sq_dists(self.points, q[None])[:, 0]
+        np.sqrt(d, out=d)
         order = np.lexsort((np.arange(n), d))[:k]
         return [(float(d[i]), int(i)) for i in order]

@@ -2,7 +2,9 @@
 
 Full-covariance EM with k-means initialization, model-size selection by
 AIC/BIC/silhouette, and per-cluster core-point extraction (centroid plus
-its k nearest observations found by one exact sorted scan).
+its k nearest observations found by one exact sorted scan). The k-means++
+seeding draws from ``_Pcg64``, a pure-Python copy of the stream
+``np.random.default_rng`` gives, so no run imports ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 
 from . import tsv
 from .balltree import BallTree
+from .surfaces import _sq_dists
 
 __all__ = [
     "MixtureError",
@@ -66,18 +69,122 @@ class CorePointSet:
     members: list[int]        # point indices, nearest first
 
 
+def _check_seed(seed) -> int:
+    """``seed`` as an int, or a MixtureError naming it unless it is a non-negative integer."""
+    if isinstance(seed, (int, np.integer)) and seed >= 0:
+        return int(seed)
+    raise MixtureError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+
+class _Pcg64:
+    """The ``integers(n)`` and ``random()`` draws of ``np.random.default_rng(seed)``.
+
+    A bit-exact copy, so a run never imports ``numpy.random``: SeedSequence
+    mixes the seed's 32-bit words into a pool of four and hashes the pool
+    into the 128-bit PCG64 state and increment (O'Neill 2014); each step
+    outputs the XSL-RR word of the new state. ``integers`` takes 32-bit
+    half words, low half first, the high half kept for the next call
+    whatever is drawn between, and bounds them by Lemire's rejection
+    method (Lemire 2019); ``random`` takes the top 53 bits of a word.
+    """
+
+    def __init__(self, seed: int):
+        words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        const = 0x43B0D7E5
+
+        def hashmix(value: int) -> int:
+            nonlocal const
+            value ^= const
+            const = const * 0x931E8875 & _MASK32
+            value = value * const & _MASK32
+            return value ^ value >> 16
+
+        def mix(x: int, y: int) -> int:
+            r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+            return r ^ r >> 16
+
+        pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for w in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(w))
+        const = 0x8B51F9DD
+        halves = []
+        for i in range(8):
+            value = pool[i % 4] ^ const
+            const = const * 0x58F38DED & _MASK32
+            value = value * const & _MASK32
+            halves.append(value ^ value >> 16)
+        # four little-endian 64-bit words: state high, low, increment high, low
+        w = [halves[2 * i] | halves[2 * i + 1] << 32 for i in range(4)]
+        self.inc = ((w[2] << 64 | w[3]) << 1 | 1) & _MASK128
+        self.state = 0
+        self._step()
+        self.state = (self.state + (w[0] << 64 | w[1])) & _MASK128
+        self._step()
+        self.half: int | None = None
+
+    def _step(self) -> None:
+        self.state = (self.state * 0x2360ED051FC65DA44385DF649FCCF645 + self.inc) & _MASK128
+
+    def _next64(self) -> int:
+        self._step()
+        x = (self.state >> 64 ^ self.state) & _MASK64
+        r = self.state >> 122
+        return (x >> r | x << (64 - r)) & _MASK64
+
+    def _next32(self) -> int:
+        if self.half is not None:
+            word, self.half = self.half, None
+            return word
+        word = self._next64()
+        self.half = word >> 32
+        return word & _MASK32
+
+    def integers(self, n: int) -> int:
+        """A draw from [0, n), for 1 <= n <= 2**32; n = 1 draws nothing."""
+        if n > 1 << 32:
+            raise MixtureError(f"k-means++ seeding draws from at most 2**32 points, got {n}")
+        if n == 1:
+            return 0
+        if n == 1 << 32:
+            return self._next32()
+        m = self._next32() * n
+        if m & _MASK32 < n:
+            threshold = ((1 << 32) - n) % n
+            while m & _MASK32 < threshold:
+                m = self._next32() * n
+        return m >> 32
+
+    def random(self) -> float:
+        """A double in [0, 1) on the 2**-53 lattice."""
+        return (self._next64() >> 11) * (1.0 / 9007199254740992.0)
+
+
 def kmeans_init(points, k: int, seed: int = 0) -> np.ndarray:
-    """k-means++ seeding followed by Lloyd iterations to KMEANS_TOL movement."""
+    """k-means++ seeding followed by Lloyd iterations to KMEANS_TOL movement.
+
+    The seeding draws what ``np.random.default_rng(seed)`` would; ``seed``
+    is a non-negative integer.
+    """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
     if k < 1 or k > n:
         raise MixtureError(f"k must be in [1, {n}], got {k}")
-    rng = np.random.default_rng(seed)
+    rng = _Pcg64(_check_seed(seed))
 
     centers = np.empty((k, pts.shape[1]))
-    first = int(rng.integers(n))
+    first = rng.integers(n)
     centers[0] = pts[first]
-    closest = ((pts - centers[0]) ** 2).sum(axis=1)
+    closest = _sq_dists(pts, centers[:1])[:, 0]
     for j in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -94,11 +201,10 @@ def kmeans_init(points, k: int, seed: int = 0) -> np.ndarray:
             pick = int(np.searchsorted(np.cumsum(closest), r))
             pick = min(pick, n - 1)
             centers[j] = pts[pick]
-        closest = np.minimum(closest, ((pts - centers[j]) ** 2).sum(axis=1))
+        closest = np.minimum(closest, _sq_dists(pts, centers[j:j + 1])[:, 0])
 
     for _ in range(KMEANS_MAX_ITER):
-        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(d2, axis=1)
+        labels = np.argmin(_sq_dists(pts, centers), axis=1)
         new_centers = centers.copy()
         for j in range(k):
             sel = labels == j
@@ -160,8 +266,7 @@ def fit_gmm(points, k: int, seed: int = 0) -> GmmModel:
         raise MixtureError(f"need at least 3k points, got n={n} k={k}")
 
     centers = kmeans_init(pts, k, seed=seed)
-    d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(d2, axis=1)
+    labels = np.argmin(_sq_dists(pts, centers), axis=1)
     weights = np.empty(k)
     means = centers.copy()
     covs = np.empty((k, 2, 2))
@@ -222,7 +327,8 @@ def silhouette_score(points, labels) -> float:
     uniq, own_col = np.unique(labels, return_inverse=True)
     if uniq.size < 2:
         raise MixtureError("silhouette needs at least two clusters")
-    dm = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    dm = _sq_dists(pts, pts)
+    np.sqrt(dm, out=dm)
     onehot = (labels[:, None] == uniq[None, :]).astype(float)
     counts = onehot.sum(axis=0)
     sums = dm @ onehot                                   # (n, n_clusters)
@@ -270,6 +376,8 @@ def select_k(points, candidates, seed: int = 0) -> SelectionReport:
     """
     pts = _plane(points)
     n = pts.shape[0]
+    # a bad seed fails every fit alike: report it, not K failures
+    _check_seed(seed)
     candidates = list(candidates)
     if not candidates:
         raise MixtureError("no candidate component counts")

@@ -41,8 +41,8 @@ PAD_FRACTION = 0.05
 # diagonal jitters, as multiples of sigma^2, tried until a kriging solve
 # comes out finite
 _JITTERS = (0.0, 1e-8, 1e-6)
-# locations per block of the location-point covariance; bounds its
-# (locations, points, 2) temporaries whatever the grid size
+# locations per block of the location-point covariance; bounds its two
+# (locations, points) arrays whatever the grid size
 _NODE_CHUNK = 1024
 # polygon edges per block of the batched containment test; bounds its
 # (points, edges) temporaries whatever the polygon size
@@ -160,39 +160,79 @@ def _krige(pts: np.ndarray, z: np.ndarray, nodes: np.ndarray, rho: float | None,
     solution is finite. A node's value of a field is the node's
     covariances to the points times the field's coefficients, plus its
     Lagrange coefficient (the dual form, Cressie 1993), for
-    ``_NODE_CHUNK`` nodes at a time. Returns (len(z), len(nodes)) values.
+    ``_NODE_CHUNK`` nodes at a time: each block's covariances are built
+    in place in one reused buffer, and their products are written straight
+    into the output. Returns (len(z), len(nodes)) values.
     """
     n = pts.shape[0]
-    dists = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    # the system is built in place: distances, then covariances, in its
+    # top-left block
+    a = np.empty((n + 1, n + 1))
+    cov = _sq_dists(pts, pts, out=a[:n, :n])
+    np.sqrt(cov, out=cov)
     if rho is None:
-        rho = _median(dists[np.triu_indices(n, k=1)])
+        rho = _median(cov[~np.tri(n, dtype=bool)])
         if rho <= 0.0:
             raise SurfaceError("degenerate configuration: the points coincide")
-    a = np.zeros((n + 1, n + 1))
-    a[:n, :n] = np.exp(-dists / rho) + nugget_frac * np.eye(n)
+    _exp_cov(cov, rho)
     a[n, :n] = 1.0
     a[:n, n] = 1.0
+    a[n, n] = 0.0
+    diag = np.arange(n)
+    nugget = a[diag, diag] + nugget_frac
     rhs = np.zeros((n + 1, z.shape[0]))
     rhs[:n] = z.T
 
     for jitter in _JITTERS:
-        aj = a.copy()
-        aj[:n, :n] += jitter * np.eye(n)
+        a[diag, diag] = nugget + jitter
         try:
-            coef = np.linalg.solve(aj, rhs)
+            coef = np.linalg.solve(a, rhs)
         except np.linalg.LinAlgError:
             continue
         if np.all(np.isfinite(coef)):
             break
     else:
         raise SurfaceError("degenerate configuration: no jitter makes the kriging system solvable")
+    # only the coefficients outlive the solve; free the system before the blocks
+    del a, cov, rhs
 
     out = np.empty((z.shape[0], nodes.shape[0]))
+    buf = np.empty((min(_NODE_CHUNK, nodes.shape[0]), n))
     for lo in range(0, nodes.shape[0], _NODE_CHUNK):
         block = nodes[lo:lo + _NODE_CHUNK]
-        d = np.sqrt(((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-        out[:, lo:lo + _NODE_CHUNK] = coef[:n].T @ np.exp(-d.T / rho) + coef[n][:, None]
+        c = _sq_dists(block, pts, out=buf[:len(block)])
+        _exp_cov(np.sqrt(c, out=c), rho)
+        values = out[:, lo:lo + _NODE_CHUNK]
+        np.matmul(coef[:n].T, c.T, out=values)
+        values += coef[n][:, None]
     return out
+
+
+def _sq_dists(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances between the rows of two point sets.
+
+    Returns (len(p), len(q)) values, written to ``out`` when given. Each
+    column's differences are one outer subtraction, squared and added in
+    place, so the work takes two (len(p), len(q)) arrays and never a
+    (len(p), len(q), columns) one. For points in the plane the values
+    equal ``((p[:, None] - q[None]) ** 2).sum(axis=2)`` bit for bit: a
+    sum of two terms adds the same two squares in the same order. Further
+    columns are added left to right.
+    """
+    d = np.subtract.outer(p[:, 0], q[:, 0], out=out)
+    d *= d
+    dj = None
+    for j in range(1, p.shape[1]):
+        dj = np.subtract.outer(p[:, j], q[:, j], out=dj)
+        dj *= dj
+        d += dj
+    return d
+
+
+def _exp_cov(d: np.ndarray, rho: float) -> np.ndarray:
+    """The exponential covariances exp(-d / rho) of the distances ``d``, in place."""
+    d /= -rho
+    return np.exp(d, out=d)
 
 
 def _median(values: np.ndarray) -> float:

@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from semmap.balltree import BallTree
 from semmap.mixture import (
+    KMEANS_MAX_ITER,
+    KMEANS_TOL,
     MixtureError,
+    _Pcg64,
     core_points,
     fit_gmm,
     kmeans_init,
@@ -66,6 +74,12 @@ def test_balltree_k_bounds():
         tree.query((0, 0), 0)
 
 
+@pytest.mark.parametrize("query", [(0.0,), (0.0, 0.0, 0.0), ((0.0, 0.0),)])
+def test_balltree_query_of_another_shape_is_rejected(query):
+    with pytest.raises(ValueError, match="2 coordinates"):
+        BallTree(np.zeros((5, 2))).query(query, 1)
+
+
 # kmeans -------------------------------------------------------------------------
 
 def test_kmeans_single_cluster_is_mean():
@@ -97,6 +111,141 @@ def test_kmeans_bounds():
         kmeans_init(np.zeros((3, 2)), 0)
     with pytest.raises(MixtureError):
         kmeans_init(np.zeros((3, 2)), 4)
+
+
+# the seeding stream ------------------------------------------------------------
+
+# bounds that reach the stream's every branch: 1 draws nothing, 2**31 + 1
+# rejects about half its draws, 2**32 returns the raw 32-bit word
+STREAM_BOUNDS = (1, 2, 3, 7, 300, 2**31 - 1, 2**31 + 1, 2**32 - 1, 2**32)
+
+
+def test_stream_equals_default_rng():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    draw = st.one_of(st.just(None), st.sampled_from(STREAM_BOUNDS), st.integers(1, 2**32))
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(0, 2**300 - 1), st.lists(draw, min_size=1, max_size=60))
+    @hyp.example(0, [None, 2**31 + 1, None, 2**32, 5])
+    @hyp.example(29, [2**31 + 1] * 8 + [None])
+    @hyp.example(2**32, [1, None, 2**32, 2**32, None, 3])
+    @hyp.example(2**128, [7, None, 7, 7, None])
+    @hyp.example(2**200 + 7, [None, None, 2**31 + 1, 300])
+    def same(seed, draws):
+        want = np.random.default_rng(seed)
+        got = _Pcg64(seed)
+        for n in draws:
+            if n is None:
+                assert got.random() == want.random()
+            else:
+                assert got.integers(n) == int(want.integers(n))
+
+    same()
+
+
+def kmeans_init_with_default_rng(points, k, seed):
+    """kmeans_init as it stood with ``np.random.default_rng`` seeding it."""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, pts.shape[1]))
+    centers[0] = pts[int(rng.integers(n))]
+    closest = ((pts - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = closest.sum()
+        if total <= 0.0:
+            used = set()
+            for c in centers[:j]:
+                match = np.flatnonzero((pts == c).all(axis=1))
+                used.update(int(m) for m in match[:1])
+            pick = next((i for i in range(n) if i not in used), 0)
+        else:
+            r = rng.random() * total
+            pick = min(int(np.searchsorted(np.cumsum(closest), r)), n - 1)
+        centers[j] = pts[pick]
+        closest = np.minimum(closest, ((pts - centers[j]) ** 2).sum(axis=1))
+    for _ in range(KMEANS_MAX_ITER):
+        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(d2, axis=1)
+        new_centers = centers.copy()
+        for j in range(k):
+            sel = labels == j
+            if sel.any():
+                new_centers[j] = pts[sel].mean(axis=0)
+        move = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
+        centers = new_centers
+        if move < KMEANS_TOL:
+            break
+    return centers
+
+
+def test_kmeans_init_equals_default_rng_seeding():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def cases(draw):
+        coord = st.one_of(st.integers(-3, 3).map(float),
+                          st.floats(-50, 50, allow_nan=False, allow_infinity=False))
+        # points come from a small pool, so coincident points are common
+        pool = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=8))
+        pts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+        k = draw(st.integers(1, len(pts)))
+        seed = draw(st.one_of(st.integers(0, 2**16), st.integers(0, 2**200)))
+        return np.array(pts), k, seed
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hyp.given(cases())
+    def same(case):
+        pts, k, seed = case
+        assert np.array_equal(kmeans_init(pts, k, seed=seed),
+                              kmeans_init_with_default_rng(pts, k, seed))
+
+    same()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0), "7", None, [1, 2]])
+def test_bad_seed_is_a_mixture_error_naming_it(seed):
+    pts, _, _ = three_blobs(n_per=20, seed=3)
+    for call in (lambda: kmeans_init(pts, 3, seed=seed),
+                 lambda: fit_gmm(pts, 3, seed=seed),
+                 lambda: select_k(pts, [2, 3], seed=seed)):
+        with pytest.raises(MixtureError, match="seed") as err:
+            call()
+        assert repr(seed) in str(err.value)
+
+
+def test_numpy_integer_and_multi_word_seeds_seed_as_their_value():
+    pts, _, _ = three_blobs(n_per=20, seed=3)
+    for seed in (np.int64(5), np.uint8(5), 2**70 + 5, 2**32):
+        got = kmeans_init(pts, 3, seed=seed)
+        assert np.array_equal(got, kmeans_init(pts, 3, seed=int(seed)))
+        assert np.array_equal(got, kmeans_init_with_default_rng(pts, 3, int(seed)))
+
+
+def test_kmeans_init_beyond_the_stream_range_is_a_mixture_error():
+    # 2**32 + 1 points as a broadcast view, which holds two floats; the
+    # child caps its address space, so code that materialized the points
+    # would fail there instead of exhausting the machine's memory
+    code = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from semmap.mixture import MixtureError, kmeans_init\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "cap = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "try:\n"
+        "    kmeans_init(np.broadcast_to(np.zeros(2), (2**32 + 1, 2)), 1)\n"
+        "except MixtureError as exc:\n"
+        "    print(exc)\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "2**32" in proc.stdout
 
 
 # gmm ----------------------------------------------------------------------------

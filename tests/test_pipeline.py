@@ -247,6 +247,30 @@ def test_benchmark_hooks_find_every_function_they_wrap():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_run_never_imports_numpy_random(tmp_path):
+    # the k-means++ seeding draws from mixture's own copy of the
+    # default_rng stream; importing numpy.random costs every run ~2 MB of
+    # resident memory and ~12 ms
+    corpus = tmp_path / "corpus"
+    _, anchors, _ = build_corpus(corpus, n_verses=60, seed=7)
+    config = {"corpus_dir": str(corpus), "metadata": str(corpus / "meta.tsv"),
+              "out_dir": str(tmp_path / "out"), "pivot_iso": "eng",
+              "pivot_tokens": ["when"], "gmm_ks": [2, 3], "grid": 12, "core_k": 30,
+              "group_anchors": anchors}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    root = Path(__file__).resolve().parent.parent
+    code = ("import sys; from pathlib import Path; from semmap import pipeline; "
+            "pipeline.run(pipeline.PipelineConfig.from_json(Path(sys.argv[1]).read_text())); "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "manifest.tsv").exists()
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_benchmark_trace_reaches_alignment():
     # a wrapped alignment function that the pipeline no longer calls
     # would leave its span empty: the trace must still time it

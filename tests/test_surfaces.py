@@ -19,9 +19,12 @@ from semmap.surfaces import (
     _chains,
     _contours,
     _dedupe,
+    _exp_cov,
     _krige,
+    _JITTERS,
     _median,
     _segments,
+    _sq_dists,
     contains,
     contour,
     fit_surface,
@@ -188,6 +191,108 @@ def test_deterministic_fit():
     s1 = fit_surface(pts, labels, "a", grid=40)
     s2 = fit_surface(pts, labels, "a", grid=40)
     assert np.array_equal(s1.prob, s2.prob)
+
+
+# the distance kernel and the node blocks --------------------------------------
+
+def test_sq_dists_and_covariances_equal_the_broadcast_forms():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    magnitude = st.floats(1e-300, 1e150)
+    coord = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), magnitude,
+                      magnitude.map(lambda x: -x))
+
+    @st.composite
+    def cases(draw):
+        columns = draw(st.integers(1, 3))
+        # both sets come from one small pool, so duplicates are common
+        pool = draw(st.lists(st.tuples(*[coord] * columns), min_size=1, max_size=6))
+        p = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+        q = draw(st.lists(st.one_of(st.sampled_from(pool), st.tuples(*[coord] * columns)),
+                          min_size=1, max_size=12))
+        rho = draw(st.floats(1e-3, 1e3))
+        return np.array(p), np.array(q), rho
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(cases())
+    def same(case):
+        p, q, rho = case
+        want = ((p[:, None, :] - q[None, :, :]) ** 2).sum(axis=2)
+        got = _sq_dists(p, q)
+        assert np.array_equal(got, want)
+        # into a strided block of a larger array, as the kriging system is
+        buf = np.full((len(p) + 1, len(q) + 1), np.nan)
+        assert np.array_equal(_sq_dists(p, q, out=buf[:-1, :-1]), want)
+        assert np.isnan(buf[-1]).all() and np.isnan(buf[:, -1]).all()
+        assert np.array_equal(np.sqrt(got, out=got), np.sqrt(want))
+        assert np.array_equal(_exp_cov(got, rho), np.exp(-np.sqrt(want) / rho))
+
+    same()
+
+
+def krige_broadcast(pts, z, nodes, rho, nugget_frac):
+    """``_krige`` with the (m, n, 2) difference arrays the kernel replaced."""
+    n = pts.shape[0]
+    dists = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    if rho is None:
+        rho = _median(dists[np.triu_indices(n, k=1)])
+    a = np.zeros((n + 1, n + 1))
+    a[:n, :n] = np.exp(-dists / rho) + nugget_frac * np.eye(n)
+    a[n, :n] = 1.0
+    a[:n, n] = 1.0
+    rhs = np.zeros((n + 1, z.shape[0]))
+    rhs[:n] = z.T
+    for jitter in _JITTERS:
+        aj = a.copy()
+        aj[:n, :n] += jitter * np.eye(n)
+        try:
+            coef = np.linalg.solve(aj, rhs)
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(np.isfinite(coef)):
+            break
+    out = np.empty((z.shape[0], nodes.shape[0]))
+    for lo in range(0, nodes.shape[0], _NODE_CHUNK):
+        block = nodes[lo:lo + _NODE_CHUNK]
+        d = np.sqrt(((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        out[:, lo:lo + _NODE_CHUNK] = coef[:n].T @ np.exp(-d.T / rho) + coef[n][:, None]
+    return out
+
+
+@pytest.mark.parametrize("rho, nugget_frac, repeats", [
+    (None, 0.05, 0), (0.8, 0.05, 0), (None, 0.0, 5), (2.5, 0.0, 0)])
+def test_krige_equals_the_broadcast_form(rho, nugget_frac, repeats):
+    rng = np.random.default_rng(14)
+    pts = rng.normal(size=(60, 2))
+    # repeated points and no nugget make the system singular: a jitter
+    pts[:repeats] = pts[-1]
+    z = (rng.uniform(size=(4, 60)) < 0.4).astype(float)
+    nodes = rng.uniform(-3.0, 3.0, size=(2 * _NODE_CHUNK + 300, 2))
+    assert np.array_equal(_krige(pts, z, nodes, rho, nugget_frac),
+                          krige_broadcast(pts, z, nodes, rho, nugget_frac))
+
+
+def test_krige_holds_two_node_blocks_at_most():
+    import tracemalloc
+
+    rng = np.random.default_rng(9)
+    n = 400
+    pts = rng.normal(size=(n, 2))
+    z = (rng.uniform(size=(2, n)) < 0.5).astype(float)
+    nodes = rng.uniform(-3.0, 3.0, size=(2 * _NODE_CHUNK, 2))
+    _krige(pts, z, nodes, None, 0.05)   # LAPACK's first call allocates once
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = _krige(pts, z, nodes, None, 0.05)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # beyond the output and the system phase's two (n+1)-square arrays,
+    # a block's distances and covariances fit in 2 (_NODE_CHUNK, n) arrays;
+    # (_NODE_CHUNK, n, 2) differences and their squares would need 4
+    system = 2 * (n + 1) ** 2 * 8
+    assert peak - out.nbytes - system < 2.5 * _NODE_CHUNK * n * 8
 
 
 # fit_surfaces ------------------------------------------------------------------
