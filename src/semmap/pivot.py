@@ -238,50 +238,45 @@ class EmbeddedMap:
                    row_ids=[r[0] for r in rows])
 
 
-def _fix_signs(coords: np.ndarray) -> np.ndarray:
-    # MDS is unique up to per-axis sign; make the entry with the largest
-    # magnitude on each axis positive so re-runs are identical.
-    for j in range(coords.shape[1]):
-        col = coords[:, j]
-        if col.shape[0] == 0:
-            continue
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0:
-            coords[:, j] = -col
-    return coords
-
-
 def classical_mds(d: np.ndarray, k: int,
                   row_ids: list[str] | None = None) -> EmbeddedMap:
     """Torgerson scaling: double-center squared distances, eigendecompose.
 
-    Coordinates are the top-k eigenvectors scaled by the square root of
-    their eigenvalues. Eigenpairs with non-positive eigenvalues inside
-    the top k yield zero coordinates and set the truncated flag.
+    B = -1/2 (D^2 - (r_i + r_j) + mean(r)), with r the row means of D^2,
+    is built elementwise; it is exactly symmetric for a symmetric ``d``.
+    Coordinates are the top-k eigenvectors of B scaled by the square root
+    of their eigenvalues. Eigenpairs with non-positive eigenvalues inside
+    the top k yield zero coordinates and set the truncated flag. A point
+    at distance 0 from an earlier point takes that point's coordinates,
+    so coincident points coincide exactly; then each axis is signed so
+    that its entry of largest magnitude is positive.
     """
-    dm = np.asarray(d, dtype=float)
+    dm = np.asarray(d)
     n = dm.shape[0]
     if dm.shape != (n, n):
         raise PivotError("distance matrix must be square")
     if not (1 <= k <= n - 1):
         raise PivotError(f"k must be in [1, n-1], got {k} for n={n}")
-    sq = dm * dm
-    j_center = np.eye(n) - np.full((n, n), 1.0 / n)
-    b = -0.5 * j_center @ sq @ j_center
-    b = (b + b.T) / 2.0
+    zero = dm == 0
+    if not zero.diagonal().all():
+        raise PivotError("distance matrix must have a zero diagonal")
+    b = np.square(dm, dtype=float)
+    r = b.mean(axis=1)
+    b -= np.add.outer(r, r)
+    b += r.mean()
+    b *= -0.5
     evals, evecs = np.linalg.eigh(b)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order][:k]
-    evecs = evecs[:, order][:, :k]
-    coords = np.zeros((n, k))
-    truncated = False
-    tol = max(1e-12, 1e-12 * abs(evals[0]) if evals.size else 0.0)
-    for j in range(k):
-        if evals[j] > tol:
-            coords[:, j] = evecs[:, j] * np.sqrt(evals[j])
-        else:
-            truncated = True
-    coords = _fix_signs(coords)
+    # eigh sorts ascending: the top k are the last k, reversed
+    evals, evecs = evals[:-k - 1:-1], evecs[:, :-k - 1:-1]
+    keep = evals > max(1e-12, 1e-12 * abs(evals[0]))
+    coords = evecs * np.sqrt(evals.clip(min=0.0))
+    coords[:, ~keep] = 0.0      # evecs * sqrt(0) would write -0.0 where evecs < 0
+    # each point takes the coordinates of the first point at distance 0 from it
+    coords = coords[zero.argmax(axis=1)]
+    # MDS is unique up to per-axis sign; make the entry with the largest
+    # magnitude on each axis positive so re-runs are identical.
+    top = coords[np.abs(coords).argmax(axis=0), np.arange(k)]
+    coords *= np.where(top < 0, -1.0, 1.0)
     rids = row_ids if row_ids is not None else [str(i) for i in range(n)]
     return EmbeddedMap(coords=coords, eigenvalues=evals, row_ids=rids,
-                       truncated=truncated)
+                       truncated=not keep.all())

@@ -12,10 +12,11 @@ relative paths ``corpus``, ``corpus/meta.tsv`` and ``out``: the config
 hash in every artifact's header hashes ``corpus_dir`` and ``metadata`` as
 given, so relative paths keep every manifest line, ``config.json``
 included, independent of where the run happens. The file's header
-records Python, numpy and BLAS, since ``embedding.tsv`` stores LAPACK's
-floats at full precision. ``tests/test_golden.py`` reruns the seven runs
-against the file; regenerate it only with a change that alters an
-artifact on purpose.
+records Python, numpy, BLAS and ``OPENBLAS_NUM_THREADS`` (its value, or
+``unset``), since ``embedding.tsv`` stores LAPACK's floats at full
+precision and ``eigh`` rounds differently with the thread count.
+``tests/test_golden.py`` reruns the seven runs against the file;
+regenerate it only with a change that alters an artifact on purpose.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ RUNS = tuple(f"{name}-{seed}" for name in sorted(workloads.SMOKE) for seed in SE
 def environment() -> str:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return (f"python={platform.python_version()} numpy={np.__version__} "
-            f"blas={blas.get('name')} {blas.get('version')}")
+            f"blas={blas.get('name')} {blas.get('version')} "
+            f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
 
 
 def _config(run_name: str) -> dict:

@@ -1,10 +1,15 @@
 """Every artifact of seven fixed runs hashes as recorded in tests/golden/manifests.tsv.
 
-The golden holds for the Python, numpy and BLAS named in its header;
-``tests/golden/regenerate.py`` rewrites it after an intended change.
+The golden holds for the Python, numpy, BLAS and OpenBLAS thread count
+named in its header; ``tests/golden/regenerate.py`` rewrites it after an
+intended change.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +36,26 @@ def test_artifacts_match_golden(run_name, tmp_path):
         f"run {run_name}: {len(differ)} artifacts differ from tests/golden/manifests.tsv\n"
         f"recorded environment: {RECORDED_ENV}\n"
         f"current environment:  {golden.environment()}\n" + "\n".join(differ))
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the conftest run is the one large enough for OpenBLAS to thread;
+    # embedding.tsv is exempt since eigh's floats still vary with the
+    # thread count (ROADMAP item 15); everything drawn from it must not
+    code = ("import importlib.util, json, sys; from pathlib import Path; "
+            "spec = importlib.util.spec_from_file_location('semmap_golden', sys.argv[1]); "
+            "golden = importlib.util.module_from_spec(spec); spec.loader.exec_module(golden); "
+            "print(json.dumps(golden.manifest('conftest', Path(sys.argv[2]))))")
+    src = str(_PATH.parents[2] / "src")
+    runs = {}
+    for threads in ("1", "2"):
+        workdir = tmp_path / threads
+        workdir.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code, str(_PATH), str(workdir)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs[threads] = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert runs["1"].keys() == runs["2"].keys()
+    differ = sorted(rel for rel in runs["1"] if runs["1"][rel] != runs["2"][rel])
+    assert differ in ([], ["embedding.tsv"]), differ

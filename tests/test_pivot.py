@@ -313,3 +313,97 @@ def test_three_axes_first_two_match_2d_exactly():
     e2 = classical_mds(d, 2)
     e3 = classical_mds(d, 3)
     assert np.array_equal(e2.coords, e3.coords[:, :2])
+
+
+# coincident points and the centring-matrix oracle ------------------------------
+
+def test_mds_coincident_points_share_one_coordinate_pair():
+    # 300 usage points over 40 distinct rows: every repeat of a row sits
+    # exactly where its first occurrence does, so ties among coincident
+    # points break on the index alone
+    rng = np.random.default_rng(28)
+    distinct = rng.integers(0, 4, size=(40, 30))
+    picks = np.concatenate([np.arange(40), rng.integers(0, 40, size=260)])
+    rng.shuffle(picks)
+    forms = np.array(["a", "b", "c", NULL_MARKER])
+    m = ParallelUsageMatrix.from_rows([f"r{i}" for i in range(300)],
+                                      [f"L{j}" for j in range(30)],
+                                      forms[distinct[picks]].tolist())
+    coords = classical_mds(hamming(m), 2).coords
+    first = {}
+    for i, p in enumerate(picks):
+        first.setdefault(p, i)
+    assert np.array_equal(coords, coords[[first[p] for p in picks]])
+
+
+def test_mds_rejects_a_nonzero_diagonal():
+    with pytest.raises(PivotError, match="zero diagonal"):
+        classical_mds(np.ones((4, 4)), 2)
+
+
+def centring_matrix_mds(d, k):
+    """The former ``classical_mds``: B = -1/2 J D^2 J with J = I - 11'/n.
+
+    Returns (coords, eigenvalues, truncated).
+    """
+    dm = np.asarray(d, dtype=float)
+    n = dm.shape[0]
+    sq = dm * dm
+    j_center = np.eye(n) - np.full((n, n), 1.0 / n)
+    b = -0.5 * j_center @ sq @ j_center
+    b = (b + b.T) / 2.0
+    evals, evecs = np.linalg.eigh(b)
+    order = np.argsort(evals)[::-1]
+    evals = evals[order][:k]
+    evecs = evecs[:, order][:, :k]
+    coords = np.zeros((n, k))
+    truncated = False
+    tol = max(1e-12, 1e-12 * abs(evals[0]) if evals.size else 0.0)
+    for j in range(k):
+        if evals[j] > tol:
+            coords[:, j] = evecs[:, j] * np.sqrt(evals[j])
+        else:
+            truncated = True
+    return coords, evals, truncated
+
+
+def test_mds_equals_the_centring_matrix_form():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    forms = st.sampled_from(["a", "b", "c", NULL_MARKER])
+
+    @st.composite
+    def cases(draw):
+        # few distinct rows over few columns: duplicates and rank-deficient B
+        m = draw(st.integers(1, 6))
+        distinct = draw(st.lists(st.lists(forms, min_size=m, max_size=m),
+                                 min_size=1, max_size=10))
+        k = draw(st.sampled_from([2, 3]))
+        picks = draw(st.lists(st.integers(0, len(distinct) - 1),
+                              min_size=k + 2, max_size=40))
+        return ParallelUsageMatrix.from_rows(
+            [f"r{i}" for i in range(len(picks))], [f"L{j}" for j in range(m)],
+            [distinct[p] for p in picks]), k
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(cases())
+    @hyp.example((random_matrix(n=40, m=10, seed=30), 2))
+    @hyp.example((random_matrix(n=30, m=2, seed=31), 3))
+    @hyp.example((random_matrix(n=6, m=3, seed=32, forms=("a",)), 2))
+    def agree(case):
+        m, k = case
+        d = hamming(m)
+        emb = classical_mds(d, k)
+        coords, evals, truncated = centring_matrix_mds(d, k)
+        scale = max(1.0, abs(evals[0]))
+        assert np.abs(emb.eigenvalues - evals).max() <= 1e-9 * scale
+        assert emb.truncated == truncated
+        # the top-k subspace is defined where the k-th eigenvalue stands apart
+        if evals[k - 1] > centring_matrix_mds(d, k + 1)[1][k] * (1 + 1e-6):
+            gram = emb.coords @ emb.coords.T
+            assert np.abs(gram - coords @ coords.T).max() <= 1e-9 * scale
+        dropped = emb.eigenvalues <= max(1e-12, 1e-12 * abs(emb.eigenvalues[0]))
+        assert dropped.any() == emb.truncated
+        assert not np.signbit(emb.coords[:, dropped]).any()
+
+    agree()
