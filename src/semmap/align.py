@@ -29,6 +29,7 @@ from . import tsv
 
 __all__ = [
     "AlignError",
+    "code_labels",
     "Bitext",
     "TranslationModel",
     "PivotParallel",
@@ -48,6 +49,17 @@ class AlignError(ValueError):
     pass
 
 
+def code_labels(labels) -> tuple[np.ndarray, list[str]]:
+    """One column of labels as ``int32`` codes into its sorted distinct labels.
+
+    Returns (codes, labels): ``labels`` is ``sorted(set(labels))`` and
+    ``codes[i]`` the index of the i-th label in it.
+    """
+    names = sorted(set(labels))
+    index = {name: code for code, name in enumerate(names)}
+    return np.array([index[label] for label in labels], dtype=np.int32), names
+
+
 class _Side(NamedTuple):
     """One side of a bitext: its sorted types, every verse's tokens coded
     and concatenated in verse order, and each verse's token count and
@@ -59,9 +71,7 @@ class _Side(NamedTuple):
 
     @classmethod
     def encode(cls, verses: list[list[str]]) -> "_Side":
-        types = sorted({tok for toks in verses for tok in toks})
-        index = {form: k for k, form in enumerate(types)}
-        codes = np.array([index[tok] for toks in verses for tok in toks], dtype=np.int32)
+        codes, types = code_labels([tok for toks in verses for tok in toks])
         lengths = np.array([len(toks) for toks in verses], dtype=np.int32)
         starts = np.zeros(len(lengths), dtype=np.int32)
         np.cumsum(lengths[:-1], out=starts[1:])

@@ -241,15 +241,13 @@ def _log_gauss_all(pts: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.n
     return -0.5 * (2 * math.log(2 * math.pi) + np.log(det)[None, :] + maha)
 
 
-def k_bounds(n: int, several: bool) -> tuple[int, int]:
-    """The least and greatest K a mixture of ``n`` points may have.
+def k_bounds(n: int) -> tuple[int, int]:
+    """The least and greatest K a mixture of ``n`` points may have: [2, n // 3].
 
-    One K (``fit_gmm``) needs 3K points. Several candidates
-    (``select_k``) each lie in [2, max(2, n // 3)]: K = 1 has no
-    silhouette, and a K = 2 that the points are too few for fails in the
-    selection.
+    K = 1 has no silhouette to check the BIC choice against, and a fit
+    needs 3K points.
     """
-    return (2, max(2, n // 3)) if several else (1, n // 3)
+    return 2, n // 3
 
 
 def fit_gmm(points, k: int, seed: int = 0) -> GmmModel:
@@ -262,7 +260,7 @@ def fit_gmm(points, k: int, seed: int = 0) -> GmmModel:
     """
     pts = _plane(points)
     n = pts.shape[0]
-    if k > k_bounds(n, several=False)[1]:
+    if 3 * k > n:
         raise MixtureError(f"need at least 3k points, got n={n} k={k}")
 
     centers = kmeans_init(pts, k, seed=seed)
@@ -381,7 +379,7 @@ def select_k(points, candidates, seed: int = 0) -> SelectionReport:
     candidates = list(candidates)
     if not candidates:
         raise MixtureError("no candidate component counts")
-    least, most = k_bounds(n, several=True)
+    least, most = k_bounds(n)
     for k in candidates:
         if not least <= k <= most:
             raise MixtureError(f"candidate K={k} outside [{least}, {most}]")

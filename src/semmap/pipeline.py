@@ -145,10 +145,13 @@ class PipelineConfig:
         if not self.gmm_ks:
             raise ConfigError("gmm_ks must name at least one K")
         # the least K does not depend on the number of points
-        least, _ = mx.k_bounds(0, several=len(self.gmm_ks) > 1)
+        least, _ = mx.k_bounds(0)
         for k in self.gmm_ks:
             _check_integer("every K in gmm_ks", k, least)
         _check_distinct("gmm_ks", self.gmm_ks)
+        if max(self.gmm_ks) < len(GROUPS):
+            raise ConfigError(f"gmm_ks must name a K of at least 3, one cluster per group, "
+                              f"got {list(self.gmm_ks)}")
         # numpy seeds its generators with non-negative integers only
         _check_integer("gmm_seed", self.gmm_seed, least=0)
         if not (_finite(self.alpha) and 0.0 < self.alpha < 1.0):
@@ -279,7 +282,7 @@ def run(config: PipelineConfig) -> Path:
     if config.core_k > len(occurrences):
         raise ConfigError(f"core_k={config.core_k} exceeds the {len(occurrences)} "
                           f"occurrences of the pivot tokens")
-    least, most = mx.k_bounds(len(occurrences), several=len(config.gmm_ks) > 1)
+    least, most = mx.k_bounds(len(occurrences))
     if not all(least <= k <= most for k in config.gmm_ks):
         raise ConfigError(f"gmm_ks={list(config.gmm_ks)} must lie in [{least}, {most}] for "
                           f"the {len(occurrences)} occurrences of the pivot tokens")
@@ -339,17 +342,14 @@ def run(config: PipelineConfig) -> Path:
     art.write("heat.tsv", tsv.format_rows(
         [("row_id", "null_count"), *zip(matrix.row_ids, heat)], header))
     art.write("svg/heat.svg", svgmod.render_map(
-        points, pv.code_labels([al.NULL_MARKER] * len(heat)), heat=heat,
+        points, al.code_labels([al.NULL_MARKER] * len(heat)), heat=heat,
         title="null-construction concentration", comment=header,
     ))
 
     # mixture -------------------------------------------------------------
-    if len(config.gmm_ks) > 1:
-        report = mx.select_k(points, config.gmm_ks, seed=config.gmm_seed)
-        art.write("gmm_selection.tsv", report.to_tsv(header))
-        model = report.model
-    else:
-        model = mx.fit_gmm(points, config.gmm_ks[0], seed=config.gmm_seed)
+    report = mx.select_k(points, config.gmm_ks, seed=config.gmm_seed)
+    art.write("gmm_selection.tsv", report.to_tsv(header))
+    model = report.model
 
     rows = [("cluster", "weight", "mean_x", "mean_y", "cov_xx", "cov_xy", "cov_yy")]
     for j in range(model.k):

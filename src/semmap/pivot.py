@@ -1,8 +1,9 @@
 """Usage-point matrix for the pivot token, Hamming distances, classical MDS.
 
 The usage matrix is held coded: one (n, D) ``int32`` array whose cell
-(i, j) indexes the sorted distinct labels of column j. ``code_labels`` is
-the one place string labels become codes, for ``build_matrix``,
+(i, j) indexes the sorted distinct labels of column j. ``code_labels``
+(from ``align``, re-exported here) is the one place string labels become
+codes, for the alignment's bitexts, ``build_matrix``,
 ``ParallelUsageMatrix.from_rows``/``from_tsv`` and ``surfaces``; codes
 follow ``sorted(set(labels))``, so every consumer that reads them (Hamming
 distances, surface indicators, means scores, NULL counts) sees the label
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tsv
-from .align import NULL_MARKER, PivotParallel
+from .align import NULL_MARKER, PivotParallel, code_labels
 
 __all__ = [
     "PivotError",
@@ -37,17 +38,6 @@ class PivotError(ValueError):
 
 def row_id(verse_id: str, pivot_index: int) -> str:
     return f"{verse_id}#{pivot_index}"
-
-
-def code_labels(labels) -> tuple[np.ndarray, list[str]]:
-    """One column of labels as ``int32`` codes into its sorted distinct labels.
-
-    Returns (codes, labels): ``labels`` is ``sorted(set(labels))`` and
-    ``codes[i]`` the index of the i-th label in it.
-    """
-    names = sorted(set(labels))
-    index = {name: code for code, name in enumerate(names)}
-    return np.array([index[label] for label in labels], dtype=np.int32), names
 
 
 def code_parallels(parallels: list[PivotParallel],

@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tsv
-from .align import NULL_MARKER
-from .pivot import code_labels
+from .align import NULL_MARKER, code_labels
 
 __all__ = [
     "SurfaceError",
@@ -109,7 +108,7 @@ def fit_surfaces(points, columns, grid: int = 200,
     """One surface per means attested in each column, over one kriging system.
 
     ``columns`` maps a key (a doculect's iso) to a coded column, one code
-    per point and its sorted labels, as ``pivot.code_labels`` or
+    per point and its sorted labels, as ``align.code_labels`` or
     ``ParallelUsageMatrix.coded`` give it. The system is solved once,
     against the indicators of every column's means in label order;
     returns ``{key: {means: surface}}``. Too few or coincident points,
@@ -429,8 +428,8 @@ def _polygons(pts: np.ndarray, seq: np.ndarray, lens: np.ndarray, stack: np.ndar
     """Per stack, the polygons of ``_chains``' chains over the (clamped) ``pts``.
 
     A chain's polygon is the start crossing of each of its segments, in
-    chain order; ``_dedupe`` drops its repeated vertices, and a polygon
-    left with fewer than three is dropped.
+    chain order; ``_dedupe`` drops its repeated vertices. Every chain keeps
+    its polygon, even one that de-duplication leaves with one or two.
     """
     polys: list[list[np.ndarray]] = [[] for _ in range(n_stacks)]
     if not len(seq):
@@ -441,8 +440,7 @@ def _polygons(pts: np.ndarray, seq: np.ndarray, lens: np.ndarray, stack: np.ndar
     ends = np.cumsum(np.add.reduceat(keep.astype(np.intp), first)).tolist()
     verts = verts[keep]
     for s, lo, hi in zip(stack[seq[first]].tolist(), [0] + ends, ends):
-        if hi - lo >= 3:
-            polys[s].append(verts[lo:hi])
+        polys[s].append(verts[lo:hi])
     return polys
 
 

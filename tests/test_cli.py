@@ -446,8 +446,8 @@ def test_run_config_scalar_for_list_is_config_error(tmp_path, capsys, field, val
     # more core points than the 30 pivot occurrences
     ("core_k", 1000),
     ("gmm_ks", ["x"]), ("gmm_ks", [3, 4.5]),
-    # K = 1 has no silhouette among several candidates, and more than a
-    # third of the 30 pivot occurrences is too many for any K
+    # K = 1 has no silhouette, and more than a third of the 30 pivot
+    # occurrences is too many for any K
     ("gmm_ks", [1, 3]), ("gmm_ks", [3, 11]), ("gmm_ks", [11]),
     ("pivot_iso", ["eng"]), ("pivot_tokens", [["when"]]),
     ("group_anchors", {"TL": ["x"], "ML": "a", "BL": "b"}),
@@ -521,6 +521,22 @@ def test_run_group_anchor_naming_no_row_is_config_error_before_work(tmp_path, ca
     err = capsys.readouterr().err
     assert "config error" in err and "'MAT:9:99#0' is not a row id" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ks", [[1], [2]])
+def test_run_with_fewer_ks_than_groups_is_config_error_before_work(tmp_path, capsys, ks):
+    # anchors name their clusters only once the mixture is fitted, but no K
+    # below 3 can give the three groups a cluster each
+    corpus = tmp_path / "corpus"
+    _, anchors, _ = build_corpus(corpus, n_verses=30, seed=3)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", corpus_dir=str(corpus),
+                       metadata=str(corpus / "meta.tsv"), out_dir=str(out), gmm_ks=ks,
+                       grid=20, core_k=5, group_anchors=anchors)
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "gmm_ks" in err and "Traceback" not in err
     assert not out.exists()
 
 

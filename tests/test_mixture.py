@@ -331,6 +331,18 @@ def test_select_k_keeps_the_chosen_fit():
     assert np.array_equal(report.model.covariances, refit.covariances)
 
 
+def test_select_k_of_one_k_keeps_the_fit_bit_for_bit():
+    # a run with one K fits it through select_k, which must not change it
+    pts, _, _ = three_blobs(n_per=30, seed=12)
+    report = select_k(pts, [3], seed=29)
+    model = fit_gmm(pts, 3, seed=29)
+    assert [(row["k"], row["failed"]) for row in report.rows] == [(3, False)]
+    assert report.chosen_k == 3
+    for name in ("weights", "means", "covariances", "responsibilities", "assignments"):
+        assert np.array_equal(getattr(report.model, name), getattr(model, name)), name
+    assert (report.model.loglik, report.model.converged) == (model.loglik, model.converged)
+
+
 def test_select_k_identical_points_all_fail():
     pts = np.ones((30, 2))
     with pytest.raises(MixtureError) as err:
@@ -361,6 +373,9 @@ def test_select_k_fails_the_ks_two_coincident_sites_cannot_fill():
     assert [(row["k"], row["failed"]) for row in report.rows] == [
         (2, False), (3, True), (4, True)]
     assert report.chosen_k == 2
+    # one K that leaves a cluster empty fails as every K of several would
+    with pytest.raises(MixtureError, match="every candidate K failed"):
+        select_k(pts, [3], seed=0)
 
 
 @pytest.mark.parametrize("shape", [(30, 3), (30,)])

@@ -407,7 +407,6 @@ def test_contour_polygons_closed_and_inside_box():
     surf = bump_surface(grid=80)
     for level in DEFAULT_LEVELS:
         for poly in contour(surf, level):
-            assert poly.shape[0] >= 3
             assert poly[:, 0].min() >= surf.xs[0] - 1e-9
             assert poly[:, 0].max() <= surf.xs[-1] + 1e-9
             assert poly[:, 1].min() >= surf.ys[0] - 1e-9
@@ -451,10 +450,9 @@ def test_contour_area_conserved_on_noisy_multisaddle_field():
         assert covered * cell == pytest.approx(want, rel=0.08), level
 
 
-def test_contour_nodes_off_the_level_inside_iff_above_it():
-    # the drawn-field raster property: at every lattice node whose value
-    # is not the level, the polygons contain the node exactly when its
-    # value is above the level
+def test_contour_nodes_inside_iff_on_or_above_the_level():
+    # the drawn-field raster property: the polygons contain a lattice node
+    # exactly when its value is on or above the level
     hyp = pytest.importorskip("hypothesis")
 
     @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -465,9 +463,8 @@ def test_contour_nodes_off_the_level_inside_iff_above_it():
         nodes = np.column_stack([gx.ravel(), gy.ravel()])
         for prob, polys in zip(probs, _contours(xs, ys, probs, levels)):
             for level, p in zip(levels, polys):
-                off = prob.ravel() != level
-                got = contains(p, nodes[off])
-                assert np.array_equal(got, prob.ravel()[off] > level), (case, level)
+                got = contains(p, nodes)
+                assert np.array_equal(got, prob.ravel() >= level), (case, level)
 
     check()
 
@@ -613,9 +610,7 @@ def contour_oracle(surface, level):
         arr = np.array(poly)
         arr[:, 0] = np.clip(arr[:, 0], xs[0], xs[-1])
         arr[:, 1] = np.clip(arr[:, 1], ys[0], ys[-1])
-        arr = dedupe_oracle(arr)
-        if arr.shape[0] >= 3:
-            clipped.append(arr)
+        clipped.append(dedupe_oracle(arr))
     return clipped
 
 
@@ -697,6 +692,21 @@ def test_contour_keeps_on_level_node_inside():
     surf = grid_surface([[0.75, 0.5, 0.5], [0.25] * 3, [0.25] * 3])
     polys = contour(surf, 0.5)
     assert contains(polys, np.array([[1.0, 0.0], [0.5, 0.0]])).tolist() == [True, True]
+    assert_same_polygons(polys, contour_oracle(surf, 0.5))
+
+
+@pytest.mark.parametrize("ridge", [1, 2])
+def test_contour_keeps_on_level_maximum_inside(ridge):
+    # an isolated maximum exactly on the level, or a ridge of two such
+    # nodes: every crossing falls on those nodes, so the polygon keeps
+    # one or two vertices, and it contains them
+    prob = np.full((5, 5), 0.1)
+    prob[2, 2:2 + ridge] = 0.5
+    surf = grid_surface(prob)
+    polys = contour(surf, 0.5)
+    nodes = np.array([[0.5, 0.5], [0.75, 0.5]])[:ridge]
+    assert [len(p) for p in polys] == [ridge]
+    assert contains(polys, nodes).all()
     assert_same_polygons(polys, contour_oracle(surf, 0.5))
 
 
