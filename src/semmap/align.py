@@ -298,14 +298,12 @@ def align_pair(pivot_verses: dict[str, list[str]],
     return reassign_nulls(parallels, min_count=min_count)
 
 
-def dump_parallels(parallels: list[PivotParallel], header: str | None = None) -> str:
+def dump_parallels(parallels: list[PivotParallel]) -> str:
     return tsv.format_rows(
-        ((p.verse_id, p.pivot_index, p.form if p.form is not None else NULL_MARKER)
-         for p in parallels),
-        header,
-    )
+        (p.verse_id, p.pivot_index, p.form if p.form is not None else NULL_MARKER)
+        for p in parallels)
 
 
 def load_parallels(path) -> list[PivotParallel]:
     return [PivotParallel(vid, idx, None if form == NULL_MARKER else form)
-            for vid, idx, form in tsv.read_rows(path, str, int, str)]
+            for vid, idx, form in tsv.read_rows(path, str, int, str, key=2)]

@@ -26,8 +26,6 @@ from . import tsv
 from . import typology as ty
 from .corpus import CorpusError
 from .pipeline import ConfigError, PipelineConfig, check_grid_levels, check_kriging, run
-from .treebank import TreebankError
-from .typology import TypologyError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -126,28 +124,10 @@ def _cmd_map(args) -> int:
     return EXIT_OK
 
 
-def _dictionary(cell: str) -> tuple[str, ty.AreaDictionary]:
-    """A stored dictionary cell: its JSON text and the dictionary it encodes.
-
-    The cell is a JSON object from groups of ``typology.GROUPS`` to lists
-    of means labels; a group it leaves out has no labels.
-    """
-    groups = json.loads(cell)
-    if not isinstance(groups, dict):
-        raise ValueError(f"dictionary {cell!r} is not a JSON object")
-    for g, labels in groups.items():
-        if g not in ty.GROUPS:
-            raise ValueError(f"dictionary {cell!r}: {g!r} is not one of {', '.join(ty.GROUPS)}")
-        if not isinstance(labels, list) or not all(isinstance(m, str) for m in labels):
-            raise ValueError(f"dictionary {cell!r}: {g} is not a list of strings")
-    return cell, ty.AreaDictionary(groups=groups)
-
-
 def _cmd_classify(args) -> int:
-    rows = tsv.read_rows(_require(args.dictionaries, "run"), str, _dictionary,
+    rows = tsv.read_rows(_require(args.dictionaries, "run"), str, ty.AreaDictionary.from_json,
                          header=("iso", "dictionary"))
-    _emit(ty.classification_to_tsv((iso, djson, adict) for iso, (djson, adict) in rows),
-          args.out)
+    _emit(ty.classification_to_tsv(rows), args.out)
     return EXIT_OK
 
 
@@ -166,7 +146,7 @@ def _cmd_stats_report(args) -> int:
                            "trigger_ids and position are required")
     rows = [dict(zip(table[0], r)) for r in table[1:]]
     lemmas = {(sid, tid): lemma for sid, tid, lemma in
-              tsv.read_rows(_require(args.lemmas, "treebank-extract"), str, str, str)}
+              tsv.read_rows(_require(args.lemmas, "treebank-extract"), str, str, str, key=2)}
 
     def lemma_of(row) -> str | None:
         trigger = row["trigger_ids"].split(",")[0]
@@ -256,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CorpusError, TreebankError, TypologyError, al.AlignError,
+    except (CorpusError, tb.TreebankError, ty.TypologyError, al.AlignError,
             pv.PivotError, tsv.TsvError, cs.CorpStatsError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

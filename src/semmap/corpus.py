@@ -142,7 +142,7 @@ def load_doculect_file(path: str | Path, iso: str | None = None,
 def load_metadata(path: str | Path) -> dict[str, dict]:
     """Read the iso/name/family/macroarea/year TSV into a dict keyed by its first column.
 
-    That column is an iso code, or the stem of one corpus file.
+    That column is an iso code, or the stem of one corpus file, once each.
     """
     meta: dict[str, dict] = {}
     for ln, line in tsv.data_lines(path):
@@ -150,6 +150,8 @@ def load_metadata(path: str | Path) -> dict[str, dict]:
         if len(parts) < 4:
             raise CorpusError(f"{path}:{ln}: expected at least 4 columns")
         iso, name, family, macroarea = parts[:4]
+        if iso in meta:
+            raise CorpusError(f"{path}:{ln}: the key {iso!r} is given twice")
         year: int | None = None
         if len(parts) > 4 and parts[4].strip():
             try:

@@ -352,15 +352,13 @@ class SelectionReport:
     silhouette_agrees: bool
     model: GmmModel | None   # the chosen K's fit; None when every K failed
 
-    def to_tsv(self, header: str | None = None) -> str:
+    def to_tsv(self) -> str:
         return tsv.format_rows(
             [("k", "loglik", "aic", "bic", "silhouette", "failed", "chosen")]
             + [(row["k"], f"{row['loglik']:.6f}", f"{row['aic']:.6f}",
                 f"{row['bic']:.6f}", f"{row['silhouette']:.6f}",
                 int(row["failed"]), int(row["k"] == self.chosen_k))
-               for row in self.rows],
-            header,
-        )
+               for row in self.rows])
 
 
 def select_k(points, candidates, seed: int = 0) -> SelectionReport:

@@ -230,15 +230,17 @@ def _threads() -> int:
 
 
 class _Artifacts:
-    """Writes a run's artifacts and keeps the sha256 of each for the manifest."""
+    """Writes and hashes a run's artifacts; each ``.tsv`` starts with the run header."""
 
-    def __init__(self, root: Path, header: str):
+    def __init__(self, root: Path, config: PipelineConfig):
         self.root = root
-        self.header = header
+        self.header = f"semmap config={config.config_hash()}"
         self.digests: list[tuple[Path, str]] = []
 
     def write(self, rel: str, text: str) -> None:
         path = self.root / rel
+        if path.suffix == ".tsv":
+            text = tsv.format_rows((), self.header) + text
         data = text.encode("utf-8")
         _atomic_write(path, data)
         self.digests.append((path, hashlib.sha256(data).hexdigest()))
@@ -255,8 +257,7 @@ def run(config: PipelineConfig) -> Path:
     config.validate()
     threads = _threads()
     out = Path(config.out_dir)
-    header = f"semmap config={config.config_hash()}"
-    art = _Artifacts(out, header)
+    art = _Artifacts(out, config)
 
     # corpus ------------------------------------------------------------
     manifest = cp.load_corpus(config.corpus_dir, config.metadata, config.pivot_iso)
@@ -304,7 +305,7 @@ def run(config: PipelineConfig) -> Path:
         year = doc.year if doc.year is not None else "_"
         rows.append((iso, doc.name, doc.family, doc.macroarea, year, doc.coverage))
     rows.append(("# dropped_nonpivot_verses", dropped_verses))
-    art.write("corpus.tsv", tsv.format_rows(rows, header))
+    art.write("corpus.tsv", tsv.format_rows(rows))
 
     # alignment ----------------------------------------------------------
     def align_one(iso: str):
@@ -320,7 +321,7 @@ def run(config: PipelineConfig) -> Path:
     coded: dict[str, tuple] = {}
 
     def keep(iso: str, parallels: list[al.PivotParallel]) -> None:
-        art.write(f"alignments/{iso}.tsv", al.dump_parallels(parallels, header))
+        art.write(f"alignments/{iso}.tsv", al.dump_parallels(parallels))
         coded[iso] = pv.code_parallels(parallels, occurrences)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -332,23 +333,22 @@ def run(config: PipelineConfig) -> Path:
 
     # usage matrix, distances, embedding ---------------------------------
     matrix = pv.build_matrix(coded, occurrences)
-    art.write("matrix.tsv", matrix.to_tsv(header))
+    art.write("matrix.tsv", matrix.to_tsv())
     dist = pv.hamming(matrix)
     emb = pv.classical_mds(dist, 2, row_ids=matrix.row_ids)
-    art.write("embedding.tsv", emb.to_tsv(header))
+    art.write("embedding.tsv", emb.to_tsv())
     points = emb.coords
 
     heat = sf.null_heat(matrix)
-    art.write("heat.tsv", tsv.format_rows(
-        [("row_id", "null_count"), *zip(matrix.row_ids, heat)], header))
+    art.write("heat.tsv", tsv.format_rows([("row_id", "null_count"), *zip(matrix.row_ids, heat)]))
     art.write("svg/heat.svg", svgmod.render_map(
         points, al.code_labels([al.NULL_MARKER] * len(heat)), heat=heat,
-        title="null-construction concentration", comment=header,
+        title="null-construction concentration", comment=art.header,
     ))
 
     # mixture -------------------------------------------------------------
     report = mx.select_k(points, config.gmm_ks, seed=config.gmm_seed)
-    art.write("gmm_selection.tsv", report.to_tsv(header))
+    art.write("gmm_selection.tsv", report.to_tsv())
     model = report.model
 
     rows = [("cluster", "weight", "mean_x", "mean_y", "cov_xx", "cov_xy", "cov_yy")]
@@ -357,10 +357,10 @@ def run(config: PipelineConfig) -> Path:
         rows.append((j, *(f"{v:.9f}" for v in (
             model.weights[j], model.means[j, 0], model.means[j, 1],
             c[0, 0], c[0, 1], c[1, 1]))))
-    art.write("gmm_model.tsv", tsv.format_rows(rows, header))
+    art.write("gmm_model.tsv", tsv.format_rows(rows))
     art.write("gmm_assignments.tsv", tsv.format_rows(
         [("row_id", "cluster"),
-         *((rid, int(a)) for rid, a in zip(matrix.row_ids, model.assignments))], header))
+         *((rid, int(a)) for rid, a in zip(matrix.row_ids, model.assignments))]))
 
     # cluster -> group mapping
     if config.group_anchors:
@@ -382,7 +382,7 @@ def run(config: PipelineConfig) -> Path:
         cs = cores[g]
         rows.append((g, cs.cluster, f"{cs.centroid[0]:.9f}", f"{cs.centroid[1]:.9f}",
                      ",".join(matrix.row_ids[i] for i in cs.members)))
-    art.write("core_points.tsv", tsv.format_rows(rows, header))
+    art.write("core_points.tsv", tsv.format_rows(rows))
     core_coords = {g: points[cores[g].members] for g in GROUPS}
 
     # per-doculect surfaces, dictionaries, classification -----------------
@@ -400,14 +400,12 @@ def run(config: PipelineConfig) -> Path:
         for m in sorted(surfs):
             name = _safe_name(m)
             if config.dump_grids:
-                art.write(f"surfaces/{iso}_{name}.grid.tsv", surfs[m].grid_to_tsv(header))
-            art.write(f"surfaces/{iso}_{name}.contours.tsv", surfs[m].contours_to_tsv(header))
+                art.write(f"surfaces/{iso}_{name}.grid.tsv", surfs[m].grid_to_tsv())
+            art.write(f"surfaces/{iso}_{name}.contours.tsv", surfs[m].contours_to_tsv())
 
         areas = {m: s.contours.get(config.dictionary_level, [])
                  for m, s in surfs.items()}
-        adict = ty.build_dictionary(core_coords, areas, alpha=config.alpha)
-        djson = json.dumps(adict.groups, sort_keys=True, ensure_ascii=False)
-        dictionaries.append((iso, djson, adict))
+        dictionaries.append((iso, ty.build_dictionary(core_coords, areas, alpha=config.alpha)))
 
         for g in GROUPS:
             cl = cluster_of_group[g]
@@ -421,14 +419,14 @@ def run(config: PipelineConfig) -> Path:
         svg_text = svgmod.render_map(
             points, column, {m: s.contours for m, s in surfs.items()},
             title=f"{iso} ({manifest.doculects[iso].family})",
-            comment=header,
+            comment=art.header,
         )
         art.write(f"svg/{iso}.svg", svg_text)
 
     art.write("dictionaries.tsv", tsv.format_rows(
-        [("iso", "dictionary"), *((iso, djson) for iso, djson, _ in dictionaries)], header))
-    art.write("classification.tsv", ty.classification_to_tsv(dictionaries, header))
-    art.write("scores.tsv", tsv.format_rows(score_rows, header))
+        [("iso", "dictionary"), *((iso, adict.to_json()) for iso, adict in dictionaries)]))
+    art.write("classification.tsv", ty.classification_to_tsv(dictionaries))
+    art.write("scores.tsv", tsv.format_rows(score_rows))
 
     proto_rows = [("cluster", "rank", "row_id", "score")]
     for g in GROUPS:
@@ -437,7 +435,7 @@ def run(config: PipelineConfig) -> Path:
                                      model.assignments)
         for rank, (rid, score) in enumerate(ranking, 1):
             proto_rows.append((cl, rank, rid, score))
-    art.write("prototypicality.tsv", tsv.format_rows(proto_rows, header))
+    art.write("prototypicality.tsv", tsv.format_rows(proto_rows))
 
     manifest_path = out / "manifest.tsv"
     _atomic_write(manifest_path, art.manifest().encode("utf-8"))

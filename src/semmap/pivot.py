@@ -129,12 +129,10 @@ class ParallelUsageMatrix:
                 out[j] = self.labels[j].index(label)
         return out
 
-    def to_tsv(self, header: str | None = None) -> str:
+    def to_tsv(self) -> str:
         return tsv.format_rows(
             [["row_id", *self.columns]]
-            + [[rid, *row] for rid, row in zip(self.row_ids, self.rows())],
-            header,
-        )
+            + [[rid, *row] for rid, row in zip(self.row_ids, self.rows())])
 
     @classmethod
     def from_tsv(cls, path) -> "ParallelUsageMatrix":
@@ -206,10 +204,10 @@ class EmbeddedMap:
     row_ids: list[str]
     truncated: bool = False
 
-    def to_tsv(self, header: str | None = None) -> str:
+    def to_tsv(self) -> str:
         # shortest round-trip text: `map` redraws from the exact floats `run` drew from
         return tsv.format_rows(
-            ([rid, *row] for rid, row in zip(self.row_ids, self.coords.tolist())), header)
+            [rid, *row] for rid, row in zip(self.row_ids, self.coords.tolist()))
 
     @classmethod
     def from_tsv(cls, path) -> "EmbeddedMap":

@@ -64,17 +64,17 @@ class KrigSurface:
     levels: tuple[float, ...]
     contours: dict[float, list[np.ndarray]] = field(default_factory=dict)
 
-    def grid_to_tsv(self, header: str | None = None) -> str:
+    def grid_to_tsv(self) -> str:
         xs = [f"{x:.6f}" for x in self.xs.tolist()]
-        lines = [tsv.format_rows([("x", "y", "prob")], header)]
+        lines = [tsv.format_rows([("x", "y", "prob")])]
         for y, probs in zip(self.ys.tolist(), self.prob.tolist()):
             # one template per row: every x, then the row's y and its value
             tail = f"\t{y:.6f}\t%.6f\n"
             lines.append((tail.join(xs) + tail) % tuple(probs))
         return "".join(lines)
 
-    def contours_to_tsv(self, header: str | None = None) -> str:
-        lines = [tsv.format_rows([("level", "polygon", "x", "y")], header)]
+    def contours_to_tsv(self) -> str:
+        lines = [tsv.format_rows([("level", "polygon", "x", "y")])]
         for level in self.levels:
             for pi, poly in enumerate(self.contours.get(level, [])):
                 row = f"{level:g}\t{pi}\t%.6f\t%.6f\n"

@@ -32,7 +32,7 @@ def data_lines(path):
         raise TsvError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def read_rows(path, *types, rest=None, header=None) -> list[list]:
+def read_rows(path, *types, rest=None, header=None, key=0) -> list[list]:
     """Rows of a stored TSV file, each cell converted.
 
     ``types`` holds one converter per leading field (``str`` keeps the
@@ -40,10 +40,13 @@ def read_rows(path, *types, rest=None, header=None) -> list[list]:
     with it, every row has as many fields as the first row, more than
     ``len(types)``, and ``rest`` converts the fields past ``types``. A
     first row equal to ``header`` (the column names) is skipped. A row
-    with another field count, or a cell its converter rejects with
-    ``ValueError`` or ``TypeError``, raises ``TsvError`` with ``path:line``.
+    with another field count, a cell its converter rejects with
+    ``ValueError`` or ``TypeError``, or a row whose first ``key``
+    converted fields repeat an earlier row's raises ``TsvError`` with
+    ``path:line``.
     """
     rows: list[list] = []
+    keys: set[tuple] = set()
     width = None if rest else len(types)
     convert = types
     for ln, line in data_lines(path):
@@ -63,6 +66,11 @@ def read_rows(path, *types, rest=None, header=None) -> list[list]:
             rows.append([f(v) for f, v in zip(convert, fields)])
         except (ValueError, TypeError) as exc:
             raise TsvError(f"{path}:{ln}: {exc}") from exc
+        if key:
+            k = tuple(rows[-1][:key])
+            if k in keys:
+                raise TsvError(f"{path}:{ln}: the key {k} is given twice")
+            keys.add(k)
     return rows
 
 

@@ -9,6 +9,7 @@ prototypicality.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -49,6 +50,23 @@ class AreaDictionary:
         for g in GROUPS:
             self.groups.setdefault(g, [])
             self.groups[g] = sorted(set(self.groups[g]))
+
+    def to_json(self) -> str:
+        """The stored cell: every group, keys sorted, labels sorted and unique."""
+        return json.dumps(self.groups, sort_keys=True, ensure_ascii=False)
+
+    @classmethod
+    def from_json(cls, cell: str) -> "AreaDictionary":
+        """The dictionary of a cell mapping groups to lists of labels; a group left out has none."""
+        groups = json.loads(cell)
+        if not isinstance(groups, dict):
+            raise TypologyError(f"dictionary {cell!r} is not a JSON object")
+        for g, labels in groups.items():
+            if g not in GROUPS:
+                raise TypologyError(f"dictionary {cell!r}: {g!r} is not one of {GROUPS}")
+            if not isinstance(labels, list) or not all(isinstance(m, str) for m in labels):
+                raise TypologyError(f"dictionary {cell!r}: {g} is not a list of strings")
+        return cls(groups=groups)
 
 
 @dataclass
@@ -253,15 +271,14 @@ def classify_pattern(adict: AreaDictionary) -> PatternAssignment:
     return PatternAssignment(label[0], label if len(label) > 1 else None, null_flags)
 
 
-def classification_to_tsv(dictionaries, header: str | None = None) -> str:
-    """The classification table of (iso, dictionary JSON, AreaDictionary)
-    triples; "_" stands for no subpattern and for no NULL flag."""
+def classification_to_tsv(dictionaries) -> str:
+    """The table of (iso, AreaDictionary) pairs; "_" marks no subpattern or no NULL flag."""
     rows = [("iso", "pattern", "subpattern", "null_flags", "dictionary")]
-    for iso, djson, adict in dictionaries:
+    for iso, adict in dictionaries:
         res = classify_pattern(adict)
         rows.append((iso, res.pattern, res.subpattern or "_",
-                     ",".join(res.null_flags) or "_", djson))
-    return tsv.format_rows(rows, header)
+                     ",".join(res.null_flags) or "_", adict.to_json()))
+    return tsv.format_rows(rows)
 
 
 def score_means(assignments, column, cluster: int) -> tuple[list[MeansScore], MeansScore]:

@@ -18,6 +18,7 @@ from semmap.align import (
     train_em,
 )
 from semmap.corpus import load_corpus, normalize
+from semmap.tsv import format_rows
 from synth import build_corpus
 
 
@@ -507,7 +508,7 @@ def test_parallels_roundtrip(tmp_path):
     pivot, target, _ = make_verse_corpus(n=40, null_rate=0.5)
     rows = align_pair(pivot, target, {"when"})
     path = tmp_path / "dump.tsv"
-    path.write_text(dump_parallels(rows, header="test"), encoding="utf-8")
+    path.write_text(format_rows((), "test") + dump_parallels(rows), encoding="utf-8")
     assert load_parallels(path) == rows
 
 

@@ -137,6 +137,26 @@ def test_classify_dictionary_that_is_no_object_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_classify_writes_every_spelling_of_a_dictionary_in_one_form(tmp_path):
+    # key order, a repeated label and a group left out do not change the dictionary
+    dicts = tmp_path / "d.tsv"
+    dicts.write_text(
+        "iso\tdictionary\n"
+        'aa\t{"TL": ["go"], "ML": ["yo"], "BL": ["yo"]}\n'
+        'bb\t{"BL": ["yo", "yo"], "ML": ["yo"], "TL": ["go"]}\n'
+        'cc\t{"TL": ["x", "NULL"]}\n'
+        'dd\t{"BL": [], "ML": [], "TL": ["NULL", "x", "x"]}\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "cls.tsv"
+    assert main(["classify", "--dictionaries", str(dicts), "--out", str(out)]) == 0
+    rows = [ln.split("\t") for ln in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [r[0] for r in rows] == ["aa", "bb", "cc", "dd"]
+    assert rows[0][1:] == rows[1][1:] and rows[2][1:] == rows[3][1:]
+    assert rows[0][4] == '{"BL": ["yo"], "ML": ["yo"], "TL": ["go"]}'
+    assert rows[2][4] == '{"BL": [], "ML": [], "TL": ["NULL", "x"]}'
+
+
 def test_treebank_extract(tmp_path, capsys):
     tb = tmp_path / "fix.tsv"
     tb.write_text(FIXTURE, encoding="utf-8")
@@ -723,6 +743,36 @@ MALFORMED = {
 }
 
 
+# keyed stored files that give one key twice, the command reading them, and
+# the line and key the error must name; "@name" stands for the file's path
+GIVEN_TWICE = {
+    "gold_occurrence": (
+        {"al.tsv": "MAT:1:1\t0\tkai\n", "gold.tsv": "MAT:1:1\t0\tkai\nMAT:1:1\t0\tNULL\n"},
+        ["align-eval", "--alignment", "@al.tsv", "--gold", "@gold.tsv"],
+        "gold.tsv:2", "('MAT:1:1', 0)"),
+    "alignment_occurrence": (
+        {"al.tsv": "v1\t0\tkai\nv2\t1\tgo\nv1\t0\tNULL\n", "gold.tsv": "v1\t0\tkai\n"},
+        ["align-eval", "--alignment", "@al.tsv", "--gold", "@gold.tsv"],
+        "al.tsv:3", "('v1', 0)"),
+    "lemma_token": (
+        {"c.tsv": CONSTRUCTIONS, "l.tsv": "s1\t3\tgo\ns1\t4\tsee\ns1\t3\tcome\n"},
+        ["stats-report", "--constructions", "@c.tsv", "--lemmas", "@l.tsv"],
+        "l.tsv:3", "('s1', '3')"),
+}
+
+
+@pytest.mark.parametrize("files, argv, where, key", GIVEN_TWICE.values(),
+                         ids=GIVEN_TWICE.keys())
+def test_stored_key_given_twice_is_data_error(tmp_path, capsys, files, argv, where, key):
+    for fname, text in files.items():
+        (tmp_path / fname).write_text(text, encoding="utf-8")
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert f"{tmp_path / where}: the key {key} is given twice" in err
+
+
 @pytest.mark.parametrize("files, argv, where", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_stored_file_is_data_error(tmp_path, capsys, files, argv, where):
     for name, text in files.items():
@@ -801,7 +851,9 @@ def test_run_non_utf8_corpus_file_is_data_error(tmp_path, capsys, name):
     ("meta.tsv", "fra\tfrançais\tIndo-European"),
     ("meta.tsv", "fra\tfrançais\tIndo-European\tEurasia\t1910s"),
     (None, None),
-], ids=["verse_without_tab", "three_column_metadata", "year_not_integer", "no_txt_file"])
+    ("meta.tsv", "eng\tEnglish\tIndo-European\tEurasia\t1950"),
+], ids=["verse_without_tab", "three_column_metadata", "year_not_integer", "no_txt_file",
+        "metadata_key_given_twice"])
 def test_run_malformed_corpus_is_data_error(tmp_path, capsys, name, line):
     corpus = tmp_path / "corpus"
     build_corpus(corpus, n_verses=30, seed=3)

@@ -1,8 +1,9 @@
 """Every artifact of seven fixed runs hashes as recorded in tests/golden/manifests.tsv.
 
-The golden holds for the Python, numpy, BLAS and OpenBLAS thread count
-named in its header; ``tests/golden/regenerate.py`` rewrites it after an
-intended change.
+The golden holds for the Python, numpy and BLAS named in its header, with
+one BLAS thread: the runs go through ``regenerate.manifests``, one
+subprocess that pins it. ``tests/golden/regenerate.py`` rewrites the file
+after an intended change.
 """
 
 import importlib.util
@@ -22,20 +23,27 @@ _spec.loader.exec_module(golden)
 RECORDED_ENV, GOLDEN = golden.read_golden()
 
 
+@pytest.fixture(scope="module")
+def current():
+    """The environment and manifests of the seven runs, computed once."""
+    return golden.manifests()
+
+
 def test_golden_covers_every_run():
     assert sorted(GOLDEN) == sorted(golden.RUNS)
 
 
 @pytest.mark.parametrize("run_name", golden.RUNS)
-def test_artifacts_match_golden(run_name, tmp_path):
-    got = golden.manifest(run_name, tmp_path)
+def test_artifacts_match_golden(run_name, current):
+    environment, runs = current
+    got = runs[run_name]
     want = GOLDEN.get(run_name, {})
     differ = [f"  {rel}: {want.get(rel, 'missing')} recorded, {got.get(rel, 'missing')} now"
               for rel in sorted(set(want) | set(got)) if want.get(rel) != got.get(rel)]
     assert not differ, (
         f"run {run_name}: {len(differ)} artifacts differ from tests/golden/manifests.tsv\n"
         f"recorded environment: {RECORDED_ENV}\n"
-        f"current environment:  {golden.environment()}\n" + "\n".join(differ))
+        f"current environment:  {environment}\n" + "\n".join(differ))
 
 
 def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):

@@ -57,13 +57,21 @@ def test_manifest_lists_artifacts_with_correct_hashes(synth_run):
 
 def test_every_artifact_carries_config_hash_header(synth_run):
     out = synth_run["out"]
-    want = f"# semmap config={synth_run['config'].config_hash()}"
-    for rel in ["corpus.tsv", "matrix.tsv", "embedding.tsv", "heat.tsv",
-                "gmm_model.tsv", "classification.tsv", "scores.tsv"]:
-        first = (out / rel).read_text(encoding="utf-8").splitlines()[0]
-        assert first == want, rel
-    svg = (out / "svg" / "eng.svg").read_text(encoding="utf-8")
-    assert synth_run["config"].config_hash() in svg
+    config_hash = synth_run["config"].config_hash()
+    want = f"# semmap config={config_hash}"
+    manifest = synth_run["manifest"].read_text(encoding="utf-8").splitlines()
+    assert manifest[0] == want
+    rels = [ln.split("\t")[1] for ln in manifest[1:]]
+    assert {Path(rel).suffix for rel in rels} == {".tsv", ".svg", ".json"}
+    for rel in rels:
+        text = (out / rel).read_text(encoding="utf-8")
+        if rel.endswith(".tsv"):
+            lines = text.splitlines()
+            assert lines[0] == want and lines.count(want) == 1, rel
+        elif rel.endswith(".svg"):
+            assert config_hash in text, rel
+        else:
+            assert rel == "config.json" and "# semmap" not in text, rel
 
 
 def test_one_svg_per_doculect_plus_heat(synth_run):

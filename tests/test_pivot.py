@@ -14,6 +14,7 @@ from semmap.pivot import (
     code_parallels,
     hamming,
 )
+from semmap.tsv import format_rows
 
 
 def fixture_matrix():
@@ -131,7 +132,7 @@ def test_matrix_tsv_roundtrip(tmp_path):
     @hyp.example(random_matrix(n=12, m=5))
     @hyp.example(fixture_matrix())
     def roundtrip(m):
-        text = m.to_tsv(header="semmap config=x")
+        text = format_rows((), "semmap config=x") + m.to_tsv()
         p.write_text(text, encoding="utf-8")
         again = ParallelUsageMatrix.from_tsv(p)
         assert again.row_ids == m.row_ids
@@ -139,7 +140,7 @@ def test_matrix_tsv_roundtrip(tmp_path):
         assert np.array_equal(again.codes, m.codes) and again.codes.dtype == np.int32
         assert again.labels == m.labels
         assert again.rows() == m.rows()
-        assert again.to_tsv(header="semmap config=x") == text
+        assert format_rows((), "semmap config=x") + again.to_tsv() == text
 
     roundtrip()
 
@@ -283,7 +284,7 @@ def test_mds_hamming_embedding_reproducible(tmp_path):
     assert e2.to_tsv() == e1.to_tsv()
     # the stored coordinates read back exactly
     path = tmp_path / "embedding.tsv"
-    path.write_text(e1.to_tsv(header="x"), encoding="utf-8")
+    path.write_text(format_rows((), "x") + e1.to_tsv(), encoding="utf-8")
     back = EmbeddedMap.from_tsv(path)
     assert back.row_ids == e1.row_ids and np.array_equal(back.coords, e1.coords)
 

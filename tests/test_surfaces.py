@@ -1101,22 +1101,22 @@ def test_null_heat_equals_brute_force_on_random_matrix():
 # text formatting ---------------------------------------------------------------
 # The tuple-through-``format_rows`` writers the per-row f-strings replaced.
 
-def grid_to_tsv_oracle(surf, header=None):
+def grid_to_tsv_oracle(surf):
     xs = [f"{x:.6f}" for x in surf.xs.tolist()]
     rows = [("x", "y", "prob")]
     for y, probs in zip(surf.ys.tolist(), surf.prob.tolist()):
         fy = f"{y:.6f}"
         rows.extend((fx, fy, f"{p:.6f}") for fx, p in zip(xs, probs))
-    return format_rows(rows, header)
+    return format_rows(rows)
 
 
-def contours_to_tsv_oracle(surf, header=None):
+def contours_to_tsv_oracle(surf):
     rows = [("level", "polygon", "x", "y")]
     for level in surf.levels:
         for pi, poly in enumerate(surf.contours.get(level, [])):
             rows.extend((f"{level:g}", pi, f"{x:.6f}", f"{y:.6f}")
                         for x, y in poly.tolist())
-    return format_rows(rows, header)
+    return format_rows(rows)
 
 
 def formatting_surfaces():
@@ -1138,8 +1138,7 @@ def formatting_surfaces():
     return [full, empty, grown]
 
 
-@pytest.mark.parametrize("header", [None, "semmap run abc123 seed=13"])
-def test_tsv_writers_match_format_rows_oracle(header):
+def test_tsv_writers_match_format_rows_oracle():
     for surf in formatting_surfaces():
-        assert surf.grid_to_tsv(header) == grid_to_tsv_oracle(surf, header)
-        assert surf.contours_to_tsv(header) == contours_to_tsv_oracle(surf, header)
+        assert surf.grid_to_tsv() == grid_to_tsv_oracle(surf)
+        assert surf.contours_to_tsv() == contours_to_tsv_oracle(surf)

@@ -143,6 +143,25 @@ def test_dictionary_unequal_core_sets_error():
         build_dictionary(core_sets, areas)
 
 
+def test_dictionary_json_round_trip():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    labels = st.sampled_from([NULL_MARKER, "kogda", "когда", "ä", 'q"']) | st.text(max_size=6)
+    # groups may be missing and labels repeat
+    groups = st.dictionaries(st.sampled_from(GROUPS), st.lists(labels, max_size=5))
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(groups)
+    def round_trip(groups):
+        d = AreaDictionary(groups=groups)
+        cell = d.to_json()
+        # the cell is one TSV field
+        assert "\t" not in cell and "\n" not in cell and "\r" not in cell
+        assert AreaDictionary.from_json(cell) == d
+
+    round_trip()
+
+
 # classify_pattern ----------------------------------------------------------------
 
 def adict(tl, ml, bl):
