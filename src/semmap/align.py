@@ -37,6 +37,7 @@ __all__ = [
     "argmax_links",
     "reassign_nulls",
     "evaluate_alignment",
+    "usage_points",
     "align_pair",
     "dump_parallels",
     "load_parallels",
@@ -260,6 +261,14 @@ def evaluate_alignment(parallels: list[PivotParallel],
     return hits / len(gold)
 
 
+def usage_points(pivot_verses: dict[str, list[str]],
+                 pivot_types: set[str]) -> list[tuple[str, int]]:
+    """(verse id, token index) of each pivot-type token, by verse id then
+    index: the rows of every alignment and of the usage matrix."""
+    return [(vid, i) for vid in sorted(pivot_verses)
+            for i, tok in enumerate(pivot_verses[vid]) if tok in pivot_types]
+
+
 def align_pair(pivot_verses: dict[str, list[str]],
                target_verses: dict[str, list[str]],
                pivot_types: set[str],
@@ -271,9 +280,8 @@ def align_pair(pivot_verses: dict[str, list[str]],
     of a type in ``pivot_types`` in such a verse takes the forward
     model's best target token, kept only when the reverse model's best
     pivot token for it is the occurrence again. Pivot occurrences in
-    verses missing from the target side are reported as NULL rows so the
-    usage matrix keeps a cell for every row. Rows are ordered by verse id
-    then token index.
+    verses missing from the target side are NULL. Returns one row per
+    usage point, in ``usage_points`` order.
     """
     common = sorted(set(pivot_verses) & set(target_verses))
     if not common:
@@ -283,18 +291,18 @@ def align_pair(pivot_verses: dict[str, list[str]],
     fwd_model = train_em(bitext, iterations=iterations)
     rev_model = train_em(bitext.swapped(), iterations=iterations)
     src, tgt = bitext.source, bitext.target
-    occurrences = np.flatnonzero(np.isin(
-        src.codes, [k for k, form in enumerate(src.types) if form in pivot_types]))
-    best = argmax_links(fwd_model, src, tgt, occurrences)
+    points = usage_points(pivot_verses, pivot_types)
+    start = dict(zip(common, src.starts.tolist()))
+    # the usage points of the shared verses: their rows and their tokens in src.codes
+    rows, tokens = np.array([(r, start[vid] + i) for r, (vid, i) in enumerate(points)
+                             if vid in start], dtype=np.int64).reshape(-1, 2).T
+    best = argmax_links(fwd_model, src, tgt, tokens)
     hit = np.flatnonzero(best >= 0)
-    mutual = hit[argmax_links(rev_model, tgt, src, best[hit]) == occurrences[hit]]
-    code = np.full(len(occurrences), -1)
-    code[mutual] = tgt.codes[best[mutual]]
-    # the shared verses' occurrences, in the (verse, index) order of the rows
-    forms = iter([tgt.types[c] if c >= 0 else None for c in code.tolist()])
-    parallels = [PivotParallel(vid, i, next(forms) if vid in target_verses else None)
-                 for vid in sorted(pivot_verses)
-                 for i, tok in enumerate(pivot_verses[vid]) if tok in pivot_types]
+    mutual = hit[argmax_links(rev_model, tgt, src, best[hit]) == tokens[hit]]
+    code = np.full(len(points), -1)
+    code[rows[mutual]] = tgt.codes[best[mutual]]
+    parallels = [PivotParallel(vid, i, tgt.types[c] if c >= 0 else None)
+                 for (vid, i), c in zip(points, code.tolist())]
     return reassign_nulls(parallels, min_count=min_count)
 
 

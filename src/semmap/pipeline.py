@@ -214,8 +214,24 @@ def _atomic_write(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _safe_name(label: str) -> str:
-    return quote(label, safe="abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_")
+# a file name holds at most 255 bytes; the longest one a surface gets is
+# its contours file's while it is written, <stem>.contours.tsv.tmp
+_STEM_MAX = 255 - len(".contours.tsv.tmp")
+
+
+def _surface_stem(iso: str, label: str) -> str:
+    """``<iso>_<label>``, the means label percent-quoted, naming one surface's files.
+
+    A stem over ``_STEM_MAX`` bytes is cut to the longest prefix that
+    fits with ``~`` and a 16-digit digest of the label appended.
+    """
+    # quote leaves ASCII letters, digits and "_.-~" as they are
+    stem = f"{iso}_{quote(label, safe='')}"
+    data = stem.encode("utf-8")
+    if len(data) <= _STEM_MAX:
+        return stem
+    digest = hashlib.sha256(label.encode("utf-8")).hexdigest()[:16]
+    return data[:_STEM_MAX - 1 - len(digest)].decode("utf-8", "ignore") + "~" + digest
 
 
 def _threads() -> int:
@@ -266,12 +282,7 @@ def run(config: PipelineConfig) -> Path:
         vid: cp.normalize(text) for vid, text in sorted(pivot.verses.items())
     }
     pivot_types = set(config.pivot_tokens)
-    occurrences = [
-        (vid, i)
-        for vid, toks in pivot_tokens.items()
-        for i, tok in enumerate(toks)
-        if tok in pivot_types
-    ]
+    occurrences = al.usage_points(pivot_tokens, pivot_types)
     if not occurrences:
         raise cp.CorpusError(
             f"pivot tokens {sorted(pivot_types)} never occur in {config.pivot_iso}")
@@ -322,7 +333,7 @@ def run(config: PipelineConfig) -> Path:
 
     def keep(iso: str, parallels: list[al.PivotParallel]) -> None:
         art.write(f"alignments/{iso}.tsv", al.dump_parallels(parallels))
-        coded[iso] = pv.code_parallels(parallels, occurrences)
+        coded[iso] = pv.code_parallels(parallels)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for iso, parallels in zip(targets, pool.map(align_one, targets)):
@@ -398,10 +409,10 @@ def run(config: PipelineConfig) -> Path:
     for iso, column in columns.items():
         surfs = surf_by_iso[iso]
         for m in sorted(surfs):
-            name = _safe_name(m)
+            stem = _surface_stem(iso, m)
             if config.dump_grids:
-                art.write(f"surfaces/{iso}_{name}.grid.tsv", surfs[m].grid_to_tsv())
-            art.write(f"surfaces/{iso}_{name}.contours.tsv", surfs[m].contours_to_tsv())
+                art.write(f"surfaces/{stem}.grid.tsv", surfs[m].grid_to_tsv())
+            art.write(f"surfaces/{stem}.contours.tsv", surfs[m].contours_to_tsv())
 
         areas = {m: s.contours.get(config.dictionary_level, [])
                  for m, s in surfs.items()}

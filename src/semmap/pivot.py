@@ -40,16 +40,12 @@ def row_id(verse_id: str, pivot_index: int) -> str:
     return f"{verse_id}#{pivot_index}"
 
 
-def code_parallels(parallels: list[PivotParallel],
-                   pivot_occurrences: list[tuple[str, int]]) -> tuple[np.ndarray, list[str]]:
-    """One doculect's column, coded: its form at each pivot occurrence.
-
-    A ``None`` form or an occurrence missing from ``parallels`` becomes
-    ``NULL_MARKER``, the NULL label from here on.
+def code_parallels(parallels: list[PivotParallel]) -> tuple[np.ndarray, list[str]]:
+    """One doculect's column, coded: the forms of its rows, which
+    ``align_pair`` gives one per usage point in row order. A ``None``
+    form becomes ``NULL_MARKER``, the NULL label from here on.
     """
-    form = {(p.verse_id, p.pivot_index): p.form for p in parallels}
-    return code_labels([NULL_MARKER if (f := form.get(occ)) is None else f
-                        for occ in pivot_occurrences])
+    return code_labels([NULL_MARKER if p.form is None else p.form for p in parallels])
 
 
 @dataclass
@@ -161,7 +157,7 @@ def _stack(row_ids: list[str], columns: list[str],
 def build_matrix(columns: dict[str, tuple[np.ndarray, list[str]]],
                  pivot_occurrences: list[tuple[str, int]]) -> ParallelUsageMatrix:
     """Assemble the usage matrix from each doculect's coded column
-    (``code_parallels``), one row per pivot occurrence, doculects sorted."""
+    (``code_parallels``), one row per usage point, doculects sorted."""
     rids = [row_id(v, i) for v, i in pivot_occurrences]
     if len(set(rids)) != len(rids):
         raise PivotError("duplicate row ids in pivot occurrence list")

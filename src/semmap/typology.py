@@ -58,7 +58,15 @@ class AreaDictionary:
     @classmethod
     def from_json(cls, cell: str) -> "AreaDictionary":
         """The dictionary of a cell mapping groups to lists of labels; a group left out has none."""
-        groups = json.loads(cell)
+        def once(pairs: list) -> dict:
+            groups = {}
+            for g, labels in pairs:
+                if g in groups:
+                    raise TypologyError(f"the key {g!r} is given twice")
+                groups[g] = labels
+            return groups
+
+        groups = json.loads(cell, object_pairs_hook=once)
         if not isinstance(groups, dict):
             raise TypologyError(f"dictionary {cell!r} is not a JSON object")
         for g, labels in groups.items():

@@ -6,18 +6,22 @@ from itertools import accumulate
 import pytest
 
 from semmap.align import (
+    NULL_MARKER,
     AlignError,
     Bitext,
     PivotParallel,
     align_pair,
     argmax_links,
+    code_labels,
     dump_parallels,
     evaluate_alignment,
     load_parallels,
     reassign_nulls,
     train_em,
+    usage_points,
 )
 from semmap.corpus import load_corpus, normalize
+from semmap.pivot import code_parallels
 from semmap.tsv import format_rows
 from synth import build_corpus
 
@@ -518,3 +522,48 @@ def test_align_pair_covers_all_occurrences():
     rows = align_pair(pivot, target, {"when"}, min_count=1)
     assert [(p.verse_id, p.pivot_index) for p in rows] == [("v1", 0), ("v1", 2)]
     assert rows == align_pair_oracle(pivot, target, {"when"}, min_count=1)
+
+
+def code_parallels_by_key(parallels, pivot_occurrences):
+    """The two-argument ``code_parallels`` that keyed the rows by
+    (verse id, token index): an occurrence without a row was NULL."""
+    form = {(p.verse_id, p.pivot_index): p.form for p in parallels}
+    return code_labels([NULL_MARKER if (f := form.get(occ)) is None else f
+                        for occ in pivot_occurrences])
+
+
+def test_align_pair_rows_are_the_usage_points_in_order():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def pairs(draw):
+        types = set(draw(st.lists(st.sampled_from(["when", "as"]), min_size=1, max_size=2,
+                                  unique=True)))
+        pivot, target = {}, {}
+        for v in range(draw(st.integers(1, 8))):
+            # "as" is filler where it is no pivot type
+            toks = draw(st.lists(st.sampled_from(["a", "b", "as"]), max_size=4))
+            for _ in range(draw(st.integers(0, 3))):
+                toks.insert(draw(st.integers(0, len(toks))), draw(st.sampled_from(sorted(types))))
+            pivot[f"v{v}"] = toks
+            if draw(st.booleans()):
+                target[f"v{v}"] = draw(st.lists(st.sampled_from(["x", "y", "z"]), max_size=4))
+        if draw(st.booleans()):
+            target["w0"] = ["x"]
+        hyp.assume(set(pivot) & set(target))
+        return pivot, target, types, draw(st.integers(1, 3))
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(pairs())
+    def check(case):
+        pivot, target, types, min_count = case
+        rows = align_pair(pivot, target, types, min_count=min_count)
+        points = usage_points(pivot, types)
+        assert [(p.verse_id, p.pivot_index) for p in rows] == points
+        assert rows == align_pair_oracle(pivot, target, types, min_count=min_count)
+        codes, labels = code_parallels(rows)
+        want_codes, want_labels = code_parallels_by_key(rows, points)
+        assert codes.tolist() == want_codes.tolist() and labels == want_labels
+
+    check()

@@ -9,7 +9,7 @@ from fixture_treebank import FIXTURE
 from synth import build_corpus
 
 from semmap.cli import build_parser, main
-from semmap.pipeline import PipelineConfig
+from semmap.pipeline import PipelineConfig, _surface_stem
 from semmap.surfaces import contains, fit_surface
 
 
@@ -396,6 +396,37 @@ def test_threaded_run_matches_single_thread(tmp_path, monkeypatch):
         assert results["1"] == results[threads], filler
 
 
+def test_run_bounds_surface_file_names_of_long_means_labels(tmp_path, capsys):
+    # 45 syllabics, 3 bytes each in UTF-8, percent-quote to 405 bytes
+    long_form = "ᐊᐃᑉᐸᐅᑎᒋᐊᕐᕕᖕᒥᑦᑐᖅ" * 3
+    corpus = tmp_path / "corpus"
+    _, anchors, _ = build_corpus(corpus, n_verses=90, seed=7)
+    aaa = corpus / "aaa.txt"
+    aaa.write_text(aaa.read_text(encoding="utf-8").replace("akog", long_form), encoding="utf-8")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", corpus_dir=str(corpus),
+                       metadata=str(corpus / "meta.tsv"), out_dir=str(out), gmm_ks=[3],
+                       grid=20, core_k=10, group_anchors=anchors, dump_grids=True)
+    code = main(["run", "--config", cfg])
+    assert code == 0, capsys.readouterr().err
+    paths = [ln.split("\t")[1] for ln in (out / "manifest.tsv").read_text(
+        encoding="utf-8").splitlines() if not ln.startswith("#")]
+    assert all(len(part.encode("utf-8")) <= 255 for path in paths for part in path.split("/"))
+    stem = _surface_stem("aaa", long_form)
+    assert f"surfaces/{stem}.grid.tsv" in paths and f"surfaces/{stem}.contours.tsv" in paths
+    # a name that fits is the quoted label as before
+    assert "surfaces/bbb_NULL.contours.tsv" in paths
+
+
+def test_long_means_labels_sharing_a_prefix_get_distinct_file_names():
+    a, b = "\u1403" * 100 + "a", "\u1403" * 100 + "b"
+    stems = {_surface_stem("aaa", a), _surface_stem("aaa", b)}
+    assert len(stems) == 2
+    for stem in stems:
+        assert len((stem + ".contours.tsv.tmp").encode("utf-8")) == 255 and "~" in stem
+    assert _surface_stem("aaa", "y\u00f6") == "aaa_y%C3%B6"
+
+
 def test_run_target_verse_without_tokens_aligns_to_null(tmp_path, capsys):
     # a punctuation-only target verse opposite a pivot verse whose extra
     # type occurs nowhere else: that type co-occurs with no target token
@@ -758,6 +789,10 @@ GIVEN_TWICE = {
         {"c.tsv": CONSTRUCTIONS, "l.tsv": "s1\t3\tgo\ns1\t4\tsee\ns1\t3\tcome\n"},
         ["stats-report", "--constructions", "@c.tsv", "--lemmas", "@l.tsv"],
         "l.tsv:3", "('s1', '3')"),
+    "dictionary_group": (
+        {"d.tsv": 'iso\tdictionary\n'
+                  'aa\t{"TL": ["go"], "TL": ["yo"], "ML": ["yo"], "BL": ["yo"]}\n'},
+        ["classify", "--dictionaries", "@d.tsv"], "d.tsv:2", "'TL'"),
 }
 
 

@@ -76,18 +76,18 @@ def naive_hamming(matrix):
 def test_build_matrix_from_parallels():
     par = {
         "deu": [PivotParallel("v1", 0, "als"), PivotParallel("v2", 1, None)],
-        "fin": [PivotParallel("v1", 0, "kun")],
+        "fin": [PivotParallel("v1", 0, "kun"), PivotParallel("v2", 1, None)],
     }
     occ = [("v1", 0), ("v2", 1)]
-    m = build_matrix({iso: code_parallels(rows, occ) for iso, rows in par.items()}, occ)
+    m = build_matrix({iso: code_parallels(rows) for iso, rows in par.items()}, occ)
     assert m.columns == ["deu", "fin"]
     assert m.rows() == [["als", "kun"], [NULL_MARKER, NULL_MARKER]]
 
 
 def test_build_matrix_full_null_column():
-    par = {"deu": [PivotParallel("v1", 0, "als")], "xxx": []}
+    par = {"deu": [PivotParallel("v1", 0, "als")], "xxx": [PivotParallel("v1", 0, None)]}
     occ = [("v1", 0)]
-    m = build_matrix({iso: code_parallels(rows, occ) for iso, rows in par.items()}, occ)
+    m = build_matrix({iso: code_parallels(rows) for iso, rows in par.items()}, occ)
     codes, labels = m.coded("xxx")
     assert [labels[c] for c in codes] == [NULL_MARKER]
 
@@ -95,7 +95,7 @@ def test_build_matrix_full_null_column():
 def test_build_matrix_duplicate_rows_error():
     occ = [("v1", 0), ("v1", 0)]
     with pytest.raises(PivotError):
-        build_matrix({"deu": code_parallels([], occ)}, occ)
+        build_matrix({"deu": code_parallels([PivotParallel(v, i, None) for v, i in occ])}, occ)
 
 
 def stored_matrices(st):
