@@ -10,7 +10,8 @@ argmax alignments, which is one-to-one, read where the usage matrix
 reads it; an occurrence without a link becomes NULL. Rare aligned types
 can be reassigned to NULL corpus-wide.
 
-Each pair's verses are coded once as integer arrays (``Bitext``). EM
+Each pair's verses are coded once as integer arrays, one ``_Side`` per
+language, and the two sides serve both directions. EM
 and the argmax work on the flattened (verse, token, token) cells with
 ``np.bincount`` and ``reduceat``, adding in the order a per-verse loop
 would, so tables and links do not depend on the batching. One E-step
@@ -30,7 +31,6 @@ from . import tsv
 __all__ = [
     "AlignError",
     "code_labels",
-    "Bitext",
     "TranslationModel",
     "PivotParallel",
     "train_em",
@@ -64,7 +64,11 @@ def code_labels(labels) -> tuple[np.ndarray, list[str]]:
 class _Side(NamedTuple):
     """One side of a bitext: its sorted types, every verse's tokens coded
     and concatenated in verse order, and each verse's token count and
-    first token."""
+    first token.
+
+    Codes index the sorted types, so comparing two codes compares their
+    forms as ``str <`` does.
+    """
     types: list[str]
     codes: np.ndarray
     lengths: np.ndarray
@@ -77,30 +81,6 @@ class _Side(NamedTuple):
         starts = np.zeros(len(lengths), dtype=np.int32)
         np.cumsum(lengths[:-1], out=starts[1:])
         return cls(types, codes, lengths, starts)
-
-
-@dataclass(frozen=True, eq=False)
-class Bitext:
-    """Verse pairs with the types of each side coded as ints.
-
-    Codes index each side's sorted types, so comparing two codes
-    compares their forms as ``str <`` does.
-    """
-    source: _Side
-    target: _Side
-
-    @classmethod
-    def of(cls, verse_pairs) -> "Bitext":
-        """Code a sequence of (source tokens, target tokens); a ``Bitext``
-        is returned as it is."""
-        if isinstance(verse_pairs, Bitext):
-            return verse_pairs
-        pairs = list(verse_pairs)
-        return cls(_Side.encode([p[0] for p in pairs]), _Side.encode([p[1] for p in pairs]))
-
-    def swapped(self) -> "Bitext":
-        """The same verses with source and target exchanged (no recoding)."""
-        return Bitext(self.target, self.source)
 
 
 def _cells(outer: _Side, inner: _Side, tokens: np.ndarray):
@@ -135,7 +115,6 @@ class TranslationModel:
     target_types: list[str]
     pairs: np.ndarray
     probs: np.ndarray
-    iterations: int
     loglik: list[float]
 
 
@@ -146,22 +125,20 @@ class PivotParallel:
     form: str | None
 
 
-def train_em(bitext, iterations: int = 5) -> TranslationModel:
+def train_em(src: _Side, tgt: _Side, iterations: int = 5) -> TranslationModel:
     """Estimate the lexical table by EM (IBM Model 1) over sentence pairs.
 
-    ``bitext`` is a ``Bitext`` or a sequence of (source tokens, target
-    tokens). Uniform initialization makes the procedure fully
-    deterministic. Every sum runs over the cells of each verse in one
-    order (target position outer, source position inner) through
-    ``np.bincount``, which adds its weights in array order, so the table
-    does not depend on how the cells are batched.
+    ``src`` and ``tgt`` are the two coded sides, verse ``i`` of one
+    paired with verse ``i`` of the other. Uniform initialization makes
+    the procedure fully deterministic. Every sum runs over the cells of
+    each verse in one order (target position outer, source position
+    inner) through ``np.bincount``, which adds its weights in array
+    order, so the table does not depend on how the cells are batched.
     """
-    bitext = Bitext.of(bitext)
-    if len(bitext.source.lengths) == 0:
+    if len(src.lengths) == 0:
         raise AlignError("empty bitext")
     if iterations < 1:
         raise AlignError("iterations must be >= 1")
-    src, tgt = bitext.source, bitext.target
     width = len(tgt.types)
     # each target token's first cell is not needed here; not holding it keeps
     # 8 bytes a token out of the EM loop's peak memory
@@ -198,7 +175,7 @@ def train_em(bitext, iterations: int = 5) -> TranslationModel:
                 raise AlignError(
                     f"EM log-likelihood decreased: {loglik_trace[-1]} -> {ll}")
         loglik_trace.append(ll)
-    return TranslationModel(src.types, tgt.types, keys, t, iterations, loglik_trace)
+    return TranslationModel(src.types, tgt.types, keys, t, loglik_trace)
 
 
 def argmax_links(model: TranslationModel, source: _Side, target: _Side,
@@ -287,10 +264,10 @@ def align_pair(pivot_verses: dict[str, list[str]],
     if not common:
         raise AlignError("no shared verses between pivot and target")
     # both sides are coded once and serve both directions
-    bitext = Bitext.of([(pivot_verses[v], target_verses[v]) for v in common])
-    fwd_model = train_em(bitext, iterations=iterations)
-    rev_model = train_em(bitext.swapped(), iterations=iterations)
-    src, tgt = bitext.source, bitext.target
+    src = _Side.encode([pivot_verses[v] for v in common])
+    tgt = _Side.encode([target_verses[v] for v in common])
+    fwd_model = train_em(src, tgt, iterations)
+    rev_model = train_em(tgt, src, iterations)
     points = usage_points(pivot_verses, pivot_types)
     start = dict(zip(common, src.starts.tolist()))
     # the usage points of the shared verses: their rows and their tokens in src.codes

@@ -9,7 +9,6 @@ subcommands run single stages over stored intermediates. Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -25,7 +24,8 @@ from . import treebank as tb
 from . import tsv
 from . import typology as ty
 from .corpus import CorpusError
-from .pipeline import ConfigError, PipelineConfig, check_grid_levels, check_kriging, run
+from .pipeline import (ConfigError, PipelineConfig, check_grid_levels, check_kriging,
+                       read_config, run)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,7 +53,7 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_run(args) -> int:
     # every analysis setting comes from the config file, or is PipelineConfig's default
     if args.config:
-        config = PipelineConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
+        config = read_config(args.config)
     elif args.corpus_dir and args.out_dir:
         config = PipelineConfig(args.corpus_dir, None, args.out_dir)
     else:
@@ -91,10 +91,7 @@ def _map_settings(args) -> dict:
     """
     path = Path(args.embedding).with_name("config.json")
     if path.is_file():
-        try:
-            config = PipelineConfig.from_json(path.read_text(encoding="utf-8"))
-        except (ConfigError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        config = read_config(path)
     else:
         # map reads no corpus and writes no run, so the paths stay empty
         config = PipelineConfig("", None, "")
@@ -233,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (CorpusError, tb.TreebankError, ty.TypologyError, al.AlignError,

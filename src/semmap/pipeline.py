@@ -28,7 +28,8 @@ from . import svg as svgmod
 from . import tsv
 from . import typology as ty
 
-__all__ = ["PipelineConfig", "ConfigError", "check_grid_levels", "check_kriging", "run"]
+__all__ = ["PipelineConfig", "ConfigError", "read_config", "check_grid_levels", "check_kriging",
+           "run"]
 
 GROUPS = ty.GROUPS
 # config fields stored as JSON lists and held as tuples
@@ -185,7 +186,10 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "PipelineConfig":
-        d = json.loads(text)
+        try:
+            d = json.loads(text, object_pairs_hook=tsv.unique_keys)
+        except ValueError as exc:   # malformed JSON or a key given twice
+            raise ConfigError(str(exc)) from exc
         if not isinstance(d, dict):
             raise ConfigError("the config is not a JSON object")
         for key in _LIST_FIELDS:
@@ -207,6 +211,20 @@ class PipelineConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
+def read_config(path) -> PipelineConfig:
+    """The config stored at ``path``, UTF-8 JSON read by ``from_json``.
+
+    A file that is not UTF-8 or holds no config raises ``ConfigError``
+    naming it.
+    """
+    try:
+        return PipelineConfig.from_json(Path(path).read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _atomic_write(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
@@ -216,7 +234,8 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 # a file name holds at most 255 bytes; the longest one a surface gets is
 # its contours file's while it is written, <stem>.contours.tsv.tmp
-_STEM_MAX = 255 - len(".contours.tsv.tmp")
+_NAME_MAX = 255
+_STEM_MAX = _NAME_MAX - len(".contours.tsv.tmp")
 
 
 def _surface_stem(iso: str, label: str) -> str:
@@ -277,6 +296,12 @@ def run(config: PipelineConfig) -> Path:
 
     # corpus ------------------------------------------------------------
     manifest = cp.load_corpus(config.corpus_dir, config.metadata, config.pivot_iso)
+    for iso, doc in sorted(manifest.doculects.items()):
+        # alignments/<iso>.tsv and svg/<iso>.svg are written through <name>.tmp
+        if len(f"{iso}.tsv.tmp".encode("utf-8")) > _NAME_MAX:
+            raise cp.CorpusError(
+                f"{Path(config.corpus_dir) / doc.stem}.txt: its iso code makes the file name "
+                f"{iso}.tsv.tmp longer than {_NAME_MAX} bytes")
     pivot = manifest.pivot
     pivot_tokens = {
         vid: cp.normalize(text) for vid, text in sorted(pivot.verses.items())
@@ -306,8 +331,9 @@ def run(config: PipelineConfig) -> Path:
             raise cp.CorpusError(f"{iso} shares no verse with the pivot {config.pivot_iso}")
         all_target_verses.update(verses)
     # nothing lands in out_dir until the corpus has loaded, holds the pivot,
-    # names every anchor, has core_k occurrences and enough for every K,
-    # and shares verses with every target
+    # gives every doculect file names that fit, names every anchor, has
+    # core_k occurrences and enough for every K, and shares verses with
+    # every target
     art.write("config.json", config.to_json())
     dropped_verses = len(all_target_verses - set(pivot.verses))
 

@@ -10,7 +10,7 @@ naming the file and line.
 
 from __future__ import annotations
 
-__all__ = ["TsvError", "data_lines", "read_rows", "format_rows"]
+__all__ = ["TsvError", "data_lines", "read_rows", "format_rows", "unique_keys"]
 
 
 class TsvError(ValueError):
@@ -72,6 +72,17 @@ def read_rows(path, *types, rest=None, header=None, key=0) -> list[list]:
                 raise TsvError(f"{path}:{ln}: the key {k} is given twice")
             keys.add(k)
     return rows
+
+
+def unique_keys(pairs: list) -> dict:
+    """``json.loads``'s ``object_pairs_hook`` for every stored JSON object
+    (dictionary cells, the config): a key given twice raises ``ValueError``."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"the key {key!r} is given twice")
+        obj[key] = value
+    return obj
 
 
 def format_rows(rows, header: str | None = None) -> str:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 
@@ -58,15 +57,7 @@ class AreaDictionary:
     @classmethod
     def from_json(cls, cell: str) -> "AreaDictionary":
         """The dictionary of a cell mapping groups to lists of labels; a group left out has none."""
-        def once(pairs: list) -> dict:
-            groups = {}
-            for g, labels in pairs:
-                if g in groups:
-                    raise TypologyError(f"the key {g!r} is given twice")
-                groups[g] = labels
-            return groups
-
-        groups = json.loads(cell, object_pairs_hook=once)
+        groups = json.loads(cell, object_pairs_hook=tsv.unique_keys)
         if not isinstance(groups, dict):
             raise TypologyError(f"dictionary {cell!r} is not a JSON object")
         for g, labels in groups.items():
@@ -219,25 +210,17 @@ SUBPATTERN_TEMPLATES: list[tuple[tuple[str, str, str], str]] = [
 ]
 
 
-def _canon(slots: tuple[frozenset, ...]) -> tuple[tuple[str, ...], ...] | None:
+def _canon(slots: tuple[frozenset, ...]) -> tuple[tuple[int, ...], ...]:
     """Canonical form of a group->set structure under item relabeling.
 
-    Returns, for the lexicographically smallest bijection onto letters
-    A, B, C, ..., the per-slot sorted letter tuples. None when there are
-    more than four distinct items (nothing in the template table gets
-    that far).
+    Each item is named by its membership signature, the tuple of slot
+    indices holding it; the sorted signatures are the key. A relabeling
+    keeps every signature, and two structures with the same signatures
+    map onto each other by pairing items of equal signature.
     """
-    items = sorted({it for slot in slots for it in slot})
-    if len(items) > 4:
-        return None
-    letters = [chr(ord("A") + i) for i in range(len(items))]
-    best = None
-    for perm in permutations(letters):
-        mapping = dict(zip(items, perm))
-        cand = tuple(tuple(sorted(mapping[it] for it in slot)) for slot in slots)
-        if best is None or cand < best:
-            best = cand
-    return best
+    items = {it for slot in slots for it in slot}
+    return tuple(sorted(tuple(i for i, slot in enumerate(slots) if it in slot)
+                        for it in items))
 
 
 def _template_lookup() -> dict:

@@ -8,7 +8,6 @@ import pytest
 from semmap.align import (
     NULL_MARKER,
     AlignError,
-    Bitext,
     PivotParallel,
     align_pair,
     argmax_links,
@@ -19,6 +18,7 @@ from semmap.align import (
     reassign_nulls,
     train_em,
     usage_points,
+    _Side,
 )
 from semmap.corpus import load_corpus, normalize
 from semmap.pivot import code_parallels
@@ -39,6 +39,13 @@ def model_table(model):
     width = len(model.target_types)
     return {(model.source_types[k // width], model.target_types[k % width]): p
             for k, p in zip(model.pairs.tolist(), model.probs.tolist())}
+
+
+def coded(pairs):
+    """The source and the target side of (source tokens, target tokens)
+    pairs, each coded once."""
+    pairs = list(pairs)
+    return _Side.encode([src for src, _ in pairs]), _Side.encode([tgt for _, tgt in pairs])
 
 
 def train_em_oracle(bitext, iterations=5):
@@ -181,13 +188,13 @@ def planted_bitext(n_pairs=500, vocab=20, seed=3):
 
 
 def test_single_pair_forces_probability_one():
-    t = model_table(train_em([(["a"], ["x"])], iterations=1))
+    t = model_table(train_em(*coded([(["a"], ["x"])]), iterations=1))
     assert t[("a", "x")] == pytest.approx(1.0)
 
 
 def test_two_pair_example_hand_run():
     # two EM iterations worked through by hand give argmax a->x, b->y
-    t = model_table(train_em([(["a", "b"], ["x", "y"]), (["a"], ["x"])], iterations=2))
+    t = model_table(train_em(*coded([(["a", "b"], ["x", "y"]), (["a"], ["x"])]), iterations=2))
     assert t[("a", "x")] > t[("a", "y")]
     assert t[("b", "y")] > t[("b", "x")]
     assert t[("a", "x")] == pytest.approx(1.6 / (1.6 + 1.0 / 3.0), rel=1e-9)
@@ -195,7 +202,7 @@ def test_two_pair_example_hand_run():
 
 def test_em_recovers_planted_dictionary():
     bitext, mapping = planted_bitext()
-    table = model_table(train_em(bitext, iterations=5))
+    table = model_table(train_em(*coded(bitext), iterations=5))
     hits = 0
     for s, t in mapping.items():
         best = max((f for (src, f) in table if src == s),
@@ -206,14 +213,14 @@ def test_em_recovers_planted_dictionary():
 
 def test_em_loglik_never_decreases():
     bitext, _ = planted_bitext(n_pairs=80, seed=11)
-    model = train_em(bitext, iterations=8)
+    model = train_em(*coded(bitext), iterations=8)
     for prev, cur in zip(model.loglik, model.loglik[1:]):
         assert cur >= prev - 1e-9
 
 
 def test_em_normalization_per_source():
     bitext, _ = planted_bitext(n_pairs=50, seed=5)
-    model = train_em(bitext, iterations=3)
+    model = train_em(*coded(bitext), iterations=3)
     sums = {}
     for (s, _f), p in model_table(model).items():
         assert 0.0 <= p <= 1.0 + 1e-12
@@ -224,7 +231,7 @@ def test_em_normalization_per_source():
 
 def test_em_empty_bitext_errors():
     with pytest.raises(AlignError):
-        train_em([], iterations=3)
+        train_em(*coded([]), iterations=3)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -233,7 +240,7 @@ def test_em_matches_dict_oracle(seed, vocab):
     # with 20 types per side, source types co-occur with different
     # numbers of target types
     bitext = list(random_bitext(seed, vocab=vocab).values())
-    model = train_em(bitext, iterations=6)
+    model = train_em(*coded(bitext), iterations=6)
     t, loglik = train_em_oracle(bitext, iterations=6)
     assert model_table(model) == t
     assert model.loglik == pytest.approx(loglik, rel=1e-12)
@@ -243,13 +250,13 @@ def test_em_type_seen_only_opposite_empty_verses():
     # "z" co-occurs with no target token: it gets no table entry instead
     # of a division by zero in the uniform initialization
     bitext = [(["a", "z"], []), (["a"], ["x"]), ([], ["y"])]
-    model = train_em(bitext, iterations=2)
+    model = train_em(*coded(bitext), iterations=2)
     assert model_table(model) == train_em_oracle(bitext, iterations=2)[0] == {("a", "x"): 1.0}
     assert model_table(model).get(("z", "x"), 0.0) == 0.0
 
 
 def test_em_all_sides_empty():
-    model = train_em([(["a"], []), ([], ["x"])], iterations=2)
+    model = train_em(*coded([(["a"], []), ([], ["x"])]), iterations=2)
     assert model_table(model) == {} and model.loglik == [0.0, 0.0]
 
 
@@ -257,8 +264,8 @@ def test_em_after_probabilities_underflow_matches_dict_oracle():
     # after 270 iterations some probabilities have underflowed to 0, so
     # the later E-steps see cells of p = 0, which weigh 0
     bitext, _ = planted_bitext(n_pairs=40, seed=3)
-    assert (train_em(bitext, iterations=270).probs == 0.0).any()
-    model = train_em(bitext, iterations=300)
+    assert (train_em(*coded(bitext), iterations=270).probs == 0.0).any()
+    model = train_em(*coded(bitext), iterations=300)
     t, loglik = train_em_oracle(bitext, iterations=300)
     assert model_table(model) == t
     assert model.loglik == pytest.approx(loglik, rel=1e-12)
@@ -271,30 +278,30 @@ def test_em_after_probabilities_underflow_matches_dict_oracle():
 @pytest.mark.parametrize("direction", ["fwd", "rev"])
 def test_argmax_links_match_dict_oracle(seed, vocab, direction):
     pairs = list(random_bitext(seed, vocab=vocab).values())
-    bitext = Bitext.of(pairs)
+    source, target = coded(pairs)
     if direction == "rev":
         pairs = [(t, s) for s, t in pairs]
-        bitext = bitext.swapped()
-    model = train_em(bitext, iterations=3)
+        source, target = target, source
+    model = train_em(source, target, iterations=3)
     t = train_em_oracle(pairs, iterations=3)[0]
     # every token; every third token plus the first two of a verse; that
     # subset backwards with a token repeated
     start = sum(len(src) for src, _ in pairs[:next(
         v for v, (src, tgt) in enumerate(pairs) if len(src) >= 2 and tgt)])
-    subset = sorted(set(range(0, len(bitext.source.codes), 3)) | {start, start + 1})
-    for tokens in (range(len(bitext.source.codes)), subset, subset[::-1] + subset[:1]):
-        got = argmax_links(model, bitext.source, bitext.target, list(tokens))
+    subset = sorted(set(range(0, len(source.codes), 3)) | {start, start + 1})
+    for tokens in (range(len(source.codes)), subset, subset[::-1] + subset[:1]):
+        got = argmax_links(model, source, target, list(tokens))
         assert got.tolist() == token_links_oracle(t, pairs, tokens)
 
 
 def test_argmax_tie_smaller_form_wins():
     # "y" and "x" always co-occur with "a", so p(x|a) == p(y|a) exactly
     pairs = [(["a"], ["y", "x"]), (["a", "b"], ["x", "y", "c"])]
-    bitext = Bitext.of(pairs)
-    model = train_em(bitext, iterations=4)
+    source, target = coded(pairs)
+    model = train_em(source, target, iterations=4)
     t = model_table(model)
     assert t[("a", "x")] == t[("a", "y")]
-    links = argmax_links(model, bitext.source, bitext.target, [0, 1, 2]).tolist()
+    links = argmax_links(model, source, target, [0, 1, 2]).tolist()
     # "x" at index 1 of the first verse, "x" at index 0 of the second
     assert links[:2] == [1, 2]
     assert links == token_links_oracle(t, pairs, [0, 1, 2])
@@ -302,11 +309,11 @@ def test_argmax_tie_smaller_form_wins():
 
 def test_argmax_tie_same_form_lower_index_wins():
     pairs = [(["a", "b"], ["x", "y", "x"]), (["x", "x"], ["a"])]
-    bitext = Bitext.of(pairs)
-    fwd = train_em(bitext, iterations=3)
-    rev = train_em(bitext.swapped(), iterations=3)
-    fwd_links = argmax_links(fwd, bitext.source, bitext.target, [0, 1, 2, 3]).tolist()
-    rev_links = argmax_links(rev, bitext.target, bitext.source, [0, 1, 2, 3]).tolist()
+    source, target = coded(pairs)
+    fwd = train_em(source, target, iterations=3)
+    rev = train_em(target, source, iterations=3)
+    fwd_links = argmax_links(fwd, source, target, [0, 1, 2, 3]).tolist()
+    rev_links = argmax_links(rev, target, source, [0, 1, 2, 3]).tolist()
     # forward, "a" takes the first "x"; back, the second verse's "a" takes
     # the first "x" of its verse
     assert fwd_links[0] == 0 and rev_links[3] == 2

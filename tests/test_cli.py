@@ -881,6 +881,42 @@ def test_run_non_utf8_corpus_file_is_data_error(tmp_path, capsys, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("data, reason", [
+    (b'{"corpus_dir": ".", "metadata": null, "out_dir": "o\xff"}', "not UTF-8 text"),
+    (b'{"corpus_dir": ".", "metadata": null, "out_dir": "o", "grid": 7, "grid": 40}',
+     "the key 'grid' is given twice"),
+], ids=["not_utf8", "key_given_twice"])
+@pytest.mark.parametrize("command", ["run", "map"])
+def test_unreadable_stored_config_is_config_error(tmp_path, capsys, command, data, reason):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    out = tmp_path / "out"
+    if command == "run":
+        argv = ["run", "--config", str(path), "--out-dir", str(out)]
+    else:
+        # map reads the config beside --embedding before any input
+        argv = ["map", "--embedding", str(tmp_path / "embedding.tsv"), "--matrix",
+                str(tmp_path / "matrix.tsv"), "--iso", "aaa", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: {reason}") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_run_iso_too_long_for_a_file_name_is_data_error_before_work(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    build_corpus(corpus, n_verses=30, seed=3)
+    # a legal 252-byte corpus file name, but alignments/<iso>.tsv.tmp takes 256
+    long_name = corpus / f"{'q' * 248}.txt"
+    (corpus / "aaa.txt").rename(long_name)
+    out = tmp_path / "out"
+    code = main(["run", "--corpus-dir", str(corpus), "--out-dir", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {long_name}: ") and "longer than 255 bytes" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, line", [
     ("fra.txt", "MAT:1:1 la fin"),
     ("meta.tsv", "fra\tfrançais\tIndo-European"),

@@ -333,3 +333,55 @@ def test_mwu_normal_branch_reasonable():
     res = mann_whitney_u(s1, s2)
     assert res.method == "mann-whitney-normal"
     assert res.p_value > 0.5
+
+
+def t_upper_tail_oracle(t, df, steps=4000):
+    """P(T > |t|) for Student's t: one half less Simpson's integral of
+    the density over [0, |t|]."""
+    norm = math.exp(math.lgamma((df + 1) / 2) - math.lgamma(df / 2)) / math.sqrt(df * math.pi)
+
+    def density(x):
+        return norm * (1.0 + x * x / df) ** (-(df + 1) / 2)
+
+    h = abs(t) / steps
+    area = density(0.0) + density(abs(t)) + sum(
+        (4 if k % 2 else 2) * density(k * h) for k in range(1, steps))
+    return 0.5 - area * h / 3
+
+
+# at df 10 the incomplete beta switches to its complement below |t| = sqrt(2.5)
+@pytest.mark.parametrize("t", [0.7, 1.2, -1.4, 1.9, -3.5])
+@pytest.mark.parametrize("tails", ["one", "two"])
+def test_welch_p_against_integrated_t_density(t, tails):
+    # two samples of six with equal variances give Satterthwaite df 10
+    base = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    shift = abs(t) * math.sqrt(2 * 3.5 / 6)
+    shifted = [v + shift for v in base]
+    res = welch_t(shifted, base, tails) if t > 0 else welch_t(base, shifted, tails)
+    assert res.statistic == pytest.approx(t, rel=1e-12)
+    assert res.df == pytest.approx(10.0, rel=1e-12)
+    tail = t_upper_tail_oracle(res.statistic, res.df)
+    assert res.p_value == pytest.approx(2 * tail if tails == "two" else tail, abs=1e-12)
+
+
+@pytest.mark.parametrize("tails", ["one", "two"])
+def test_welch_zero_variance_unequal_means_is_infinite_t(tails):
+    up = welch_t([3.0, 3.0, 3.0], [1.0, 1.0], tails)
+    down = welch_t([1.0, 1.0], [3.0, 3.0, 3.0], tails)
+    assert (up.statistic, up.p_value) == (math.inf, 0.0) and up.degenerate
+    assert (down.statistic, down.p_value) == (-math.inf, 0.0) and down.degenerate
+
+
+def test_mwu_normal_branch_u_above_its_mean():
+    s1 = [float(v) for v in range(3, 15)]
+    s2 = [v + 0.5 for v in range(12)] + [3.0]
+    res = mann_whitney_u(s1, s2)
+    n1, n2 = len(s1), len(s2)
+    u = sum(1.0 if x > y else 0.5 if x == y else 0.0 for x in s1 for y in s2)
+    assert res.method == "mann-whitney-normal" and res.statistic == u > n1 * n2 / 2
+    # one tie, 3.0 in both samples: tie term 2**3 - 2
+    n = n1 + n2
+    var = n1 * n2 / 12 * ((n + 1) - 6 / (n * (n - 1)))
+    z = (u - n1 * n2 / 2 - 0.5) / math.sqrt(var)
+    assert res.p_value == pytest.approx(math.erfc(z / math.sqrt(2)), rel=1e-12)
+    assert res.p_value == mann_whitney_u(s2, s1).p_value

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -262,7 +263,7 @@ def test_unmatched_multi_template_is_other():
 
 
 def test_five_means_have_no_canonical_form_and_are_other():
-    # _canon gives up beyond four distinct means
+    # no template has more than four distinct means, so five match none
     res = classify_pattern(adict(["a", "b"], ["c", "d"], ["e"]))
     assert res.pattern == "unclassified-other"
     assert res.subpattern is None
@@ -281,6 +282,65 @@ def test_relabeling_never_changes_pattern():
         renamed = [[perm[w] for w in g] for g in groups]
         res = classify_pattern(adict(*renamed))
         assert (res.pattern, res.subpattern) == (base.pattern, base.subpattern)
+
+
+def permutation_canon(slots):
+    """The key ``_canon`` replaced: per-slot sorted letters under the
+    lexicographically smallest bijection of the items onto A, B, C, ...;
+    None beyond four items."""
+    items = sorted({it for slot in slots for it in slot})
+    if len(items) > 4:
+        return None
+    best = None
+    for perm in permutations("ABCD"[:len(items)]):
+        mapping = dict(zip(items, perm))
+        cand = tuple(tuple(sorted(mapping[it] for it in slot)) for slot in slots)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def test_signature_key_agrees_with_permutation_search():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    means = ["a", "b", "c", "d", "e", NULL_MARKER]
+    # up to six means, NULL among them, each group any subset of them
+    structure = st.lists(st.sets(st.sampled_from(means)), min_size=3, max_size=3)
+    templates = [(permutation_canon(tuple(frozenset() if t == "?" else frozenset(t)
+                                          for t in slots)), label)
+                 for slots, label in SUBPATTERN_TEMPLATES]
+
+    @hyp.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hyp.given(structure, structure, st.permutations(means))
+    def check(first, second, relabel):
+        slots = tuple(frozenset(g) for g in first)
+        key = permutation_canon(slots)
+        label = next((lab for k, lab in templates if key is not None and k == key), None)
+        res = classify_pattern(adict(*first))
+        if not all(slots):
+            assert (res.pattern, res.subpattern) == ("unclassified-no-area", label)
+        elif label is None:
+            assert (res.pattern, res.subpattern) == ("unclassified-other", None)
+        else:
+            assert (res.pattern, res.subpattern) == (label[0], label if len(label) > 1 else None)
+        rename = dict(zip(means, relabel))
+        assert _canon(tuple(frozenset(rename[m] for m in g) for g in slots)) == _canon(slots)
+        other = tuple(frozenset(g) for g in second)
+        # the oracle has a key for at most four means
+        if key is not None and permutation_canon(other) is not None:
+            assert (_canon(slots) == _canon(other)) == (key == permutation_canon(other))
+
+    check()
+
+
+def test_signature_key_partitions_like_permutation_search():
+    # every structure over four means, grouped by each key: same classes
+    subsets = [frozenset(m for i, m in enumerate("abcd") if bits >> i & 1) for bits in range(16)]
+    by_new, by_old = {}, {}
+    for slots in product(subsets, repeat=3):
+        by_new.setdefault(_canon(slots), set()).add(slots)
+        by_old.setdefault(permutation_canon(slots), set()).add(slots)
+    assert set(map(frozenset, by_new.values())) == set(map(frozenset, by_old.values()))
 
 
 def test_template_table_is_unambiguous():
