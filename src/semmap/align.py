@@ -7,8 +7,8 @@ gets one mutual-best check: the forward model's best target token for
 it, kept only when the reverse model's best pivot token for that target
 token is the occurrence itself. This is the intersection of the two
 argmax alignments, which is one-to-one, read where the usage matrix
-reads it; an occurrence without a link becomes NULL. Rare aligned types
-can be reassigned to NULL corpus-wide.
+reads it; an occurrence without a link becomes NULL, and so does one
+linked to a target type linked fewer than ``min_count`` times.
 
 Each pair's verses are coded once as integer arrays, one ``_Side`` per
 language, and the two sides serve both directions. EM
@@ -20,7 +20,6 @@ serves all cells: a probability that underflowed to 0 just weighs 0.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,7 +34,6 @@ __all__ = [
     "PivotParallel",
     "train_em",
     "argmax_links",
-    "reassign_nulls",
     "evaluate_alignment",
     "usage_points",
     "align_pair",
@@ -208,33 +206,21 @@ def argmax_links(model: TranslationModel, source: _Side, target: _Side,
     return links
 
 
-def reassign_nulls(parallels: list[PivotParallel], min_count: int = 3) -> list[PivotParallel]:
-    """NULL out aligned types occurring fewer than min_count times corpus-wide.
-
-    Low-frequency parallels are overwhelmingly misalignments (auxiliaries
-    glued to participles and the like). Idempotent for a fixed threshold.
-    """
-    if min_count < 1:
-        raise AlignError("min_count must be >= 1")
-    counts = Counter(p.form for p in parallels if p.form is not None)
-    return [
-        p if p.form is None or counts[p.form] >= min_count
-        else PivotParallel(p.verse_id, p.pivot_index, None)
-        for p in parallels
-    ]
-
-
 def evaluate_alignment(parallels: list[PivotParallel],
                        gold: dict[tuple[str, int], str | None]) -> float:
-    """Accuracy against a gold sample: identical form, or both NULL."""
+    """Accuracy against a gold sample: identical form, or both NULL.
+
+    A gold occurrence the alignment has no row for raises ``AlignError``
+    naming it.
+    """
     if not gold:
         raise AlignError("empty evaluation sample")
     by_key = {(p.verse_id, p.pivot_index): p.form for p in parallels}
     hits = 0
     for key, expected in gold.items():
-        got = by_key.get(key)
-        if got == expected:
-            hits += 1
+        if key not in by_key:
+            raise AlignError(f"the gold occurrence {key} has no row in the alignment")
+        hits += by_key[key] == expected
     return hits / len(gold)
 
 
@@ -248,18 +234,22 @@ def usage_points(pivot_verses: dict[str, list[str]],
 
 def align_pair(pivot_verses: dict[str, list[str]],
                target_verses: dict[str, list[str]],
-               pivot_types: set[str],
+               points: list[tuple[str, int]],
                iterations: int = 5,
                min_count: int = 3) -> list[PivotParallel]:
-    """Full per-pair run: train both directions, link each occurrence, clean.
+    """Full per-pair run: train both directions, link each usage point, clean.
 
-    Both models train on every verse present on both sides. An occurrence
-    of a type in ``pivot_types`` in such a verse takes the forward
-    model's best target token, kept only when the reverse model's best
-    pivot token for it is the occurrence again. Pivot occurrences in
-    verses missing from the target side are NULL. Returns one row per
-    usage point, in ``usage_points`` order.
+    ``points`` are the pivot's usage points, as ``usage_points`` finds
+    them in ``pivot_verses``. Both models train on every verse present on
+    both sides. A usage point in such a verse takes the forward model's
+    best target token, kept only when the reverse model's best pivot
+    token for it is the usage point again; a usage point in a verse the
+    target lacks is NULL, and so is one linked to a target type that
+    fewer than ``min_count`` usage points link to. Returns one row per
+    usage point, in order.
     """
+    if min_count < 1:
+        raise AlignError("min_count must be >= 1")
     common = sorted(set(pivot_verses) & set(target_verses))
     if not common:
         raise AlignError("no shared verses between pivot and target")
@@ -268,7 +258,6 @@ def align_pair(pivot_verses: dict[str, list[str]],
     tgt = _Side.encode([target_verses[v] for v in common])
     fwd_model = train_em(src, tgt, iterations)
     rev_model = train_em(tgt, src, iterations)
-    points = usage_points(pivot_verses, pivot_types)
     start = dict(zip(common, src.starts.tolist()))
     # the usage points of the shared verses: their rows and their tokens in src.codes
     rows, tokens = np.array([(r, start[vid] + i) for r, (vid, i) in enumerate(points)
@@ -276,11 +265,14 @@ def align_pair(pivot_verses: dict[str, list[str]],
     best = argmax_links(fwd_model, src, tgt, tokens)
     hit = np.flatnonzero(best >= 0)
     mutual = hit[argmax_links(rev_model, tgt, src, best[hit]) == tokens[hit]]
+    linked = tgt.codes[best[mutual]]
+    # a rare link is mostly a misalignment; codes and forms are one to one,
+    # so each type's links are counted on its code
+    kept = np.bincount(linked, minlength=len(tgt.types))[linked] >= min_count
     code = np.full(len(points), -1)
-    code[rows[mutual]] = tgt.codes[best[mutual]]
-    parallels = [PivotParallel(vid, i, tgt.types[c] if c >= 0 else None)
-                 for (vid, i), c in zip(points, code.tolist())]
-    return reassign_nulls(parallels, min_count=min_count)
+    code[rows[mutual[kept]]] = linked[kept]
+    return [PivotParallel(vid, i, tgt.types[c] if c >= 0 else None)
+            for (vid, i), c in zip(points, code.tolist())]
 
 
 def dump_parallels(parallels: list[PivotParallel]) -> str:

@@ -44,6 +44,7 @@ def _levels(text: str) -> tuple[float, ...]:
 def _emit(text: str, out: str | None) -> None:
     """Write a command's output to ``out`` and print its name, or write it to stdout."""
     if out:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
         Path(out).write_text(text, encoding="utf-8")
         print(out)
     else:
@@ -116,7 +117,6 @@ def _cmd_map(args) -> int:
     surfs = sf.fit_surfaces(points, {args.iso: matrix.coded(args.iso)}, **settings)[args.iso]
     svg_text = svgmod.render_map(points, matrix.coded(args.iso),
                                  {m: s.contours for m, s in surfs.items()}, title=args.iso)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     _emit(svg_text, args.out)
     return EXIT_OK
 

@@ -112,12 +112,14 @@ def select_translation(candidates: list[Doculect]) -> Doculect:
     return max(pool, key=key)
 
 
-def load_doculect_file(path: str | Path, iso: str | None = None,
-                       meta: dict | None = None) -> Doculect:
+def load_doculect_file(path: str | Path, metadata: dict[str, dict] | None = None) -> Doculect:
+    """The translation in ``path``, its iso the file stem up to the first
+    ``-``, described by the ``metadata`` row of its stem, else of its iso."""
     path = Path(path)
     stem = path.stem
-    file_iso = stem.split("-", 1)[0]
-    iso = iso or file_iso
+    iso = stem.split("-", 1)[0]
+    metadata = metadata or {}
+    meta = metadata.get(stem, metadata.get(iso, {}))
     verses: dict[str, str] = {}
     for ln, line in tsv.data_lines(path):
         parts = line.split("\t", 1)
@@ -127,7 +129,6 @@ def load_doculect_file(path: str | Path, iso: str | None = None,
         if vid in verses:
             raise CorpusError(f"{path}:{ln}: duplicate verse id {vid}")
         verses[vid] = text
-    meta = meta or {}
     return Doculect(
         iso=iso,
         name=meta.get("name", stem),
@@ -179,9 +180,8 @@ def load_corpus(corpus_dir: str | Path, metadata_path: str | Path | None,
     meta = load_metadata(metadata_path) if metadata_path else {}
     by_iso: dict[str, list[Doculect]] = {}
     for path in sorted(corpus_dir.glob("*.txt")):
-        iso = path.stem.split("-", 1)[0]
-        doc = load_doculect_file(path, iso=iso, meta=meta.get(path.stem, meta.get(iso)))
-        by_iso.setdefault(iso, []).append(doc)
+        doc = load_doculect_file(path, meta)
+        by_iso.setdefault(doc.iso, []).append(doc)
     if not by_iso:
         raise CorpusError(f"no .txt corpus files under {corpus_dir}")
     selected = {iso: select_translation(docs) for iso, docs in by_iso.items()}

@@ -179,10 +179,8 @@ class PipelineConfig:
             _check_own_clusters("cluster_groups", self.cluster_groups)
 
     def to_json(self) -> str:
-        d = asdict(self)
-        for key in _LIST_FIELDS:
-            d[key] = list(d[key])
-        return json.dumps(d, sort_keys=True, ensure_ascii=False, indent=1)
+        # json writes the tuple fields as lists
+        return json.dumps(asdict(self), sort_keys=True, ensure_ascii=False, indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "PipelineConfig":
@@ -212,13 +210,16 @@ class PipelineConfig:
 
 
 def read_config(path) -> PipelineConfig:
-    """The config stored at ``path``, UTF-8 JSON read by ``from_json``.
+    """The config stored at ``path``, UTF-8 JSON read by ``from_json``; a
+    byte-order mark opening it is dropped.
 
-    A file that is not UTF-8 or holds no config raises ``ConfigError``
-    naming it.
+    A file that cannot be read, is not UTF-8 or holds no config raises
+    ``ConfigError`` naming it.
     """
     try:
-        return PipelineConfig.from_json(Path(path).read_bytes().decode("utf-8"))
+        return PipelineConfig.from_json(Path(path).read_bytes().decode("utf-8-sig"))
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read the config ({exc.strerror})") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except ConfigError as exc:
@@ -346,10 +347,11 @@ def run(config: PipelineConfig) -> Path:
 
     # alignment ----------------------------------------------------------
     def align_one(iso: str):
-        doc = manifest.doculects[iso]
-        target_tokens = {vid: cp.normalize(t) for vid, t in sorted(doc.verses.items())}
+        # align_pair reads only the verses the pivot has too
+        target_tokens = {vid: cp.normalize(t) for vid, t in manifest.doculects[iso].verses.items()
+                         if vid in pivot_tokens}
         return al.align_pair(
-            pivot_tokens, target_tokens, pivot_types,
+            pivot_tokens, target_tokens, occurrences,
             iterations=config.iterations, min_count=config.min_count,
         )
 

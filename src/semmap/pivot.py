@@ -158,11 +158,9 @@ def build_matrix(columns: dict[str, tuple[np.ndarray, list[str]]],
                  pivot_occurrences: list[tuple[str, int]]) -> ParallelUsageMatrix:
     """Assemble the usage matrix from each doculect's coded column
     (``code_parallels``), one row per usage point, doculects sorted."""
-    rids = [row_id(v, i) for v, i in pivot_occurrences]
-    if len(set(rids)) != len(rids):
-        raise PivotError("duplicate row ids in pivot occurrence list")
     isos = sorted(columns)
-    return _stack(rids, isos, [columns[iso] for iso in isos])
+    return _stack([row_id(v, i) for v, i in pivot_occurrences], isos,
+                  [columns[iso] for iso in isos])
 
 
 def hamming(matrix: ParallelUsageMatrix) -> np.ndarray:

@@ -281,13 +281,14 @@ def _parse_xml(text: str) -> list[Sentence]:
 
 
 def parse_treebank(source: str | Path) -> list[Sentence]:
-    """Parse a treebank document: a ``Path`` is read as a file, and its
-    errors name the file; a ``str`` is the document text.
+    """Parse a treebank document: a ``Path`` is read as a file (UTF-8,
+    a byte-order mark dropped), and its errors name the file; a ``str``
+    is the document text.
     """
     if not isinstance(source, Path):
         return _parse_text(source)
     try:
-        return _parse_text(source.read_text(encoding="utf-8"))
+        return _parse_text(source.read_text(encoding="utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise TreebankError(f"{source}: not UTF-8 text ({exc.reason})") from exc
     except TreebankError as exc:

@@ -20,10 +20,11 @@ class TsvError(ValueError):
 def data_lines(path):
     """(line number, line) for each line of ``path`` that is neither blank nor a ``#`` comment.
 
-    A file that is not UTF-8 raises ``TsvError`` naming it.
+    A UTF-8 byte-order mark opening the file is dropped. A file that is
+    not UTF-8 raises ``TsvError`` naming it.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for ln, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
                 if line and not line.startswith("#"):

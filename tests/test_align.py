@@ -1,6 +1,6 @@
 import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import accumulate
 
 import pytest
@@ -15,7 +15,6 @@ from semmap.align import (
     dump_parallels,
     evaluate_alignment,
     load_parallels,
-    reassign_nulls,
     train_em,
     usage_points,
     _Side,
@@ -32,7 +31,8 @@ from synth import build_corpus
 # links must come out exactly equal. The oracle EM skips verses with an
 # empty side when it builds the co-occurrences, as the E-step does. The
 # oracle ``align_pair`` builds both directions' per-verse link sets,
-# intersects them and reads every pivot occurrence off the intersection.
+# intersects them, reads every pivot occurrence off the intersection and
+# makes a form linked fewer than ``min_count`` times NULL.
 
 def model_table(model):
     """A model's table as {(source_type, target_type): probability}."""
@@ -158,7 +158,9 @@ def align_pair_oracle(pivot_verses, target_verses, pivot_types, iterations=5, mi
         rows += [PivotParallel(vid, i, None)
                  for i, tok in enumerate(pivot_verses[vid]) if tok in pivot_types]
     rows.sort(key=lambda p: (p.verse_id, p.pivot_index))
-    return reassign_nulls(rows, min_count=min_count)
+    counts = Counter(p.form for p in rows if p.form is not None)
+    return [p if p.form is None or counts[p.form] >= min_count
+            else PivotParallel(p.verse_id, p.pivot_index, None) for p in rows]
 
 
 def random_bitext(seed, n_verses=40, vocab=6, max_len=6):
@@ -329,7 +331,7 @@ def test_align_pair_matches_oracle_on_synthetic_corpus(tmp_path):
         if iso == "eng":
             continue
         target = {vid: normalize(text) for vid, text in sorted(doc.verses.items())}
-        assert align_pair(pivot, target, {"when"}) == \
+        assert align_pair(pivot, target, usage_points(pivot, {"when"})) == \
             align_pair_oracle(pivot, target, {"when"}), iso
 
 
@@ -364,7 +366,7 @@ def test_align_pair_matches_oracle_with_filler_and_one_sided_verses(seed, min_co
     assert any(not pivot[v] or not target[v] for v in shared)
     assert any("when" in toks for v, toks in pivot.items() if v not in target)
     assert set(target) - set(pivot)
-    assert align_pair(pivot, target, {"when"}, min_count=min_count) == \
+    assert align_pair(pivot, target, usage_points(pivot, {"when"}), min_count=min_count) == \
         align_pair_oracle(pivot, target, {"when"}, min_count=min_count)
 
 
@@ -372,7 +374,7 @@ def test_align_pair_without_pivot_in_shared_verses():
     pivot = {"v1": ["a", "b"], "v2": ["b"], "v3": ["when", "a"]}
     target = {"v1": ["x", "y"], "v2": ["y"], "v4": ["z"]}
     want = [PivotParallel("v3", 0, None)]
-    assert align_pair(pivot, target, {"when"}, min_count=1) == want
+    assert align_pair(pivot, target, usage_points(pivot, {"when"}), min_count=1) == want
     assert align_pair_oracle(pivot, target, {"when"}, min_count=1) == want
 
 
@@ -386,7 +388,7 @@ def test_align_pair_two_pivot_types_sharing_a_forward_best_match_oracle(seed):
     # some verse has two occurrences whose forward best is one target token
     assert any(len(js) > len(set(js)) for js in (
         [j for i, j in fwd[v] if pivot[v][i] in types] for v in pairs))
-    assert align_pair(pivot, target, types, min_count=1) == \
+    assert align_pair(pivot, target, usage_points(pivot, types), min_count=1) == \
         align_pair_oracle(pivot, target, types, min_count=1)
 
 
@@ -395,7 +397,7 @@ def test_align_pair_links_only_the_occurrence_the_reverse_model_points_back_to()
     # token there; the reverse model points "kogda" back at "when"
     pivot = {"v1": ["as", "when"], "v2": ["when"], "v3": ["when", "b"], "v4": ["as"]}
     target = {"v1": ["kogda"], "v2": ["kogda"], "v3": ["kogda", "y"], "v4": ["kak"]}
-    rows = align_pair(pivot, target, {"when", "as"}, min_count=1)
+    rows = align_pair(pivot, target, usage_points(pivot, {"when", "as"}), min_count=1)
     assert rows == align_pair_oracle(pivot, target, {"when", "as"}, min_count=1)
     assert rows[:2] == [PivotParallel("v1", 0, None), PivotParallel("v1", 1, "kogda")]
 
@@ -405,7 +407,9 @@ def every_type_as_pivot(bitext, iterations):
     pivot = {f"v{i:04d}": src for i, (src, _) in enumerate(bitext)}
     target = {f"v{i:04d}": tgt for i, (_, tgt) in enumerate(bitext)}
     types = {tok for src, _ in bitext for tok in src}
-    return pivot, target, align_pair(pivot, target, types, iterations=iterations, min_count=1)
+    rows = align_pair(pivot, target, usage_points(pivot, types), iterations=iterations,
+                      min_count=1)
+    return pivot, target, rows
 
 
 def test_align_pair_links_are_one_to_one_per_verse():
@@ -432,37 +436,9 @@ def test_planted_links_survive_symmetrization():
     assert hits / len(rows) >= 0.95
 
 
-# reassign_nulls ----------------------------------------------------------------
-
-def test_reassign_drops_rare_types():
-    rows = [PivotParallel("v1", 0, "rare"), PivotParallel("v2", 0, "rare")]
-    out = reassign_nulls(rows, min_count=3)
-    assert all(p.form is None for p in out)
-
-
-def test_reassign_keeps_frequent_types():
-    rows = [PivotParallel(f"v{i}", 0, "kai") for i in range(50)]
-    assert reassign_nulls(rows, min_count=3) == rows
-
-
-def test_reassign_matches_brute_force_and_idempotent():
-    rng = random.Random(2)
-    forms = ["a", "b", "c", "d", None]
-    rows = [PivotParallel(f"v{i}", 0, rng.choice(forms)) for i in range(200)]
-    out = reassign_nulls(rows, min_count=30)
-    counts = {}
-    for p in rows:
-        if p.form is not None:
-            counts[p.form] = counts.get(p.form, 0) + 1
-    for before, after in zip(rows, out):
-        want = before.form if before.form is not None and counts[before.form] >= 30 else None
-        assert after.form == want
-    assert reassign_nulls(out, min_count=30) == out
-
-
-def test_reassign_invalid_min_count():
-    with pytest.raises(AlignError):
-        reassign_nulls([], min_count=0)
+def test_align_pair_invalid_min_count():
+    with pytest.raises(AlignError, match="min_count"):
+        align_pair({"v1": ["when"]}, {"v1": ["x"]}, [("v1", 0)], min_count=0)
 
 
 # evaluate ---------------------------------------------------------------------
@@ -511,13 +487,13 @@ def make_verse_corpus(n=200, seed=17, null_rate=0.0):
 
 def test_align_pair_planted_accuracy():
     pivot, target, gold = make_verse_corpus(null_rate=0.3)
-    rows = align_pair(pivot, target, {"when"}, iterations=5, min_count=3)
+    rows = align_pair(pivot, target, usage_points(pivot, {"when"}), iterations=5, min_count=3)
     assert evaluate_alignment(rows, gold) >= 0.95
 
 
 def test_parallels_roundtrip(tmp_path):
     pivot, target, _ = make_verse_corpus(n=40, null_rate=0.5)
-    rows = align_pair(pivot, target, {"when"})
+    rows = align_pair(pivot, target, usage_points(pivot, {"when"}))
     path = tmp_path / "dump.tsv"
     path.write_text(format_rows((), "test") + dump_parallels(rows), encoding="utf-8")
     assert load_parallels(path) == rows
@@ -526,7 +502,7 @@ def test_parallels_roundtrip(tmp_path):
 def test_align_pair_covers_all_occurrences():
     pivot = {"v1": ["when", "he", "when"], "v2": ["x"]}
     target = {"v1": ["a", "b"], "v2": ["y"]}
-    rows = align_pair(pivot, target, {"when"}, min_count=1)
+    rows = align_pair(pivot, target, usage_points(pivot, {"when"}), min_count=1)
     assert [(p.verse_id, p.pivot_index) for p in rows] == [("v1", 0), ("v1", 2)]
     assert rows == align_pair_oracle(pivot, target, {"when"}, min_count=1)
 
@@ -565,7 +541,7 @@ def test_align_pair_rows_are_the_usage_points_in_order():
     @hyp.given(pairs())
     def check(case):
         pivot, target, types, min_count = case
-        rows = align_pair(pivot, target, types, min_count=min_count)
+        rows = align_pair(pivot, target, usage_points(pivot, types), min_count=min_count)
         points = usage_points(pivot, types)
         assert [(p.verse_id, p.pivot_index) for p in rows] == points
         assert rows == align_pair_oracle(pivot, target, types, min_count=min_count)

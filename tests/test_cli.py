@@ -44,6 +44,16 @@ def test_run_bad_json_is_config_error(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+def test_run_unreadable_config_is_config_error_before_work(tmp_path, capsys, name):
+    cfg = tmp_path / name
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(cfg) in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_takes_only_the_path_options():
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
@@ -101,6 +111,17 @@ def test_align_eval(tmp_path, capsys):
     assert main(["align-eval", "--alignment", str(dump), "--gold", str(gold)]) == 0
     out = capsys.readouterr().out
     assert "0.6667" in out
+
+
+def test_align_eval_gold_occurrence_without_alignment_row_is_data_error(tmp_path, capsys):
+    dump = tmp_path / "al.tsv"
+    dump.write_text("MAT:1:1\t0\tkai\n", encoding="utf-8")
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("MAT:9:9\t0\tNULL\n", encoding="utf-8")
+    assert main(["align-eval", "--alignment", str(dump), "--gold", str(gold)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error: ") and "('MAT:9:9', 0)" in captured.err
 
 
 def test_align_eval_missing_file_is_data_error(tmp_path, capsys):
@@ -206,6 +227,24 @@ def test_stats_report(tmp_path, capsys):
                  "--lemmas", str(lemmas), "--window", "4",
                  "--normalize-lemmas", "--out", str(out2)]) == 0
     assert "conjunct:N\t" in out2.read_text(encoding="utf-8")
+
+
+def test_out_into_a_new_directory(tmp_path, capsys):
+    tb = tmp_path / "fix.tsv"
+    tb.write_text(FIXTURE, encoding="utf-8")
+    dicts = tmp_path / "dicts.tsv"
+    dicts.write_text('iso\tdictionary\naa\t{"TL": ["x"], "ML": ["y"], "BL": ["z"]}\n',
+                     encoding="utf-8")
+    cons, lemmas = tmp_path / "cons.tsv", tmp_path / "lemmas.tsv"
+    cons.write_text(CONSTRUCTIONS, encoding="utf-8")
+    lemmas.write_text("S1\t3\tgo\n", encoding="utf-8")
+    for argv in (["treebank-extract", "--treebank", str(tb)],
+                 ["classify", "--dictionaries", str(dicts)],
+                 ["stats-report", "--constructions", str(cons), "--lemmas", str(lemmas)]):
+        out = tmp_path / argv[0] / "new" / "out.tsv"
+        assert main(argv + ["--out", str(out)]) == 0, argv[0]
+        assert capsys.readouterr().out == f"{out}\n"
+        assert out.read_text(encoding="utf-8"), argv[0]
 
 
 def test_stats_report_skips_unlemmatized_triggers_and_notes_a_boundary_tie(tmp_path, capsys):
@@ -948,7 +987,9 @@ def test_run_malformed_corpus_is_data_error(tmp_path, capsys, name, line):
 
 
 @pytest.mark.parametrize("argv", [
-    ["run", "--config", "{d}"],
+    # a config that cannot be read is a config error; run reads data from
+    # the corpus files, one of them here a directory
+    ["run", "--corpus-dir", "{d}", "--out-dir", "{d}/out"],
     ["map", "--embedding", "{d}", "--matrix", "{d}", "--iso", "eng", "--out", "{d}/m.svg"],
     ["treebank-extract", "--treebank", "{d}"],
     ["align-eval", "--alignment", "{d}", "--gold", "{d}"],
@@ -957,7 +998,7 @@ def test_run_malformed_corpus_is_data_error(tmp_path, capsys, name, line):
 ], ids=lambda argv: argv[0])
 def test_directory_given_as_input_file_is_data_error(tmp_path, capsys, argv):
     d = tmp_path / "dir"
-    d.mkdir()
+    (d / "eng.txt").mkdir(parents=True)
     assert main([a.format(d=d) for a in argv]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and str(d) in err

@@ -21,6 +21,7 @@ from synth import (
     verse_group,
 )
 
+from semmap import align as al
 from semmap.align import NULL_MARKER
 from semmap.cli import main
 from semmap.pipeline import ConfigError, PipelineConfig
@@ -292,3 +293,68 @@ def test_benchmark_trace_reaches_alignment():
     assert result["correct"] is True
     for name in ("align.train_em_s", "align.argmax_links_s", "align.verse_pairs"):
         assert result["metrics"][name]["value"] > 0, name
+
+
+def small_run(corpus, anchors, out, bom=""):
+    """Run the 90-verse synthetic corpus in ``corpus`` into ``out`` through
+    the CLI, from a config written beside ``out`` behind ``bom``. Returns
+    the manifest text."""
+    config = PipelineConfig(
+        corpus_dir=str(corpus), metadata=str(corpus / "meta.tsv"), out_dir=str(out),
+        gmm_ks=(3,), grid=40, core_k=10, group_anchors=anchors, dump_grids=False)
+    config_path = out.with_name(out.name + ".json")
+    config_path.write_text(bom + config.to_json(), encoding="utf-8")
+    assert main(["run", "--config", str(config_path)]) == 0
+    return (out / "manifest.tsv").read_text(encoding="utf-8")
+
+
+def test_run_finds_the_usage_points_once(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus"
+    _, anchors, _ = build_corpus(corpus, n_verses=90, seed=7)
+    calls = []
+    found = al.usage_points
+
+    def spy(*args):
+        calls.append(args)
+        return found(*args)
+
+    monkeypatch.setattr(al, "usage_points", spy)
+    small_run(corpus, anchors, tmp_path / "out")
+    assert len(list(corpus.glob("*.txt"))) == 18 and len(calls) == 1
+
+
+def test_verses_outside_the_pivot_change_no_alignment(tmp_path):
+    corpus = tmp_path / "corpus"
+    _, anchors, _ = build_corpus(corpus, n_verses=90, seed=7)
+    plain, extra = tmp_path / "plain", tmp_path / "extra"
+    small_run(corpus, anchors, plain)
+    for path in sorted(corpus.glob("*.txt")):
+        if path.stem != "eng":
+            with open(path, "a", encoding="utf-8") as fh:
+                for i in range(30):
+                    fh.write(f"MAT:2:{i}\t{path.stem}w{i % 40:02d} {path.stem}x{i}\n")
+    small_run(corpus, anchors, extra)
+    assert "# dropped_nonpivot_verses\t30" in (extra / "corpus.tsv").read_text(encoding="utf-8")
+    names = [f"alignments/{p.name}" for p in (plain / "alignments").iterdir()]
+    assert len(names) == 18
+    for rel in names + ["matrix.tsv", "embedding.tsv", "classification.tsv"]:
+        assert (plain / rel).read_bytes() == (extra / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("marked", ["ddd.txt", "meta.tsv", "config.json"])
+def test_a_file_with_a_byte_order_mark_runs_as_without_one(tmp_path, marked):
+    corpus = tmp_path / "corpus"
+    _, anchors, _ = build_corpus(corpus, n_verses=90, seed=7)
+    out = tmp_path / "out"
+    plain = small_run(corpus, anchors, out)
+    # a UTF-8 byte-order mark before a target's first verse id, the
+    # pivot's metadata row or the config
+    if marked != "config.json":
+        path = corpus / marked
+        path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+    bom = "\ufeff" if marked == "config.json" else ""
+    assert small_run(corpus, anchors, out, bom=bom) == plain
+    alignment = (out / "alignments" / "ddd.tsv").read_text(encoding="utf-8").splitlines()
+    assert alignment[1] == "MAT:1:0\t0\tdtl"
+    rows = {r["iso"]: r for r in read_tsv(out / "corpus.tsv")}
+    assert (rows["eng"]["name"], rows["eng"]["year"]) == ("English", "1900")

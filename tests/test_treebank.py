@@ -119,6 +119,16 @@ def test_parse_xml_dialect():
     assert cons[0].matrix_id == 3
 
 
+@pytest.mark.parametrize("text", [FIXTURE, XML_SENTENCE], ids=["columns", "xml"])
+def test_treebank_file_with_a_byte_order_mark_reads_as_without_one(tmp_path, text):
+    plain, marked = tmp_path / "plain.conllu", tmp_path / "marked.conllu"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    want = constructions_to_tsv(extract_all(parse_treebank(plain)))
+    assert constructions_to_tsv(extract_all(parse_treebank(marked))) == want
+    assert want.count("\n") > 1
+
+
 def test_dangling_head_rejected():
     bad = "# sent_id = b1\n1\tw\tw\tV\t_\t9\tpred\t_\t_\t_\n"
     with pytest.raises(TreebankError, match="dangling head"):
