@@ -350,7 +350,7 @@ class SelectionReport:
     chosen_k: int
     aic_agrees: bool
     silhouette_agrees: bool
-    model: GmmModel | None   # the chosen K's fit; None when every K failed
+    model: GmmModel   # the chosen K's fit
 
     def to_tsv(self) -> str:
         return tsv.format_rows(
@@ -368,7 +368,7 @@ def select_k(points, candidates, seed: int = 0) -> SelectionReport:
     The report keeps the chosen fit and flags whether the AIC argmin and
     the silhouette argmax agree with the BIC choice. Degenerate fits
     (numerical failure or an empty hard cluster) are excluded; if every
-    candidate fails, a MixtureError carrying the report is raised.
+    candidate fails, a MixtureError is raised.
     """
     pts = _plane(points)
     n = pts.shape[0]
@@ -406,10 +406,7 @@ def select_k(points, candidates, seed: int = 0) -> SelectionReport:
         rows.append(row)
     ok = [r for r in rows if not r["failed"]]
     if not ok:
-        err = MixtureError("degenerate: every candidate K failed")
-        err.report = SelectionReport(rows=rows, chosen_k=-1, aic_agrees=False,
-                                     silhouette_agrees=False, model=None)
-        raise err
+        raise MixtureError("degenerate: every candidate K failed")
     chosen = min(ok, key=lambda r: (r["bic"], r["k"]))["k"]
     aic_best = min(ok, key=lambda r: (r["aic"], r["k"]))["k"]
     sil_best = max(ok, key=lambda r: (r["silhouette"], -r["k"]))["k"]

@@ -12,6 +12,7 @@ blank lines, ``# sent_id = <id>`` comments::
 
     id  form  lemma  pos  morph  head  relation  slashes  empty  misc
 
+``id`` is a positive integer (head 0 marks the root);
 ``morph`` is ``key=value|key=value`` or ``_``; ``slashes`` is
 ``target:label[,target:label]`` or ``_``; ``empty`` is ``empty`` or ``_``.
 """
@@ -125,8 +126,12 @@ class Sentence:
         return out
 
     def validate(self) -> None:
-        """Reject dangling heads and slashes, head cycles and empty nodes with forms."""
+        """Reject token ids below 1 (head 0 is the root), dangling heads and
+        slashes, head cycles and empty nodes with forms."""
         for tok in self.tokens.values():
+            if tok.id < 1:
+                raise TreebankError(
+                    f"sentence {self.id}: token id {tok.id} is not a positive integer")
             if tok.head != 0 and tok.head not in self.tokens:
                 raise TreebankError(
                     f"sentence {self.id}: token {tok.id} has dangling head {tok.head}")

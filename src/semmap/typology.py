@@ -1,7 +1,7 @@
 """Coexpression-pattern classification and per-cluster means scoring.
 
 Maps each doculect's Kriging areas onto the three core-point groups
-(TL/ML/BL), prunes the area dictionary with Fisher-backed heuristics,
+(TL/ML/BL), prunes the area dictionary with one Fisher-backed rule,
 classifies the result into the basic patterns A-E or a subpattern
 template, and scores means by precision/recall/F1 plus usage points by
 prototypicality.
@@ -10,7 +10,8 @@ prototypicality.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +26,8 @@ __all__ = [
     "AreaDictionary",
     "PatternAssignment",
     "MeansScore",
+    "area_counts",
+    "prune_dictionary",
     "build_dictionary",
     "classify_pattern",
     "classification_to_tsv",
@@ -43,7 +46,6 @@ class TypologyError(ValueError):
 class AreaDictionary:
     """Meaningful means labels per core-point group, deduplicated."""
     groups: dict[str, list[str]]
-    counts: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def __post_init__(self):
         for g in GROUPS:
@@ -87,22 +89,13 @@ class MeansScore:
     f1: float
 
 
-def build_dictionary(core_sets: dict[str, np.ndarray], areas: dict[str, list],
-                     alpha: float = 0.01) -> AreaDictionary:
-    """Map core-point groups to the Kriging areas that matter.
+def area_counts(core_sets: dict[str, np.ndarray],
+                areas: dict[str, list]) -> dict[str, dict[str, int]]:
+    """Per group, the number of its core points inside each means' area.
 
     ``core_sets`` maps each group to its core points' (k, 2) coordinates,
     ``areas`` maps means labels (including the NULL marker) to polygon
-    sets at the dictionary probability level.
-
-    Pruning heuristics, applied per group in order: (a) an area unique to
-    the group is always kept, and an area shared with other groups
-    survives next to it only when a two-sided Fisher test on the
-    in-area counts is non-significant at alpha or the shared area holds
-    significantly more core points; (b) with no unique area, the
-    richest area is kept and others survive only a non-significant
-    Fisher test against it; (c) a NULL area counts only when it is the
-    sole area containing the group.
+    sets at the dictionary probability level. A zero count is left out.
     """
     if not core_sets:
         raise TypologyError("no core-point groups given")
@@ -114,23 +107,28 @@ def build_dictionary(core_sets: dict[str, np.ndarray], areas: dict[str, list],
     counts: dict[str, dict[str, int]] = {g: {} for g in core_sets}
     # every group's core points in one stack, one containment test per area
     stacked = np.concatenate(list(core_sets.values()))
-    for label in sorted(areas):
-        polys = areas[label]
-        if not polys:
-            continue
-        per_group = contains(polys, stacked).reshape(len(core_sets), k).sum(axis=1)
+    for label in sorted(m for m in areas if areas[m]):
+        per_group = contains(areas[label], stacked).reshape(len(core_sets), k).sum(axis=1)
         for g, c in zip(core_sets, per_group.tolist()):
             if c > 0:
                 counts[g][label] = c
+    return counts
 
-    containing_groups: dict[str, set[str]] = {}
-    for g, cmap in counts.items():
-        for label in cmap:
-            containing_groups.setdefault(label, set()).add(g)
 
-    def proportion_p(c1: int, c2: int) -> float:
-        return fisher_exact(c1, k - c1, c2, k - c2, tails="two").p_value
+def prune_dictionary(counts: dict[str, dict[str, int]], k: int,
+                     alpha: float = 0.01) -> AreaDictionary:
+    """Keep, per group, the areas that matter among those counted in it.
 
+    ``counts`` is ``area_counts``' result for core sets of k points. A
+    NULL area counts only when it is the sole area containing the group.
+    Otherwise the base is the group's unique areas (contained by no other
+    group), or its richest area when it has none, the greater label
+    winning a tie; every other lexical area survives next to the base
+    when it holds more core points than the base's best count ``ref``,
+    or when a two-sided Fisher test of its count against ``ref`` (out of
+    k each) is non-significant at alpha.
+    """
+    holders = Counter(m for cmap in counts.values() for m in cmap)
     result: dict[str, list[str]] = {}
     for g in GROUPS:
         cmap = counts.get(g, {})
@@ -138,28 +136,21 @@ def build_dictionary(core_sets: dict[str, np.ndarray], areas: dict[str, list],
         if not lexical:
             result[g] = [NULL_MARKER] if NULL_MARKER in cmap else []
             continue
-        unique = {m: c for m, c in lexical.items() if containing_groups[m] == {g}}
-        kept: list[str] = []
-        if unique:
-            kept.extend(unique)
-            ref = max(unique.values())
-            for m in sorted(set(lexical) - set(unique)):
-                c = lexical[m]
-                # keep a shared competitor unless it holds significantly
-                # fewer core points than the best unique area
-                if c > ref or proportion_p(c, ref) >= alpha:
-                    kept.append(m)
-        else:
-            ref_label = max(lexical, key=lambda m: (lexical[m], m))
-            ref = lexical[ref_label]
-            kept.append(ref_label)
-            for m in sorted(lexical):
-                if m == ref_label:
-                    continue
-                if proportion_p(ref, lexical[m]) >= alpha:
-                    kept.append(m)
-        result[g] = kept
-    return AreaDictionary(groups=result, counts=counts)
+        base = ([m for m in lexical if holders[m] == 1]
+                or [max(lexical, key=lambda m: (lexical[m], m))])
+        ref = max(lexical[m] for m in base)
+        result[g] = base + [
+            m for m in sorted(set(lexical) - set(base)) if lexical[m] > ref
+            or fisher_exact(lexical[m], k - lexical[m], ref, k - ref).p_value >= alpha]
+    return AreaDictionary(groups=result)
+
+
+def build_dictionary(core_sets: dict[str, np.ndarray], areas: dict[str, list],
+                     alpha: float = 0.01) -> AreaDictionary:
+    """Map core-point groups to the Kriging areas that matter: the areas'
+    core-point counts (``area_counts``) pruned by ``prune_dictionary``."""
+    counts = area_counts(core_sets, areas)
+    return prune_dictionary(counts, len(next(iter(core_sets.values()))), alpha)
 
 
 # Pattern templates, basic patterns first: each template fixes, per group

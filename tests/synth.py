@@ -16,6 +16,8 @@ ground truth.
 from __future__ import annotations
 
 import random
+import re
+from itertools import accumulate
 from pathlib import Path
 
 GROUP_OF_VERSE = ("TL", "ML", "BL")
@@ -115,3 +117,67 @@ def build_corpus(out_dir: str | Path, n_verses: int = 300, seed: int = 7,
         for g, v in anchor_verses.items()
     }
     return EXPECTED_PATTERNS, anchors, pivot_positions
+
+
+def planted_words(corpus_dir: str | Path) -> dict[str, dict[str, str | None]]:
+    """Each planted doculect's realized word per verse id, read back from
+    the files ``build_corpus`` wrote: the one token of a verse that is not
+    a translated ``<iso>wNN`` content word, or None when the verse has no
+    such token. The pivot file ``eng.txt`` is left out."""
+    out: dict[str, dict[str, str | None]] = {}
+    for path in sorted(Path(corpus_dir).glob("*.txt")):
+        if path.stem == "eng":
+            continue
+        content = re.compile(re.escape(path.stem) + r"w\d+")
+        words = out[path.stem] = {}
+        for line in path.read_text(encoding="utf-8").splitlines():
+            vid, text = line.split("\t")
+            extra = [t for t in text.split() if not content.fullmatch(t)]
+            if len(extra) > 1:
+                raise ValueError(f"{path.name} {vid}: more than one planted word: {extra}")
+            words[vid] = extra[0] if extra else None
+    return out
+
+
+def zipf_pair(n_verses: int = 1000, seed: int = 0, n_types: int = 3000,
+              verse_len: tuple[int, int] = (8, 20), pivot_share: float = 0.4,
+              drop_share: float = 0.15, stray_share: float = 0.1):
+    """A pivot/target verse pair that is harder to align than ``build_corpus``'s.
+
+    Filler words follow a Zipf law (rank r drawn with weight 1/r) over
+    ``n_types`` types per side; the target translates each filler word
+    through a bijection of the ranks and shuffles the verse. ``when``
+    occurs once in a ``pivot_share`` of the verses, and its counterpart
+    is "kogda" (weight 0.7) or "jegda" (0.3), except in a ``drop_share``
+    of those verses, which drop it. "kogda" also occurs in a
+    ``stray_share`` of the verses without ``when``. Returns (pivot verses,
+    target verses, planted), the sides as token lists by verse id, and
+    planted the counterpart of each ``when`` by verse id, None where it
+    was dropped.
+    """
+    rng = random.Random(seed)
+    ranks = range(n_types)
+    zipf = list(accumulate(1.0 / (r + 1) for r in ranks))
+    translation = list(ranks)
+    rng.shuffle(translation)
+    pivot: dict[str, list[str]] = {}
+    target: dict[str, list[str]] = {}
+    planted: dict[str, str | None] = {}
+    for i in range(n_verses):
+        vid = f"V:{i:05d}"
+        filler = rng.choices(ranks, cum_weights=zipf, k=rng.randint(*verse_len))
+        src = [f"p{r}" for r in filler]
+        tgt = [f"t{translation[r]}" for r in filler]
+        rng.shuffle(tgt)
+        if rng.random() < pivot_share:
+            src.insert(rng.randint(0, len(src)), "when")
+            word = None
+            if rng.random() >= drop_share:
+                word = "kogda" if rng.random() < 0.7 else "jegda"
+            planted[vid] = word
+        else:
+            word = "kogda" if rng.random() < stray_share else None
+        if word is not None:
+            tgt.insert(rng.randint(0, len(tgt)), word)
+        pivot[vid], target[vid] = src, tgt
+    return pivot, target, planted

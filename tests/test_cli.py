@@ -229,6 +229,14 @@ def test_stats_report(tmp_path, capsys):
     assert "conjunct:N\t" in out2.read_text(encoding="utf-8")
 
 
+def test_treebank_extract_rejects_a_token_numbered_zero(tmp_path, capsys):
+    tb = tmp_path / "zero.tsv"
+    tb.write_text("# sent_id = z1\n0\tjegda\tjegda\tG\t_\t1\taux\t_\t_\t_\n"
+                  "1\tvide\tvideti\tV\t_\t0\tpred\t_\t_\t_\n", encoding="utf-8")
+    assert main(["treebank-extract", "--treebank", str(tb)]) == 3
+    assert "sentence z1: token id 0 is not a positive integer" in capsys.readouterr().err
+
+
 def test_out_into_a_new_directory(tmp_path, capsys):
     tb = tmp_path / "fix.tsv"
     tb.write_text(FIXTURE, encoding="utf-8")

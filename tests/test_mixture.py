@@ -344,13 +344,12 @@ def test_select_k_of_one_k_keeps_the_fit_bit_for_bit():
 
 
 def test_select_k_identical_points_all_fail():
+    # every K fails alone as well as together; the error carries no report
     pts = np.ones((30, 2))
-    with pytest.raises(MixtureError) as err:
-        select_k(pts, [2, 3], seed=0)
-    report = getattr(err.value, "report", None)
-    assert report is not None
-    assert all(row["failed"] for row in report.rows)
-    assert report.model is None
+    for ks in ([2, 3], [2], [3]):
+        with pytest.raises(MixtureError, match="^degenerate: every candidate K failed$") as err:
+            select_k(pts, ks, seed=0)
+        assert not hasattr(err.value, "report")
 
 
 def test_select_k_range_validation():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -140,9 +141,18 @@ def test_fisher_zero_margin_degenerate():
 
 
 def test_fisher_row_swap_invariance():
-    p1 = fisher_exact(9, 2, 3, 8).p_value
-    p2 = fisher_exact(3, 8, 9, 2).p_value
-    assert p1 == pytest.approx(p2, abs=1e-12)
+    # the area-dictionary pruning tests counts (c, k - c) against (ref,
+    # k - ref) in either row order and needs the same p to the last bit:
+    # every table with both rows holding k <= 40, (9, 2, 3, 8) among
+    # them, then drawn tables up to k = 400
+    tables = [(k, a, c) for k in range(1, 41) for a in range(k + 1) for c in range(k + 1)]
+    rng = random.Random(36)
+    for _ in range(1000):
+        k = rng.randint(41, 400)
+        tables.append((k, rng.randint(0, k), rng.randint(0, k)))
+    for k, a, c in tables:
+        assert fisher_exact(a, k - a, c, k - c).p_value == \
+            fisher_exact(c, k - c, a, k - a).p_value, (k, a, c)
 
 
 def test_fisher_one_sided_directional():

@@ -158,6 +158,28 @@ def test_head_cycle_rejected(heads, token):
         parse_treebank("# sent_id = cy\n" + "\n".join(rows) + "\n")
 
 
+def jegda_clause(first_id: int, dialect: str) -> str:
+    """A *jegda*-clause whose first token is numbered ``first_id``."""
+    rows = [(first_id, "jegda", "jegda", "G", 3, "aux"), (2, "pride", "prijti", "V", 3, "adv"),
+            (3, "vide", "videti", "V", 0, "pred"), (4, "isu", "isusu", "N", 3, "sub")]
+    if dialect == "columns":
+        return "# sent_id = z1\n" + "".join(
+            f"{i}\t{f}\t{lem}\t{pos}\t_\t{h}\t{rel}\t_\t_\t_\n" for i, f, lem, pos, h, rel in rows)
+    return '<source><sentence id="z1">' + "".join(
+        f'<token id="{i}" form="{f}" lemma="{lem}" part-of-speech="{pos}" '
+        f'head-id="{h}" relation="{rel}"/>' for i, f, lem, pos, h, rel in rows) + "</sentence></source>"
+
+
+@pytest.mark.parametrize("dialect", ["columns", "xml"])
+@pytest.mark.parametrize("first_id", [0, -1])
+def test_token_id_below_one_rejected(first_id, dialect):
+    # head 0 marks the root: a token numbered 0 would be every root-level
+    # token's parent
+    assert len(parse_treebank(jegda_clause(1, dialect))[0].tokens) == 4
+    with pytest.raises(TreebankError, match=f"sentence z1: token id {first_id} is not a positive"):
+        parse_treebank(jegda_clause(first_id, dialect))
+
+
 def test_two_token_minimal_tree():
     text = "1\tvide\tvideti\tV\t_\t0\tpred\t_\t_\t_\n2\tisu\tisusu\tN\tcase=n\t1\tsub\t_\t_\t_\n"
     sents = parse_treebank(text)

@@ -11,12 +11,15 @@ from semmap.typology import (
     AreaDictionary,
     TypologyError,
     _canon,
+    area_counts,
     build_dictionary,
     classify_pattern,
     prototypicality,
+    prune_dictionary,
     score_means,
 )
 from semmap.pivot import ParallelUsageMatrix, code_labels
+from semmap.stats import fisher_exact
 
 
 def rect(x0, y0, x1, y1):
@@ -58,8 +61,8 @@ def test_dictionary_unique_plus_shared_non_significant():
         "NULL": rect(-1, 19, 30, 21),
     }
     core_sets, areas = make_setup(areas)
+    assert area_counts(core_sets, areas)["TL"] == {"obec": 26, "buc": 21}
     d = build_dictionary(core_sets, areas)
-    assert d.counts["TL"] == {"obec": 26, "buc": 21}
     assert d.groups["TL"] == ["buc", "obec"]
     assert d.groups["ML"] == ["buc"]
     assert d.groups["BL"] == ["NULL"]
@@ -72,8 +75,8 @@ def test_dictionary_unique_plus_shared_significantly_fewer_drops():
         "weak": rect(24.5, -1, 30.5, 11),
     }
     core_sets, areas = make_setup(areas)
+    assert area_counts(core_sets, areas)["TL"] == {"main": 28, "weak": 5}
     d = build_dictionary(core_sets, areas)
-    assert d.counts["TL"] == {"main": 28, "weak": 5}
     assert d.groups["TL"] == ["main"]
 
 
@@ -84,8 +87,8 @@ def test_dictionary_no_unique_fisher_richer_wins():
         "ka": rect(-1, 9.5, 7.5, 21),
     }
     core_sets, areas = make_setup(areas)
+    assert area_counts(core_sets, areas)["ML"] == {"ken": 30, "ka": 8}
     d = build_dictionary(core_sets, areas)
-    assert d.counts["ML"] == {"ken": 30, "ka": 8}
     assert d.groups == {"TL": ["ken"], "ML": ["ken"], "BL": ["ka"]}
 
 
@@ -95,8 +98,8 @@ def test_dictionary_no_unique_non_significant_keeps_both():
         "ka": rect(-1, 9.5, 26.5, 21),   # 27/30 in ML
     }
     core_sets, areas = make_setup(areas)
+    assert area_counts(core_sets, areas)["ML"] == {"ken": 30, "ka": 27}
     d = build_dictionary(core_sets, areas)
-    assert d.counts["ML"] == {"ken": 30, "ka": 27}
     assert d.groups["ML"] == ["ka", "ken"]
 
 
@@ -131,8 +134,8 @@ def test_dictionary_empty_group_allowed():
 def test_dictionary_leaves_out_a_label_without_polygons():
     areas = {"w": rect(-1, -1, 30, 21), "gone": []}
     core_sets, areas = make_setup(areas)
+    assert all("gone" not in c for c in area_counts(core_sets, areas).values())
     d = build_dictionary(core_sets, areas)
-    assert all("gone" not in c for c in d.counts.values())
     assert d.groups == {"TL": ["w"], "ML": ["w"], "BL": ["w"]}
 
 
@@ -142,6 +145,68 @@ def test_dictionary_unequal_core_sets_error():
     core_sets["TL"] = core_sets["TL"][:10]
     with pytest.raises(TypologyError):
         build_dictionary(core_sets, areas)
+
+
+def two_branch_prune(counts, k, alpha):
+    """The pruning rule in its two-branch form, the oracle of
+    ``prune_dictionary``: with unique areas, keep them and every shared
+    area that holds more points than the best of them or does not differ
+    from it at alpha; with none, keep the richest area (the greater label
+    on a tie) and every area that does not differ from it."""
+    containing = {}
+    for g, cmap in counts.items():
+        for m in cmap:
+            containing.setdefault(m, set()).add(g)
+
+    def proportion_p(c1, c2):
+        return fisher_exact(c1, k - c1, c2, k - c2, tails="two").p_value
+
+    result = {}
+    for g in GROUPS:
+        cmap = counts.get(g, {})
+        lexical = {m: c for m, c in cmap.items() if m != NULL_MARKER}
+        if not lexical:
+            result[g] = [NULL_MARKER] if NULL_MARKER in cmap else []
+            continue
+        unique = {m: c for m, c in lexical.items() if containing[m] == {g}}
+        if unique:
+            kept = list(unique)
+            ref = max(unique.values())
+            for m in sorted(set(lexical) - set(unique)):
+                if lexical[m] > ref or proportion_p(lexical[m], ref) >= alpha:
+                    kept.append(m)
+        else:
+            ref_label = max(lexical, key=lambda m: (lexical[m], m))
+            ref = lexical[ref_label]
+            kept = [ref_label]
+            for m in sorted(lexical):
+                if m != ref_label and proportion_p(ref, lexical[m]) >= alpha:
+                    kept.append(m)
+        result[g] = sorted(kept)
+    return result
+
+
+def test_prune_dictionary_equals_the_two_branch_rule():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    labels = st.sampled_from([NULL_MARKER, "a", "b", "c", "d", "e"])
+
+    @st.composite
+    def tables(draw):
+        k = draw(st.integers(5, 60))
+        # counts drawn from a few values too, so ties at the maximum are common
+        count = st.sampled_from([k, k - 1, k // 2, 1]) | st.integers(1, k)
+        groups = st.sampled_from(GROUPS)
+        counts = draw(st.dictionaries(groups, st.dictionaries(labels, count, max_size=6)))
+        return counts, k, draw(st.sampled_from([0.01, 0.05, 0.5]))
+
+    @hyp.settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @hyp.given(tables())
+    def same(table):
+        counts, k, alpha = table
+        assert prune_dictionary(counts, k, alpha).groups == two_branch_prune(counts, k, alpha)
+
+    same()
 
 
 def test_dictionary_json_round_trip():
